@@ -20,6 +20,13 @@ region uses its volume form, dV = dmu dt / H:
 
 with the tensor norm taken by raising indices with ref (no square root,
 matching how the convergence statements are quantified).
+
+``ChainAccumulator`` computes the hat -> g1 -> g2 -> g3 -> model chain while
+the flow runs: one spatial integral per sampled time, a trapezoid in t at
+the end, and nothing but the first sample's fiber held in between.
+``distance_chain`` replays a finished track through it.  ``assemble`` and
+``l2_distance`` build the full (time, node) grids instead; they are the
+reference the streamed chain is tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LapseError, ParamError, ShapeError
-from .imcf import FlowTrack
+from .imcf import FlowTrack, SnapshotAccumulator, area_radius, mean_curvature_average
 from .surface import SurfaceGeometry, integrate
 
 LABELS = (
@@ -45,6 +52,7 @@ LABELS = (
 )
 
 _FIBER_FIELDS = ("H", "g11", "g12", "g22", "dmu", "hbar")
+CHAIN_KEYS = ("hat_g1", "g1_g2", "g2_g3", "g3_model", "hat_model")
 
 
 @dataclass
@@ -65,28 +73,27 @@ class ProductMetricGrid:
 
 
 def _track_samples(track: FlowTrack, idx: np.ndarray) -> dict:
-    """Fiber data of the track at the chosen snapshot indices (cached)."""
-    key = ("samples", tuple(int(i) for i in idx))
-    cache = track.__dict__.setdefault("_comparison_cache", {})
-    if key not in cache:
-        shape = (len(idx), *track.grid.shape)
-        out = {name: np.empty(shape) for name in _FIBER_FIELDS}
-        for row, j in enumerate(idx):
-            geom = track.snapshot_geometry(int(j))
-            out["H"][row] = geom.H
-            out["g11"][row] = geom.g11
-            out["g12"][row] = geom.g12
-            out["g22"][row] = geom.g22
-            out["dmu"][row] = geom.dmu
-            out["hbar"][row] = track.series.hbar[track.snap_indices[j]]
-        cache.clear()  # keep at most one sampling in memory
-        cache[key] = out
-    return cache[key]
+    """Fiber data of the track at the chosen snapshot indices."""
+    shape = (len(idx), *track.grid.shape)
+    out = {name: np.empty(shape) for name in _FIBER_FIELDS}
+    for row, j in enumerate(idx):
+        geom = track.snapshot_geometry(int(j))
+        out["H"][row] = geom.H
+        out["g11"][row] = geom.g11
+        out["g12"][row] = geom.g12
+        out["g22"][row] = geom.g22
+        out["dmu"][row] = geom.dmu
+        out["hbar"][row] = track.series.hbar[track.snap_indices[j]]
+    return out
 
 
 def default_time_indices(track: FlowTrack, n_times: int = 101) -> np.ndarray:
     """Subsample of snapshot indices including both endpoints."""
-    n_snap = len(track.snap_times)
+    return sample_indices(len(track.snap_times), n_times)
+
+
+def sample_indices(n_snap: int, n_times: int = 101) -> np.ndarray:
+    """``default_time_indices`` for a track of n_snap stored snapshots."""
     if n_times >= n_snap:
         return np.arange(n_snap)
     idx = np.unique(np.linspace(0, n_snap - 1, n_times).round().astype(int))
@@ -194,25 +201,112 @@ def l2_distance(
             raise ShapeError("product metric grids must share the sampling grid")
     samples = _track_samples(track, A.time_indices)
 
-    dL = A.lapse2 - B.lapse2
-    d11 = A.g11 - B.g11
-    d12 = A.g12 - B.g12
-    d22 = A.g22 - B.g22
+    norm2 = _pointwise_norm2(
+        (A.lapse2, A.g11, A.g12, A.g22),
+        (B.lapse2, B.g11, B.g12, B.g22),
+        (ref.lapse2, ref.g11, ref.g12, ref.g22),
+    )
 
-    det = ref.g11 * ref.g22 - ref.g12**2
-    i11 = ref.g22 / det
-    i12 = -ref.g12 / det
-    i22 = ref.g11 / det
+    w = track.grid.weights[None, :, :]
+    spatial = np.sum(norm2 * samples["dmu"] / samples["H"] * w, axis=(1, 2))
+    return float(np.trapezoid(spatial, A.times))
+
+
+def _pointwise_norm2(A, B, ref):
+    """|A - B|_ref^2 per node for block metrics given as (lapse^2, g11, g12, g22)."""
+    dL = A[0] - B[0]
+    d11 = A[1] - B[1]
+    d12 = A[2] - B[2]
+    d22 = A[3] - B[3]
+
+    det = ref[1] * ref[3] - ref[2] ** 2
+    i11 = ref[3] / det
+    i12 = -ref[2] / det
+    i22 = ref[1] / det
 
     m11 = i11 * d11 + i12 * d12
     m12 = i11 * d12 + i12 * d22
     m21 = i12 * d11 + i22 * d12
     m22 = i12 * d12 + i22 * d22
-    norm2 = (dL / ref.lapse2) ** 2 + m11**2 + 2.0 * m12 * m21 + m22**2
+    return (dL / ref[0]) ** 2 + m11**2 + 2.0 * m12 * m21 + m22**2
 
-    w = track.grid.weights[None, :, :]
-    spatial = np.sum(norm2 * samples["dmu"] / samples["H"] * w, axis=(1, 2))
-    return float(np.trapezoid(spatial, A.times))
+
+class ChainAccumulator(SnapshotAccumulator):
+    """Streaming form of ``distance_chain`` over the snapshots ``time_indices``.
+
+    Per sampled time it integrates the five squared distances over Sigma
+    (weighted by dmu / H, as in ``l2_distance``) and keeps only those scalars
+    and the first sample's fiber, which g2 and g3 rescale by e^t.  ``r0``
+    None takes the area radius of the first sample, Sigma_0 for the default
+    sampling.
+    """
+
+    def __init__(
+        self,
+        snap_times: np.ndarray,
+        time_indices: np.ndarray,
+        mode: str = "PMT",
+        r0: float | None = None,
+        m: float | None = None,
+    ):
+        mode = mode.upper()
+        if mode not in ("PMT", "RPI"):
+            raise ValueError("mode must be PMT or RPI")
+        super().__init__(time_indices)
+        self.mode = mode
+        self.times = snap_times[self.indices]
+        self._growth = np.exp(self.times)
+        self._m = m
+        self._model_m = 0.0 if mode == "PMT" or m is None else float(m)
+        self.spatial = {key: np.empty(len(self.indices)) for key in CHAIN_KEYS}
+        self._fiber0 = None
+        self._error = None
+        self._model_lapse = None
+        if r0 is not None:
+            self._set_r0(r0)
+
+    def _set_r0(self, r0: float) -> None:
+        self.r0 = r0
+        try:
+            self._model_lapse = _model_lapse2(self.times, r0, self._model_m)
+        except LapseError as exc:
+            self._error = exc
+
+    def take(self, i, j, t, geom, P1, P2) -> None:
+        if self._model_lapse is None and self._error is None:
+            self._set_r0(area_radius(geom))
+        if self._error is not None:
+            return
+        if self._fiber0 is None:
+            self._fiber0 = (geom.g11, geom.g12, geom.g22)
+        grid = geom.grid
+        growth = self._growth[i]
+        lapse_model = self._model_lapse[i]
+        hbar = mean_curvature_average(geom)
+        lapse_mean = 1.0 / (hbar * hbar)
+        scaled0 = tuple(growth * g for g in self._fiber0)
+
+        hat = (1.0 / geom.H**2, geom.g11, geom.g12, geom.g22)
+        g1 = (lapse_mean, geom.g11, geom.g12, geom.g22)
+        g2 = (lapse_mean, *scaled0)
+        g3 = (lapse_model, *scaled0)
+        round_fiber = self.r0**2 * growth
+        model = (lapse_model, round_fiber, 0.0, round_fiber * (grid.sin_theta**2)[:, None])
+
+        pairs = ((hat, g1), (g1, g2), (g2, g3), (g3, model), (hat, model))
+        for key, (a, b) in zip(CHAIN_KEYS, pairs):
+            norm2 = _pointwise_norm2(a, b, model)
+            self.spatial[key][i] = np.sum(norm2 * geom.dmu / geom.H * grid.weights)
+
+    def result(self) -> dict:
+        if self.mode == "RPI" and (self._m is None or self._m <= 0.0):
+            raise ParamError("label 'g3_rpi' needs a positive mass m")
+        if self._error is not None:
+            raise self._error
+        self._require_complete()
+        return {
+            key: float(np.trapezoid(self.spatial[key], self.times)) for key in CHAIN_KEYS
+        }
 
 
 def distance_chain(
@@ -227,26 +321,14 @@ def distance_chain(
     Every distance is measured against the model metric of the chosen mode, so
     the square roots obey the plain triangle inequality.
     """
-    mode = mode.upper()
-    if mode not in ("PMT", "RPI"):
-        raise ValueError("mode must be PMT or RPI")
-    g3_label = "g3_pmt" if mode == "PMT" else "g3_rpi"
-    model_label = "hyperbolic_model" if mode == "PMT" else "adss_model"
     if time_indices is None:
         time_indices = default_time_indices(track)
-
-    def mk(label):
-        return assemble(track, label, r0=r0, m=m, time_indices=time_indices)
-
-    hat, g1, g2, g3, model = (mk(l) for l in ("hat", "g1", "g2", g3_label, model_label))
-    ref = model
-    return {
-        "hat_g1": l2_distance(hat, g1, ref, track),
-        "g1_g2": l2_distance(g1, g2, ref, track),
-        "g2_g3": l2_distance(g2, g3, ref, track),
-        "g3_model": l2_distance(g3, model, ref, track),
-        "hat_model": l2_distance(hat, model, ref, track),
-    }
+    acc = ChainAccumulator(
+        track.snap_times, time_indices, mode=mode,
+        r0=track.r0 if r0 is None else r0, m=m,
+    )
+    track.replay(acc)
+    return acc.result()
 
 
 def c_alpha_distance_to_round(

@@ -1,10 +1,12 @@
 """Sweep runner: class/compatibility checks, stability experiments, reports.
 
-``run_sequence`` executes each scenario row (one flow per epsilon), collects
-the mass/roundness diagnostics, the metric-distance chain, the pointwise
-checks, and assembles a deterministic report table.  ``emit`` writes CSV
-(fixed column order, 12 significant digits), schema-versioned JSON and a
-gnuplot script for the CSV.  A failing row is recorded and never aborts the
+``run_sequence`` executes each scenario row (one flow per epsilon) and
+assembles a deterministic report table.  A row is one pass over its flow:
+the compatibility, pinching, metric-distance chain, Holder, Gauss and
+diameter checks are accumulators the flow feeds at each stored snapshot, and
+the mass/roundness diagnostics come from the flow's per-step series.
+``emit`` writes CSV (fixed column order, 12 significant digits),
+schema-versioned JSON and a gnuplot script for the CSV.  A failing row is recorded and never aborts the
 remaining rows.
 """
 
@@ -19,8 +21,8 @@ import numpy as np
 
 from . import comparison, mass
 from .ambient import validate_profile
-from .errors import FitError, ImcfLabError, WindowError
-from .imcf import FlowTrack, run
+from .errors import FitError, WindowError
+from .imcf import FlowTrack, SnapshotAccumulator, area_radius, run, time_grid
 from .scenario import Scenario, ScenarioRow
 from .surface import intrinsic_diameter
 from .sphere_grid import SphereGrid
@@ -176,29 +178,159 @@ def check_class_membership(
     )
 
 
-def w12_normal_ricci(track: FlowTrack, a: float, b: float) -> float:
-    """W^{1,2} norm of Rc(nu,nu) over Sigma x [a,b], flat product measure.
+def _window(snap_times: np.ndarray, a: float, b: float) -> np.ndarray:
+    return np.where((snap_times >= a - 1e-12) & (snap_times <= b + 1e-12))[0]
 
-    First differences between consecutive stored times in t, spectral
-    derivatives on the sphere, quadrature against d(sigma) dt.
+
+class W12Accumulator(SnapshotAccumulator):
+    """Streaming ``w12_normal_ricci``: holds at most three Rc(nu,nu) slices.
+
+    The time derivative at each stored time uses the neighbouring slices with
+    the weights ``np.gradient`` gives for the window's (possibly nonuniform)
+    spacing: second-order central inside, one-sided first order at the ends.
     """
-    sel = np.where((track.snap_times >= a - 1e-12) & (track.snap_times <= b + 1e-12))[0]
-    if len(sel) < 3:
-        raise WindowError(f"window [{a}, {b}] holds fewer than 3 stored times")
-    t = track.snap_times[sel]
-    grid = track.grid
-    u = np.empty((len(sel), *grid.shape))
-    for i, j in enumerate(sel):
-        u[i] = track.snapshot_geometry(int(j)).Rc_nn
 
-    u_t = np.gradient(u, t, axis=0)
-    density = np.empty(len(sel))
-    for i in range(len(sel)):
+    def __init__(self, grid: SphereGrid, snap_times: np.ndarray, a: float, b: float):
+        sel = _window(snap_times, a, b)
+        self.window = (a, b)
+        self.enough = len(sel) >= 3
+        super().__init__(sel if self.enough else [])
+        self.grid = grid
+        self.t = snap_times[sel]
+        self.density = np.empty(len(sel))
+        self._u = {}
+        if self.enough:
+            dx = np.diff(self.t)
+            self._uniform = bool((dx == dx[0]).all())
+            self._dx = dx[0] if self._uniform else dx
+            dx1, dx2 = dx[:-1], dx[1:]
+            self._a = -dx2 / (dx1 * (dx1 + dx2))
+            self._b = (dx2 - dx1) / (dx1 * dx2)
+            self._c = dx1 / (dx2 * (dx1 + dx2))
+
+    def take(self, i, j, t, geom, P1, P2) -> None:
+        self._u[i] = geom.Rc_nn
+        if i >= 1:
+            self._density_at(i - 1)
+        if i == len(self.t) - 1:
+            self._density_at(i)
+        self._u.pop(i - 2, None)
+
+    def _density_at(self, i: int) -> None:
+        u, n = self._u, len(self.t)
+        if i == 0:
+            u_t = (u[1] - u[0]) / (self._dx if self._uniform else self._dx[0])
+        elif i == n - 1:
+            u_t = (u[i] - u[i - 1]) / (self._dx if self._uniform else self._dx[-1])
+        elif self._uniform:
+            u_t = (u[i + 1] - u[i - 1]) / (2.0 * self._dx)
+        else:
+            u_t = self._a[i - 1] * u[i - 1] + self._b[i - 1] * u[i] + self._c[i - 1] * u[i + 1]
+        grid = self.grid
         du_th = grid.dtheta(u[i])
         du_ph = grid.dphi(u[i])
         grad2 = du_th**2 + (du_ph / grid.sin_theta[:, None]) ** 2
-        density[i] = grid.integrate_sigma(u[i] ** 2 + u_t[i] ** 2 + grad2)
-    return float(np.sqrt(np.trapezoid(density, t)))
+        self.density[i] = grid.integrate_sigma(u[i] ** 2 + u_t**2 + grad2)
+
+    def result(self) -> float:
+        if not self.enough:
+            a, b = self.window
+            raise WindowError(f"window [{a}, {b}] holds fewer than 3 stored times")
+        self._require_complete()
+        return float(np.sqrt(np.trapezoid(self.density, self.t)))
+
+
+def w12_normal_ricci(track: FlowTrack, a: float, b: float) -> float:
+    """W^{1,2} norm of Rc(nu,nu) over Sigma x [a,b], flat product measure.
+
+    Differences in t between stored times, spectral derivatives on the
+    sphere, quadrature against d(sigma) dt.  Replays the track through
+    ``W12Accumulator``.
+    """
+    acc = W12Accumulator(track.grid, track.snap_times, a, b)
+    track.replay(acc)
+    return acc.result()
+
+
+class CompatAccumulator(SnapshotAccumulator):
+    """Snapshot part of ``check_coordinate_compatibility`` over window [a, b].
+
+    Reads Sigma_0 (K12 floor), every stored time in the window (W^{1,2}
+    Ricci norm) and n_diam of them (intrinsic diameter); ``result`` adds the
+    series-based ratios and gradient bound once the flow has ended.
+    """
+
+    def __init__(
+        self,
+        grid: SphereGrid,
+        snap_times: np.ndarray,
+        T: float,
+        a: float,
+        b: float,
+        n_diam: int = 5,
+    ):
+        self.window = (a, b)
+        self.T = float(T)
+        self.w12 = W12Accumulator(grid, snap_times, a, b)
+        sel = _window(snap_times, a, b)
+        self.picks = sel[
+            np.unique(np.linspace(0, len(sel) - 1, min(n_diam, len(sel))).astype(int))
+        ]
+        self.diam_times = snap_times[self.picks]
+        self._diam = {}
+        # an invalid window fails in result(), so it reads nothing
+        self.valid = 0.0 <= a < b <= self.T + 1e-12
+        super().__init__(np.union1d([0], sel) if self.valid else [])
+
+    def take(self, i, j, t, geom, P1, P2) -> None:
+        if j == 0:
+            self.k12_min0 = float(np.min(geom.K12))
+        self.w12.observe(j, t, geom, P1, P2)
+        if j in self.picks:
+            self._diam[j] = intrinsic_diameter(geom)
+
+    def result(
+        self,
+        series,
+        t_star: float = 4.0,
+        ratio_band: tuple[float, float] = (0.4, 0.8),
+        c3_max: float | None = None,
+    ) -> CompatReport:
+        a, b = self.window
+        if not self.valid:
+            raise WindowError(f"window [{a}, {b}] not inside [0, {self.T}]")
+        s = series
+        in_window = (s.times >= a - 1e-12) & (s.times <= b + 1e-12)
+        C3 = float(np.max(s.gradf_max[in_window]))
+
+        late = s.times >= t_star
+        if np.any(late):
+            C1 = float(np.min(s.r_min[late] / s.times[late]))
+            C2 = float(np.max(s.r_max[late] / s.times[late]))
+            ratios_ok = bool(ratio_band[0] <= C1 and C2 <= ratio_band[1])
+        else:
+            C1 = C2 = None
+            ratios_ok = None
+
+        w12 = self.w12.result()
+        self._require_complete()
+        diam_vals = np.array([self._diam[int(j)] for j in self.picks])
+        return CompatReport(
+            window=(a, b),
+            t_star=t_star,
+            C1=C1,
+            C2=C2,
+            C3=C3,
+            ratio_band=ratio_band,
+            ratios_ok=ratios_ok,
+            grad_ok=bool(C3 <= c3_max) if c3_max is not None else True,
+            w12_ricci=w12,
+            k12_min0=self.k12_min0,
+            k12_floor_ok=bool(self.k12_min0 >= -1.0 - 1e-10),
+            diam_times=self.diam_times,
+            diam_values=diam_vals,
+            diam_max=float(np.max(diam_vals)),
+        )
 
 
 def check_coordinate_compatibility(
@@ -210,57 +342,70 @@ def check_coordinate_compatibility(
     c3_max: float | None = None,
     n_diam: int = 5,
 ) -> CompatReport:
-    """Radial growth ratios, graph-gradient bound and the W^{1,2} Ricci norm."""
-    if not 0.0 <= a < b <= track.T + 1e-12:
-        raise WindowError(f"window [{a}, {b}] not inside [0, {track.T}]")
-    s = track.series
-    in_window = (s.times >= a - 1e-12) & (s.times <= b + 1e-12)
-    C3 = float(np.max(s.gradf_max[in_window]))
+    """Radial growth ratios, graph-gradient bound and the W^{1,2} Ricci norm.
 
-    late = s.times >= t_star
-    if np.any(late):
-        C1 = float(np.min(s.r_min[late] / s.times[late]))
-        C2 = float(np.max(s.r_max[late] / s.times[late]))
-        ratios_ok = bool(ratio_band[0] <= C1 and C2 <= ratio_band[1])
-    else:
-        C1 = C2 = None
-        ratios_ok = None
-
-    w12 = w12_normal_ricci(track, a, b)
-    k12_min0 = float(np.min(track.snapshot_geometry(0).K12))
-
-    sel = np.where((track.snap_times >= a - 1e-12) & (track.snap_times <= b + 1e-12))[0]
-    picks = sel[np.unique(np.linspace(0, len(sel) - 1, min(n_diam, len(sel))).astype(int))]
-    diam_vals = np.array(
-        [intrinsic_diameter(track.snapshot_geometry(int(j))) for j in picks]
-    )
-    return CompatReport(
-        window=(a, b),
-        t_star=t_star,
-        C1=C1,
-        C2=C2,
-        C3=C3,
-        ratio_band=ratio_band,
-        ratios_ok=ratios_ok,
-        grad_ok=bool(C3 <= c3_max) if c3_max is not None else True,
-        w12_ricci=w12,
-        k12_min0=k12_min0,
-        k12_floor_ok=bool(k12_min0 >= -1.0 - 1e-10),
-        diam_times=track.snap_times[picks],
-        diam_values=diam_vals,
-        diam_max=float(np.max(diam_vals)),
-    )
+    Replays the track through ``CompatAccumulator``.
+    """
+    acc = CompatAccumulator(track.grid, track.snap_times, track.T, a, b, n_diam)
+    track.replay(acc)
+    return acc.result(track.series, t_star, ratio_band, c3_max)
 
 
-def _nearest_snapshot(track: FlowTrack, t: float) -> int:
-    return int(np.argmin(np.abs(track.snap_times - t)))
+def _nearest_snapshot(snap_times: np.ndarray, t: float) -> int:
+    return int(np.argmin(np.abs(snap_times - t)))
+
+
+class SampleAccumulator(SnapshotAccumulator):
+    """Holder distance of Sigma_0 to round, and the Gauss deviation and
+    intrinsic diameter at the stored snapshot nearest each t-sample."""
+
+    def __init__(self, snap_times: np.ndarray, t_samples):
+        self._snap_of = {t: _nearest_snapshot(snap_times, t) for t in t_samples}
+        self._gauss, self._diam = {}, {}
+        super().__init__(sorted({0, *self._snap_of.values()}))
+
+    def take(self, i, j, t, geom, P1, P2) -> None:
+        if j == 0:
+            self.r0 = area_radius(geom)
+            self.c_alpha = comparison.c_alpha_distance_to_round(geom, r0=self.r0)
+        if j in self._snap_of.values():
+            self._gauss[j] = comparison.gauss_deviation(geom, self.r0, t)
+            self._diam[j] = intrinsic_diameter(geom)
+
+    def result(self) -> tuple[float, dict, dict]:
+        """(c_alpha, gauss deviation by t-sample, diameter by t-sample)."""
+        self._require_complete()
+        gauss = {t: self._gauss[j] for t, j in self._snap_of.items()}
+        diam = {t: self._diam[j] for t, j in self._snap_of.items()}
+        return self.c_alpha, gauss, diam
 
 
 def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
-    """Flow one scenario row and collect every enabled check."""
+    """Flow one scenario row, streaming every enabled check through the flow.
+
+    Each check's accumulator sees the flow's own geometry at the stored
+    snapshots, so no geometry is rebuilt after the flow.  Check errors are
+    raised once the flow has ended, in the order the checks are listed here.
+    Any exception marks the row failed and is recorded as ``Type: message``.
+    """
     result = RowResult(label=row.label, eps=row.eps, ok=True)
     try:
         profile_report = validate_profile(row.profile)
+        grid = row.surface0.grid
+        times, snap_indices = time_grid(scn.T, scn.dt, scn.snap_every)
+        snap_times = times[snap_indices]
+        compat = pinch = chain = samples = None
+        if scn.checks.get("compat", True):
+            a, b = scn.resolved_compat_window()
+            compat = CompatAccumulator(grid, snap_times, scn.T, a, b)
+        if scn.checks.get("pinch", True):
+            pinch = mass.PinchAccumulator(snap_times, grid.shape)
+        if scn.checks.get("distances", True):
+            chain = comparison.ChainAccumulator(
+                snap_times, comparison.sample_indices(len(snap_times)),
+                mode=scn.mode, m=scn.m,
+            )
+            samples = SampleAccumulator(snap_times, scn.resolved_t_samples())
         track = run(
             row.profile,
             row.surface0,
@@ -268,6 +413,9 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
             dt=scn.dt,
             cfl=scn.cfl,
             snap_every=scn.snap_every,
+            observers=[
+                acc.observe for acc in (compat, pinch, chain, samples) if acc is not None
+            ],
         )
         result.track = track
         result.diag = mass.diagnostics(track)
@@ -277,31 +425,19 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
             result.class_report = check_class_membership(
                 track, scalar_floor_ok=profile_report.passed
             )
-        if scn.checks.get("compat", True):
-            a, b = scn.resolved_compat_window()
-            result.compat_report = check_coordinate_compatibility(track, a, b)
-        if scn.checks.get("pinch", True):
-            result.pinch_pass = mass.pinch_bounds_check(track).n_violations == 0
+        if compat is not None:
+            result.compat_report = compat.result(track.series)
+        if pinch is not None:
+            result.pinch_pass = pinch.result().n_violations == 0
         if scn.checks.get("mass_at_infinity", True) and scn.T >= 2.0:
             try:
                 result.mH_inf = mass.mass_at_infinity(track.times, track.series.m_H)
             except FitError:
                 result.mH_inf = None
-        if scn.checks.get("distances", True):
-            result.distances = comparison.distance_chain(
-                track, mode=scn.mode, m=scn.m
-            )
-            geom0 = track.snapshot_geometry(0)
-            result.c_alpha = comparison.c_alpha_distance_to_round(geom0, r0=track.r0)
-            for t in scn.resolved_t_samples():
-                j = _nearest_snapshot(track, t)
-                geom_t = track.snapshot_geometry(j)
-                t_snap = float(track.snap_times[j])
-                result.gauss_dev[t] = comparison.gauss_deviation(
-                    geom_t, track.r0, t_snap
-                )
-                result.diam[t] = intrinsic_diameter(geom_t)
-    except ImcfLabError as exc:
+        if chain is not None:
+            result.distances = chain.result()
+            result.c_alpha, result.gauss_dev, result.diam = samples.result()
+    except Exception as exc:
         result.ok = False
         result.error = f"{type(exc).__name__}: {exc}"
     return result

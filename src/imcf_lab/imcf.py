@@ -13,6 +13,12 @@ round-off.  The area law |Sigma_t| = |Sigma_0| e^t is therefore exact on
 rotationally symmetric data and the scheme's error budget is spent entirely
 on genuine anisotropy.
 
+Checks that read the per-node geometry (pinching, the metric-distance chain,
+the W^{1,2} Ricci norm, Holder, Gauss and diameter samples) are accumulators
+fed by the flow itself: ``run`` hands every observer each stored snapshot's
+geometry as it is computed, and ``FlowTrack.replay`` feeds the same observers
+from a finished track by rebuilding that geometry from ``snap_f``.
+
 Stability: each recorded step of size dt is internally split into substeps
 obeying the parabolic guard dt <= cfl * h_theta^2 * min(H)^2 * min(lambda)^2
 (the linearized flow diffuses with coefficient 1/(H lambda)^2), and the grid's
@@ -22,7 +28,8 @@ scheme cannot propagate.  Recorded times stay on the uniform grid t_k = k dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +44,10 @@ _SERIES_FIELDS = (
     "h_min", "h_max", "absA_max", "lam1_min",
     "r_min", "r_max", "gradf_max", "hdev", "param_res",
 )
+
+# observer(j, t, geom, P1, P2) at each stored snapshot j; P1 and P2 are the
+# running pinch integrals, buffers the flow keeps updating after the call
+Observer = Callable[[int, float, SurfaceGeometry, np.ndarray, np.ndarray], None]
 
 
 @dataclass
@@ -94,7 +105,6 @@ class FlowTrack:
     snap_f: np.ndarray       # (n_snap, n_theta, n_phi)
     snap_P1: np.ndarray      # cumulative trapezoid of 2 lambda_1 / H
     snap_P2: np.ndarray      # cumulative trapezoid of 2 lambda_2 / H
-    _geom_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -119,14 +129,78 @@ class FlowTrack:
         return GraphSurface(self.grid, self.snap_f[j], time_tag=float(self.snap_times[j]))
 
     def snapshot_geometry(self, j: int) -> SurfaceGeometry:
-        if j not in self._geom_cache:
-            if len(self._geom_cache) > 16:
-                self._geom_cache.pop(next(iter(self._geom_cache)))
-            self._geom_cache[j] = geometry(self.profile, self.snapshot_surface(j))
-        return self._geom_cache[j]
+        """Geometry of stored snapshot j, rebuilt from its graph (not cached)."""
+        return geometry(self.profile, self.snapshot_surface(j))
 
     def geometry_at_time(self, t: float) -> SurfaceGeometry:
         return self.snapshot_geometry(self.snap_index_of_time(t))
+
+    def replay(self, acc: SnapshotAccumulator) -> None:
+        """Feed an accumulator the stored snapshots it reads, in order.
+
+        It sees the same arguments ``run`` passed its observer during the
+        flow, with the geometry rebuilt from ``snap_f``.
+        """
+        for j in acc.indices:
+            j = int(j)
+            acc.observe(
+                j, float(self.snap_times[j]), self.snapshot_geometry(j),
+                self.snap_P1[j], self.snap_P2[j],
+            )
+
+
+class SnapshotAccumulator:
+    """A check computed from the stored snapshots one at a time.
+
+    Subclasses list the snapshot indices they read in ``indices`` and consume
+    the i-th of them (snapshot j) in ``take``; ``observe`` is the observer to
+    hand to ``run`` or ``FlowTrack.replay`` and skips every other snapshot.
+    Snapshots arrive in ascending order.
+    """
+
+    def __init__(self, indices):
+        self.indices = np.asarray(indices, dtype=int)
+        self._todo = {int(j): i for i, j in enumerate(self.indices)}
+
+    def observe(self, j, t, geom, P1, P2) -> None:
+        i = self._todo.pop(j, None)
+        if i is not None:
+            self.take(i, j, t, geom, P1, P2)
+
+    def take(self, i, j, t, geom, P1, P2) -> None:
+        raise NotImplementedError
+
+    def _require_complete(self) -> None:
+        if self._todo:
+            raise RuntimeError(
+                f"{type(self).__name__} did not see {len(self._todo)} of its snapshots"
+            )
+
+
+def area_radius(geom: SurfaceGeometry) -> float:
+    """sqrt(|Sigma| / 4 pi); on Sigma_0 this is the track's r0."""
+    return float(np.sqrt(geom.area / (4.0 * np.pi)))
+
+
+def mean_curvature_average(geom: SurfaceGeometry) -> float:
+    """Area average of H (the series' ``hbar``)."""
+    return float(np.sum(geom.H * (geom.dmu * geom.grid.weights))) / geom.area
+
+
+def time_grid(T: float, dt: float, snap_every: int | None = None):
+    """Recorded times t_k = k dt on [0, T] and the indices k stored as snapshots."""
+    if T <= 0:
+        raise ValueError("T must be positive")
+    n_float = T / dt
+    N = int(round(n_float))
+    if N < 1 or abs(n_float - N) > 1e-9 * max(1.0, n_float):
+        raise ValueError(f"dt = {dt} does not divide T = {T}")
+    times = dt * np.arange(N + 1)
+    if snap_every is None:
+        snap_every = max(1, N // 400)
+    snap_set = set(range(0, N + 1, snap_every))
+    snap_set.add(N)
+    return times, np.array(sorted(snap_set))
 
 
 def exact_round_flow(profile: AmbientProfile, s0: float, t) -> tuple[np.ndarray, np.ndarray]:
@@ -169,22 +243,16 @@ def run(
     cfl: float = 0.2,
     snap_every: int | None = None,
     max_substeps: int = 500_000,
+    observers: Sequence[Observer] = (),
 ) -> FlowTrack:
-    """Flow from t = 0 to T on the uniform grid t_k = k dt."""
-    if T <= 0:
-        raise ValueError("T must be positive")
-    n_float = T / dt
-    N = int(round(n_float))
-    if N < 1 or abs(n_float - N) > 1e-9 * max(1.0, n_float):
-        raise ValueError(f"dt = {dt} does not divide T = {T}")
-    grid = surface0.grid
-    times = dt * np.arange(N + 1)
+    """Flow from t = 0 to T on the uniform grid t_k = k dt.
 
-    if snap_every is None:
-        snap_every = max(1, N // 400)
-    snap_set = set(range(0, N + 1, snap_every))
-    snap_set.add(N)
-    snap_indices = np.array(sorted(snap_set))
+    Every observer is called at each stored snapshot with the geometry the
+    flow computed there (see ``Observer``).
+    """
+    times, snap_indices = time_grid(T, dt, snap_every)
+    N = len(times) - 1
+    grid = surface0.grid
 
     series = {name: np.empty(N + 1) for name in _SERIES_FIELDS}
     n_snap = len(snap_indices)
@@ -203,7 +271,7 @@ def run(
     for k in range(N + 1):
         t_k = times[k]
         if r0 is None:
-            r0 = np.sqrt(geom.area / (4.0 * np.pi))
+            r0 = area_radius(geom)
         _record(series, k, geom, t_k, r0)
 
         rate1 = 2.0 * geom.lam1 / geom.H
@@ -218,6 +286,8 @@ def run(
             snap_f[j] = geom.surface.f
             snap_P1[j] = P1
             snap_P2[j] = P2
+            for observe in observers:
+                observe(j, float(t_k), geom, P1, P2)
 
         if k < N:
             try:
@@ -235,7 +305,7 @@ def run(
         T=float(T),
         times=times,
         series=fs,
-        r0=float(r0),
+        r0=r0,
         snap_indices=snap_indices,
         snap_times=times[snap_indices],
         snap_f=snap_f,
@@ -310,7 +380,7 @@ def _record(series: dict, k: int, geom: SurfaceGeometry, t: float, r0: float):
     series["I_A2"][k] = np.sum((geom.absA2 - 2.0) * dmu_w)
     series["I_prod"][k] = np.sum((geom.prod12 - 1.0) * dmu_w)
     series["chi"][k] = np.sum(geom.K * dmu_w) / (2.0 * np.pi)
-    hbar = float(np.sum(geom.H * dmu_w)) / area
+    hbar = mean_curvature_average(geom)
     series["hbar"][k] = hbar
     series["hbar2"][k] = np.sum(geom.H**2 * dmu_w) / area
     series["h_min"][k] = np.min(geom.H)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FitError
-from .imcf import FlowTrack
+from .imcf import FlowTrack, SnapshotAccumulator
 from .surface import SurfaceGeometry, grad_pairing, integrate
 
 SIXTEEN_PI = 16.0 * np.pi
@@ -222,6 +222,49 @@ def weak_ricci_pairing(
     return lhs, rhs
 
 
+class PinchAccumulator(SnapshotAccumulator):
+    """Streaming form of ``pinch_bounds_check``; reads every stored snapshot."""
+
+    def __init__(self, snap_times: np.ndarray, shape: tuple, tol: float = 1e-9):
+        super().__init__(np.arange(len(snap_times)))
+        self.times = snap_times
+        self.tol = tol
+        self.lower_ok = np.empty((len(snap_times), *shape), dtype=bool)
+        self.upper_ok = np.empty_like(self.lower_ok)
+        self.worst_low = self.worst_up = 0.0
+        self._g0 = None
+
+    def take(self, i, j, t, geom, P1, P2) -> None:
+        if j == 0:
+            self._g0 = (geom.g11, geom.g12, geom.g22)
+        g0_11, g0_12, g0_22 = self._g0
+        e1 = np.exp(P1)
+        e2 = np.exp(P2)
+        scale = geom.g11 + geom.g22
+
+        def min_eig(a, b, c):
+            tr = a + c
+            disc = np.sqrt(np.maximum((a - c) ** 2 + 4.0 * b**2, 0.0))
+            return 0.5 * (tr - disc)
+
+        low = min_eig(geom.g11 - e1 * g0_11, geom.g12 - e1 * g0_12, geom.g22 - e1 * g0_22)
+        up = min_eig(e2 * g0_11 - geom.g11, e2 * g0_12 - geom.g12, e2 * g0_22 - geom.g22)
+        self.lower_ok[j] = low >= -self.tol * scale
+        self.upper_ok[j] = up >= -self.tol * scale
+        self.worst_low = min(self.worst_low, float(np.min(low / scale)))
+        self.worst_up = min(self.worst_up, float(np.min(up / scale)))
+
+    def result(self) -> PinchReport:
+        self._require_complete()
+        return PinchReport(
+            times=self.times,
+            lower_ok=self.lower_ok,
+            upper_ok=self.upper_ok,
+            worst_lower=self.worst_low,
+            worst_upper=self.worst_up,
+        )
+
+
 def pinch_bounds_check(track: FlowTrack, tol: float = 1e-9) -> PinchReport:
     """Verify the metric growth bounds from the principal-curvature spread.
 
@@ -230,40 +273,12 @@ def pinch_bounds_check(track: FlowTrack, tol: float = 1e-9) -> PinchReport:
         exp(int_0^t 2 lambda_1/H) g(x,0) <= g(x,t) <= exp(int_0^t 2 lambda_2/H) g(x,0)
 
     as 2x2 quadratic forms; eigenvalue signs are tested relative to the local
-    metric scale with tolerance ``tol``.
+    metric scale with tolerance ``tol``.  Replays the track through
+    ``PinchAccumulator``.
     """
-    g0 = track.snapshot_geometry(0)
-    g0_11, g0_12, g0_22 = g0.g11, g0.g12, g0.g22
-    n_snap = len(track.snap_times)
-    lower_ok = np.empty((n_snap, *track.grid.shape), dtype=bool)
-    upper_ok = np.empty_like(lower_ok)
-    worst_low = worst_up = 0.0
-
-    for j in range(n_snap):
-        gt = track.snapshot_geometry(j)
-        e1 = np.exp(track.snap_P1[j])
-        e2 = np.exp(track.snap_P2[j])
-        scale = gt.g11 + gt.g22
-
-        def min_eig(a, b, c):
-            tr = a + c
-            disc = np.sqrt(np.maximum((a - c) ** 2 + 4.0 * b**2, 0.0))
-            return 0.5 * (tr - disc)
-
-        low = min_eig(gt.g11 - e1 * g0_11, gt.g12 - e1 * g0_12, gt.g22 - e1 * g0_22)
-        up = min_eig(e2 * g0_11 - gt.g11, e2 * g0_12 - gt.g12, e2 * g0_22 - gt.g22)
-        lower_ok[j] = low >= -tol * scale
-        upper_ok[j] = up >= -tol * scale
-        worst_low = min(worst_low, float(np.min(low / scale)))
-        worst_up = min(worst_up, float(np.min(up / scale)))
-
-    return PinchReport(
-        times=track.snap_times,
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
-        worst_lower=worst_low,
-        worst_upper=worst_up,
-    )
+    acc = PinchAccumulator(track.snap_times, track.grid.shape, tol)
+    track.replay(acc)
+    return acc.result()
 
 
 def area_parameterization_residual(track: FlowTrack):

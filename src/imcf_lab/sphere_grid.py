@@ -44,7 +44,7 @@ class SphereGrid:
         # weights against d(sigma); sum is exactly 4*pi up to round-off
         self.weights = np.outer(self.w_theta, np.full(self.n_phi, self.w_phi))
 
-        self._d1, self._d2 = _barycentric_diff_matrices(self.x, self.w_theta)
+        self._d1 = _barycentric_diff_matrix(self.x, self.w_theta)
         self._m = np.arange(self.n_phi // 2 + 1)
         self._filter_mask = self._build_polar_mask()
 
@@ -56,28 +56,14 @@ class SphereGrid:
 
     # -- differentiation ---------------------------------------------------
 
-    def dx(self, field: np.ndarray) -> np.ndarray:
-        return self._d1 @ field
-
     def dtheta(self, field: np.ndarray) -> np.ndarray:
         return -self.sin_theta[:, None] * (self._d1 @ field)
-
-    def d2theta(self, field: np.ndarray) -> np.ndarray:
-        # d^2/dtheta^2 = sin^2 * d^2/dx^2 - cos * d/dx
-        return (self.sin_theta**2)[:, None] * (self._d2 @ field) - self.cos_theta[
-            :, None
-        ] * (self._d1 @ field)
 
     def dphi(self, field: np.ndarray) -> np.ndarray:
         fh = np.fft.rfft(field, axis=1)
         fh *= 1j * self._m
         if self.n_phi % 2 == 0:
             fh[:, -1] = 0.0  # Nyquist mode has no odd derivative
-        return np.fft.irfft(fh, n=self.n_phi, axis=1)
-
-    def d2phi(self, field: np.ndarray) -> np.ndarray:
-        fh = np.fft.rfft(field, axis=1)
-        fh *= -(self._m**2)
         return np.fft.irfft(fh, n=self.n_phi, axis=1)
 
     def theta_derivs(self, field: np.ndarray):
@@ -147,13 +133,14 @@ def get_grid(n_theta: int, n_phi: int) -> SphereGrid:
     return SphereGrid(n_theta, n_phi)
 
 
-def _barycentric_diff_matrices(x: np.ndarray, w_quad: np.ndarray):
-    """First/second derivative collocation matrices on Gauss-Legendre nodes.
+def _barycentric_diff_matrix(x: np.ndarray, w_quad: np.ndarray):
+    """First-derivative collocation matrix on Gauss-Legendre nodes.
 
     Barycentric weights for Gauss points via the Wang-Xiang relation
     w_i ~ (-1)^i sqrt((1 - x_i^2) lambda_i); only relative values matter.
     Diagonal by the negative-sum trick, so constants differentiate to zero
-    exactly.  D2 = D1 @ D1 is exact on the collocation polynomial space.
+    exactly.  Second derivatives apply it twice (``theta_derivs``), which is
+    exact on the collocation polynomial space.
     """
     n = len(x)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
@@ -163,5 +150,4 @@ def _barycentric_diff_matrices(x: np.ndarray, w_quad: np.ndarray):
     d1 = (w[None, :] / w[:, None]) / dx
     np.fill_diagonal(d1, 0.0)
     np.fill_diagonal(d1, -d1.sum(axis=1))
-    d2 = d1 @ d1
-    return d1, d2
+    return d1
