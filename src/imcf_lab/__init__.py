@@ -16,10 +16,8 @@ from .ambient import (
     MassAspectProfile,
     ProfileReport,
     TabulatedProfile,
-    curvature_sample,
     horizon_radius,
     validate_profile,
-    warp_eval,
 )
 from .comparison import (
     ProductMetricGrid,

@@ -1,29 +1,26 @@
 """Rotationally symmetric ambient 3-metrics g = dr^2 + lambda(r)^2 sigma.
 
-A profile is the warp function lambda together with its first two derivatives.
-Four kinds are supported:
+A profile is a forward map r -> s = lambda(r) and a mass aspect m(s): the
+coordinate sphere of area radius s has Hawking mass m(s).  In s alone
+(``warp_at_area_radius``):
 
-* ``hyperbolic``  -- lambda = sinh(r), the constant-curvature model.
-* ``adss``        -- anti-de Sitter Schwarzschild with mass m: the warp solves
-                     lambda' = sqrt(1 + lambda^2 - 2 m / lambda).
-* ``mass_aspect`` -- same ODE with a radially varying mass m(s); coordinate
-                     spheres of area radius s then have Hawking mass m(s), and
-                     the scalar curvature is R = -6 + 4 m'(s)/s^2, so the floor
-                     R >= -6 is exactly monotonicity of m.
-* ``tabulated``   -- cubic spline (not-a-knot) through sampled lambda values.
+    lambda'   = sqrt(1 + s^2 - 2 m(s)/s)
+    lambda''  = s + m(s)/s^2 - m'(s)/s
+    Rc(nu,nu) = -2 lambda''/s                     (radial direction)
+    K12       = (1 - lambda'^2)/s^2 = 2 m/s^3 - 1  (tangent to coordinate spheres)
+    R         = 2 K12 + 2 Rc(nu,nu) = -6 + 4 m'(s)/s^2
 
-For the ODE-backed kinds the map r <-> s (= lambda) is built once from a
-high-accuracy integration of dr/ds = 1 / sqrt(1 + s^2 - 2 m(s)/s); given s, the
-derivatives lambda' and lambda'' follow exactly from the ODE:
+so the floor R >= -6 is exactly monotonicity of m.  The r-API (``warp``,
+``warp_curvature``) is the forward map followed by this s-form.  Kinds:
 
-    lambda'  = sqrt(1 + s^2 - 2 m(s)/s)
-    lambda'' = s + m(s)/s^2 - m'(s)/s
+* ``hyperbolic``  -- lambda = sinh(r), m = 0 (closed forms).
+* ``adss``        -- anti-de Sitter Schwarzschild, constant mass m.
+* ``mass_aspect`` -- a radially varying mass m(s).
+* ``tabulated``   -- cubic spline (not-a-knot) through sampled lambda values;
+                     m(s) = (s/2)(1 + s^2 - lambda'^2) through its own r(s).
 
-Curvature of the warped product:
-
-    Rc(nu,nu) = -2 lambda''/lambda            (radial direction)
-    K12       = (1 - lambda'^2)/lambda^2      (tangent to coordinate spheres)
-    R         = 2 K12 + 2 Rc(nu,nu)           = 2(1-lambda'^2)/lambda^2 - 4 lambda''/lambda
+For the ODE-backed kinds r(s) is built once by integrating
+dr/ds = 1 / sqrt(1 + s^2 - 2 m(s)/s).
 """
 
 from __future__ import annotations
@@ -38,6 +35,19 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 from .errors import DomainError, ProfileError
 
 _DOMAIN_SLACK = 1e-10
+
+
+def _in_domain(x, domain, what: str) -> np.ndarray:
+    """x clipped to the domain; DomainError beyond round-off outside it."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = domain
+    # the slack scales with each end: s_domain spans 1e-6 to 4e10 on hyperbolic
+    lo_ok = lo - _DOMAIN_SLACK * max(1.0, abs(lo))
+    hi_ok = hi + _DOMAIN_SLACK * max(1.0, abs(hi))
+    bad = [v for v in (np.min(x), np.max(x)) if not lo_ok <= v <= hi_ok]
+    if bad:
+        raise DomainError(f"{what} {bad[0]:.6g} outside profile domain [{lo:.6g}, {hi:.6g}]")
+    return np.clip(x, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,6 @@ class ProfileReport:
     n_samples: int
     min_R: float
     r_at_min_R: float
-    min_lambda: float
-    min_dlambda: float
     r_floor_ok: bool
     positivity_ok: bool
     tol: float
@@ -69,7 +77,7 @@ class ProfileReport:
 
 
 class AmbientProfile:
-    """Base class; subclasses provide ``warp`` and the r <-> s maps."""
+    """Base class; subclasses provide ``_s_of_r``, its inverse and ``_mass``."""
 
     kind: str = "abstract"
 
@@ -78,73 +86,66 @@ class AmbientProfile:
         if not lo < hi:
             raise ProfileError(f"empty radial domain [{lo}, {hi}]")
         self.r_domain = (lo, hi)
+        self.s_domain = (float(self._s_of_r(lo)), float(self._s_of_r(hi)))
+        if self.s_domain[0] <= 0.0:
+            raise ProfileError(f"{self.kind} profile loses positivity at r = {lo:.6g}")
 
     # -- interface ---------------------------------------------------------
 
-    def _warp_raw(self, r: np.ndarray):
+    def _s_of_r(self, r):
+        """Forward map r -> s = lambda(r), unchecked."""
         raise NotImplementedError
 
     def radius_from_area_radius(self, s):
         """Inverse warp: the r with lambda(r) = s."""
         raise NotImplementedError
 
+    def _mass(self, s):
+        """Mass aspect and its derivative (m(s), m'(s))."""
+        raise NotImplementedError
+
     def mass_function(self, s):
         """Mass aspect m(s) = (s/2)(1 + s^2 - lambda'^2)."""
-        s = np.asarray(s, dtype=float)
-        r = self.radius_from_area_radius(s)
-        _, dlam, _ = self.warp(r)
-        return 0.5 * s * (1.0 + s * s - dlam * dlam)
+        return self._mass(np.asarray(s, dtype=float))[0]
 
-    # -- shared operations ---------------------------------------------------
+    # -- the s-form ----------------------------------------------------------
 
-    def check_domain(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        lo, hi = self.r_domain
-        slack = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
-        if np.any(r < lo - slack) or np.any(r > hi + slack):
-            bad = r[(r < lo - slack) | (r > hi + slack)]
-            raise DomainError(
-                f"radius {np.min(bad):.6g} outside profile domain [{lo:.6g}, {hi:.6g}]"
-            )
-        return np.clip(r, lo, hi)
+    def warp_at_area_radius(self, s):
+        """(lambda', lambda'', R, Rc_rr, K12) at area radius s; DomainError
+        outside ``s_domain``, ProfileError where lambda'^2 <= 0."""
+        return self._s_form(_in_domain(s, self.s_domain, "area radius"))
 
-    def warp(self, r):
-        """(lambda, lambda', lambda'') at r, domain-checked."""
-        r = self.check_domain(r)
-        lam, dlam, d2lam = self._warp_raw(r)
-        if np.any(lam <= 0.0) or np.any(dlam <= 0.0):
+    def _s_form(self, s):
+        m, dm = self._mass(s)
+        dlam2 = 1.0 + s * s - 2.0 * m / s
+        if np.min(dlam2) <= 0.0:
             raise ProfileError(
-                f"{self.kind} profile loses positivity: min lambda "
-                f"{np.min(lam):.3g}, min lambda' {np.min(dlam):.3g}"
+                f"{self.kind} profile loses positivity: min lambda'^2 {np.min(dlam2):.3g}"
             )
-        return lam, dlam, d2lam
+        d2lam = s + m / (s * s) - dm / s
+        # 1 - lambda'^2 = 2 m/s - s^2 exactly, without the cancellation
+        k12 = 2.0 * m / s**3 - 1.0
+        rc = -2.0 * d2lam / s
+        return np.sqrt(dlam2), d2lam, 2.0 * k12 + 2.0 * rc, rc, k12
 
-    def _k12_raw(self, r, lam, dlam):
-        # overridden where erasing the cancellation in 1 - lambda'^2 is possible
-        return (1.0 - dlam * dlam) / (lam * lam)
+    # -- the r-API -------------------------------------------------------------
+
+    def area_radius_from_radius(self, r):
+        """The forward map s = lambda(r), domain-checked."""
+        return self._s_of_r(_in_domain(r, self.r_domain, "radius"))
 
     def warp_curvature(self, r):
         """One-pass (lambda, lambda', lambda'', R, Rc_rr, K12) at r."""
-        r = self.check_domain(r)
-        lam, dlam, d2lam = self._warp_raw(r)
-        if np.any(lam <= 0.0) or np.any(dlam <= 0.0):
-            raise ProfileError(
-                f"{self.kind} profile loses positivity: min lambda "
-                f"{np.min(lam):.3g}, min lambda' {np.min(dlam):.3g}"
-            )
-        k12 = self._k12_raw(r, lam, dlam)
-        rc = -2.0 * d2lam / lam
-        return lam, dlam, d2lam, 2.0 * k12 + 2.0 * rc, rc, k12
+        s = self.area_radius_from_radius(r)
+        return (s, *self.warp_at_area_radius(s))
+
+    def warp(self, r):
+        """(lambda, lambda', lambda'') at r, domain-checked."""
+        return self.warp_curvature(r)[:3]
 
     def curvature(self, r) -> CurvatureSample:
         _, _, _, R, rc_nn, k12 = self.warp_curvature(r)
         return CurvatureSample(R=R, Rc_nn=rc_nn, K12=k12)
-
-    @property
-    def s_domain(self) -> tuple[float, float]:
-        lam_lo, _, _ = self.warp(self.r_domain[0])
-        lam_hi, _, _ = self.warp(self.r_domain[1])
-        return (float(lam_lo), float(lam_hi))
 
 
 class HyperbolicProfile(AmbientProfile):
@@ -155,16 +156,22 @@ class HyperbolicProfile(AmbientProfile):
     def __init__(self, r_domain: tuple[float, float] = (1e-6, 25.0)):
         super().__init__(r_domain)
 
-    def _warp_raw(self, r):
-        return np.sinh(r), np.cosh(r), np.sinh(r)
-
-    def _k12_raw(self, r, lam, dlam):
-        # 1 - cosh^2 = -sinh^2 exactly
-        return np.full_like(lam, -1.0)
+    def _s_of_r(self, r):
+        return np.sinh(r)
 
     def radius_from_area_radius(self, s):
         s = np.asarray(s, dtype=float)
         return np.arcsinh(s)
+
+    def _mass(self, s):
+        return np.zeros_like(s), np.zeros_like(s)
+
+    def _s_form(self, s):
+        # m = 0: lambda'^2 = 1 + s^2 > 0 and the curvatures are constants
+        return (
+            np.sqrt(1.0 + s * s), s,
+            np.full_like(s, -6.0), np.full_like(s, -2.0), np.full_like(s, -1.0),
+        )
 
 
 class _OdeWarpProfile(AmbientProfile):
@@ -213,27 +220,14 @@ class _OdeWarpProfile(AmbientProfile):
         s = np.asarray(s, dtype=float)
         return 1.0 + s * s - 2.0 * self._m(s) / s
 
-    def _warp_raw(self, r):
-        s = self._s_of_r(r)
-        dlam = np.sqrt(self._dlam_sq(s))
-        d2lam = s + self._m(s) / (s * s) - self._dm(s) / s
-        return s, dlam, d2lam
-
-    def _k12_raw(self, r, lam, dlam):
-        # 1 - lambda'^2 = 2 m(s)/s - s^2 exactly along the warp ODE
-        return 2.0 * self._m(lam) / lam**3 - 1.0
+    def _mass(self, s):
+        return self._m(s), self._dm(s)
 
     def radius_from_area_radius(self, s):
-        s = np.asarray(s, dtype=float)
-        lo, hi = self.s_domain
-        slack = _DOMAIN_SLACK * max(1.0, hi)
-        if np.any(s < lo - slack) or np.any(s > hi + slack):
-            raise DomainError(
-                f"area radius outside [{lo:.6g}, {hi:.6g}]"
-            )
-        r = np.asarray(self._r_of_s_guess(np.clip(s, lo, hi)), dtype=float)
+        s = _in_domain(s, self.s_domain, "area radius")
+        r = np.asarray(self._r_of_s_guess(s), dtype=float)
         r = np.clip(r, self.r_domain[0], self.r_domain[1])
-        # polish against the same spline the warp evaluates, so the
+        # polish against the same spline the forward map evaluates, so the
         # round trip s -> r -> lambda(r) closes at machine precision
         for _ in range(3):
             cur = self._s_of_r(r)
@@ -295,21 +289,30 @@ class TabulatedProfile(AmbientProfile):
             raise ProfileError("tabulated profile needs >= 4 strictly increasing radii")
         if np.any(lam_values <= 0) or np.any(np.diff(lam_values) <= 0):
             raise ProfileError("tabulated lambda must be positive and increasing")
-        self._spline = CubicSpline(r_nodes, lam_values, bc_type="not-a-knot")
-        self._dspline = self._spline.derivative()
+        self._s_of_r = CubicSpline(r_nodes, lam_values, bc_type="not-a-knot")
+        self._dspline = self._s_of_r.derivative()
         self._d2spline = self._dspline.derivative()
+        # lambda' <= 0 anywhere makes r(s) many-valued: every s-form call fails
+        self._dips = np.min(self._dspline(r_nodes[[0, -1]])) <= 0.0 or bool(
+            len(self._dspline.roots(extrapolate=False))
+        )
         super().__init__((float(r_nodes[0]), float(r_nodes[-1])))
 
-    def _warp_raw(self, r):
-        return self._spline(r), self._dspline(r), self._d2spline(r)
+    def _mass(self, s):
+        if self._dips:
+            raise ProfileError("tabulated spline has lambda' <= 0 inside its domain")
+        r = self.radius_from_area_radius(s)
+        dlam = self._dspline(r)
+        q = 1.0 + s * s - dlam * dlam
+        return 0.5 * s * q, 0.5 * q + s * s - s * self._d2spline(r)
 
     def radius_from_area_radius(self, s):
         s = np.asarray(s, dtype=float)
         lo, hi = self.r_domain
         grid = np.linspace(lo, hi, 2048)
-        r = np.interp(s, self._spline(grid), grid)
+        r = np.interp(s, self._s_of_r(grid), grid)
         for _ in range(4):
-            r = np.clip(r - (self._spline(r) - s) / self._dspline(r), lo, hi)
+            r = np.clip(r - (self._s_of_r(r) - s) / self._dspline(r), lo, hi)
         return r
 
 
@@ -323,19 +326,6 @@ def horizon_radius(m: float) -> float:
     return float(pos[0])
 
 
-# -- module-level operations ---------------------------------------------------
-
-
-def warp_eval(profile: AmbientProfile, r):
-    """Warp value and first two derivatives at radius r."""
-    return profile.warp(r)
-
-
-def curvature_sample(profile: AmbientProfile, r) -> CurvatureSample:
-    """Scalar, radial Ricci and sphere-tangent sectional curvature at r."""
-    return profile.curvature(r)
-
-
 def validate_profile(
     profile: AmbientProfile, tol: float = 1e-8, n_samples: int = 512
 ) -> ProfileReport:
@@ -343,17 +333,17 @@ def validate_profile(
     lo, hi = profile.r_domain
     inset = 1e-9 * (hi - lo)
     r = np.linspace(lo + inset, hi - inset, n_samples)
-    lam, dlam, d2lam = profile._warp_raw(r)
-    R = 2.0 * profile._k12_raw(r, lam, dlam) - 4.0 * d2lam / lam
+    try:
+        R = profile.warp_curvature(r)[3]
+    except (DomainError, ProfileError):  # lambda' <= 0 somewhere on the scan
+        R = np.full(n_samples, np.nan)
     i = int(np.argmin(R))
     return ProfileReport(
         kind=profile.kind,
         n_samples=n_samples,
         min_R=float(R[i]),
         r_at_min_R=float(r[i]),
-        min_lambda=float(np.min(lam)),
-        min_dlambda=float(np.min(dlam)),
         r_floor_ok=bool(R[i] >= -6.0 - tol),
-        positivity_ok=bool(np.min(lam) > 0 and np.min(dlam) > 0),
+        positivity_ok=not np.isnan(R[i]),
         tol=tol,
     )

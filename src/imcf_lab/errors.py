@@ -6,7 +6,7 @@ class ImcfLabError(Exception):
 
 
 class DomainError(ImcfLabError):
-    """Radial coordinate outside the profile domain."""
+    """Radius or area radius outside the profile domain."""
 
 
 class ProfileError(ImcfLabError):

@@ -257,7 +257,8 @@ class CompatAccumulator(SnapshotAccumulator):
 
     Reads Sigma_0 (K12 floor), every stored time in the window (W^{1,2}
     Ricci norm) and n_diam of them (intrinsic diameter); ``result`` adds the
-    series-based ratios and gradient bound once the flow has ended.
+    series-based ratios and gradient bound once the flow has ended.  Two
+    accumulators given one ``diameters`` dict compute a snapshot's diameter once.
     """
 
     def __init__(
@@ -268,6 +269,7 @@ class CompatAccumulator(SnapshotAccumulator):
         a: float,
         b: float,
         n_diam: int = 5,
+        diameters: dict | None = None,
     ):
         self.window = (a, b)
         self.T = float(T)
@@ -277,7 +279,7 @@ class CompatAccumulator(SnapshotAccumulator):
             np.unique(np.linspace(0, len(sel) - 1, min(n_diam, len(sel))).astype(int))
         ]
         self.diam_times = snap_times[self.picks]
-        self._diam = {}
+        self._diam = {} if diameters is None else diameters
         # an invalid window fails in result(), so it reads nothing
         self.valid = 0.0 <= a < b <= self.T + 1e-12
         super().__init__(np.union1d([0], sel) if self.valid else [])
@@ -286,7 +288,7 @@ class CompatAccumulator(SnapshotAccumulator):
         if j == 0:
             self.k12_min0 = float(np.min(geom.K12))
         self.w12.observe(j, t, geom, P1, P2)
-        if j in self.picks:
+        if j in self.picks and j not in self._diam:
             self._diam[j] = intrinsic_diameter(geom)
 
     def result(
@@ -357,11 +359,12 @@ def _nearest_snapshot(snap_times: np.ndarray, t: float) -> int:
 
 class SampleAccumulator(SnapshotAccumulator):
     """Holder distance of Sigma_0 to round, and the Gauss deviation and
-    intrinsic diameter at the stored snapshot nearest each t-sample."""
+    intrinsic diameter at the stored snapshot nearest each t-sample
+    (``diameters`` as for ``CompatAccumulator``)."""
 
-    def __init__(self, snap_times: np.ndarray, t_samples):
+    def __init__(self, snap_times: np.ndarray, t_samples, diameters: dict):
         self._snap_of = {t: _nearest_snapshot(snap_times, t) for t in t_samples}
-        self._gauss, self._diam = {}, {}
+        self._gauss, self._diam = {}, diameters
         super().__init__(sorted({0, *self._snap_of.values()}))
 
     def take(self, i, j, t, geom, P1, P2) -> None:
@@ -370,7 +373,8 @@ class SampleAccumulator(SnapshotAccumulator):
             self.c_alpha = comparison.c_alpha_distance_to_round(geom, r0=self.r0)
         if j in self._snap_of.values():
             self._gauss[j] = comparison.gauss_deviation(geom, self.r0, t)
-            self._diam[j] = intrinsic_diameter(geom)
+            if j not in self._diam:
+                self._diam[j] = intrinsic_diameter(geom)
 
     def result(self) -> tuple[float, dict, dict]:
         """(c_alpha, gauss deviation by t-sample, diameter by t-sample)."""
@@ -395,9 +399,10 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
         times, snap_indices = time_grid(scn.T, scn.dt, scn.snap_every)
         snap_times = times[snap_indices]
         compat = pinch = chain = samples = None
+        diameters = {}
         if scn.checks.get("compat", True):
             a, b = scn.resolved_compat_window()
-            compat = CompatAccumulator(grid, snap_times, scn.T, a, b)
+            compat = CompatAccumulator(grid, snap_times, scn.T, a, b, diameters=diameters)
         if scn.checks.get("pinch", True):
             pinch = mass.PinchAccumulator(snap_times, grid.shape)
         if scn.checks.get("distances", True):
@@ -405,7 +410,7 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
                 snap_times, comparison.sample_indices(len(snap_times)),
                 mode=scn.mode, m=scn.m,
             )
-            samples = SampleAccumulator(snap_times, scn.resolved_t_samples())
+            samples = SampleAccumulator(snap_times, scn.resolved_t_samples(), diameters)
         track = run(
             row.profile,
             row.surface0,

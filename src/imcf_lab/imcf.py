@@ -1,11 +1,12 @@
 """Inverse mean curvature flow of radial graphs.
 
-The graph function evolves by df/dt = v/H (normal speed 1/H, tilt factor
-v = sqrt(1 + |grad_sigma f|^2/lambda^2)).  The integrator is explicit midpoint
-RK2 applied to the per-node area radius zeta = lambda(f) in the exponential
-time variable tau = e^{t/2}:
+The flow's state, from the initial surface to the stored track, is the
+per-node area radius zeta = lambda(f) of the graph r = f, which evolves by
+df/dt = v/H (normal speed 1/H, tilt factor v = sqrt(1 + |grad_sigma f|^2/lambda^2)).
+The integrator is explicit midpoint RK2 in zeta and the exponential time
+variable tau = e^{t/2}:
 
-    d(zeta)/d(tau) = (2/tau) lambda'(f) v / H.
+    d(zeta)/d(tau) = (2/tau) lambda'(zeta) v / H.
 
 For a coordinate sphere the right side is exactly zeta/tau, whose solutions
 are linear in tau, and any second-order Runge-Kutta step reproduces them to
@@ -17,7 +18,7 @@ Checks that read the per-node geometry (pinching, the metric-distance chain,
 the W^{1,2} Ricci norm, Holder, Gauss and diameter samples) are accumulators
 fed by the flow itself: ``run`` hands every observer each stored snapshot's
 geometry as it is computed, and ``FlowTrack.replay`` feeds the same observers
-from a finished track by rebuilding that geometry from ``snap_f``.
+from a finished track by rebuilding that geometry from the stored zeta.
 
 Stability: each recorded step of size dt is internally split into substeps
 obeying the parabolic guard dt <= cfl * h_theta^2 * min(H)^2 * min(lambda)^2
@@ -102,9 +103,14 @@ class FlowTrack:
     r0: float
     snap_indices: np.ndarray
     snap_times: np.ndarray
-    snap_f: np.ndarray       # (n_snap, n_theta, n_phi)
+    snap_zeta: np.ndarray    # (n_snap, n_theta, n_phi) area radii
     snap_P1: np.ndarray      # cumulative trapezoid of 2 lambda_1 / H
     snap_P2: np.ndarray      # cumulative trapezoid of 2 lambda_2 / H
+
+    @property
+    def snap_f(self) -> np.ndarray:
+        """Radii of the stored snapshots (inverts the whole track per access)."""
+        return self.profile.radius_from_area_radius(self.snap_zeta)
 
     @property
     def n_steps(self) -> int:
@@ -125,12 +131,10 @@ class FlowTrack:
             raise ValueError(f"t = {t:.6g} is not a stored snapshot time")
         return j
 
-    def snapshot_surface(self, j: int) -> GraphSurface:
-        return GraphSurface(self.grid, self.snap_f[j], time_tag=float(self.snap_times[j]))
-
     def snapshot_geometry(self, j: int) -> SurfaceGeometry:
-        """Geometry of stored snapshot j, rebuilt from its graph (not cached)."""
-        return geometry(self.profile, self.snapshot_surface(j))
+        """Geometry of stored snapshot j, rebuilt from its zeta (not cached)."""
+        surface = GraphSurface(self.grid, self.snap_zeta[j], self.profile, self.snap_times[j])
+        return geometry(self.profile, surface)
 
     def geometry_at_time(self, t: float) -> SurfaceGeometry:
         return self.snapshot_geometry(self.snap_index_of_time(t))
@@ -139,7 +143,7 @@ class FlowTrack:
         """Feed an accumulator the stored snapshots it reads, in order.
 
         It sees the same arguments ``run`` passed its observer during the
-        flow, with the geometry rebuilt from ``snap_f``.
+        flow, with the geometry rebuilt from the stored zeta.
         """
         for j in acc.indices:
             j = int(j)
@@ -207,14 +211,11 @@ def exact_round_flow(profile: AmbientProfile, s0: float, t) -> tuple[np.ndarray,
     """Closed-form round flow: s(t) = s0 e^{t/2} and its mean curvature.
 
     The area law forces every rotationally symmetric solution onto this
-    trajectory; H(t) = 2 lambda'(r(s))/s, i.e. (2/s) sqrt(1 + s^2 - 2 m(s)/s)
-    for the mass-aspect family.
+    trajectory; H(t) = 2 lambda'(s)/s = (2/s) sqrt(1 + s^2 - 2 m(s)/s).
     """
     t = np.asarray(t, dtype=float)
     s = s0 * np.exp(0.5 * t)
-    r = profile.radius_from_area_radius(s)
-    _, dlam, _ = profile.warp(r)
-    return s, 2.0 * dlam / s
+    return s, 2.0 * profile.warp_at_area_radius(s)[0] / s
 
 
 def step(
@@ -227,12 +228,9 @@ def step(
     """Advance a surface by one recorded time step of size dt."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    grid = surface.grid
-    zeta = grid.polar_filter(profile.warp(surface.f)[0])
-    geom = _geom_of_zeta(profile, grid, zeta)
-    zeta, _ = _advance(profile, grid, zeta, surface.time_tag, dt, cfl, geom, max_substeps)
-    f = profile.radius_from_area_radius(zeta)
-    return GraphSurface(grid, f, time_tag=surface.time_tag + dt)
+    zeta = surface.grid.polar_filter(surface.zeta)
+    geom = geometry(profile, GraphSurface(surface.grid, zeta, profile, surface.time_tag))
+    return _advance(geom, surface.time_tag, dt, cfl, max_substeps).surface
 
 
 def run(
@@ -256,18 +254,17 @@ def run(
 
     series = {name: np.empty(N + 1) for name in _SERIES_FIELDS}
     n_snap = len(snap_indices)
-    snap_f = np.empty((n_snap, *grid.shape))
+    snap_zeta = np.empty((n_snap, *grid.shape))
     snap_P1 = np.empty((n_snap, *grid.shape))
     snap_P2 = np.empty((n_snap, *grid.shape))
     snap_pos = {int(k): j for j, k in enumerate(snap_indices)}
 
-    zeta = grid.polar_filter(profile.warp(surface0.f)[0])
     P1 = np.zeros(grid.shape)
     P2 = np.zeros(grid.shape)
     rate1_prev = rate2_prev = None
     r0 = None
 
-    geom = _geom_of_zeta(profile, grid, zeta, t_label=0.0)
+    geom = geometry(profile, GraphSurface(grid, grid.polar_filter(surface0.zeta), profile))
     for k in range(N + 1):
         t_k = times[k]
         if r0 is None:
@@ -283,7 +280,7 @@ def run(
 
         if k in snap_pos:
             j = snap_pos[k]
-            snap_f[j] = geom.surface.f
+            snap_zeta[j] = geom.surface.zeta
             snap_P1[j] = P1
             snap_P2[j] = P2
             for observe in observers:
@@ -291,12 +288,14 @@ def run(
 
         if k < N:
             try:
-                zeta, geom = _advance(
-                    profile, grid, zeta, t_k, dt, cfl, geom, max_substeps
-                )
+                geom = _advance(geom, t_k, dt, cfl, max_substeps)
             except ImcfLabError as exc:
                 raise type(exc)(f"at t = {t_k + dt:.6g}: {exc}") from exc
 
+    # one inversion of the per-step extremes of zeta, since r is monotone in s
+    series["r_min"], series["r_max"] = profile.radius_from_area_radius(
+        np.stack([series["r_min"], series["r_max"]])
+    )
     fs = FlowSeries(times=times, **series)
     return FlowTrack(
         profile=profile,
@@ -308,18 +307,13 @@ def run(
         r0=r0,
         snap_indices=snap_indices,
         snap_times=times[snap_indices],
-        snap_f=snap_f,
+        snap_zeta=snap_zeta,
         snap_P1=snap_P1,
         snap_P2=snap_P2,
     )
 
 
 # -- internals -----------------------------------------------------------------
-
-
-def _geom_of_zeta(profile, grid, zeta, t_label: float = 0.0) -> SurfaceGeometry:
-    f = profile.radius_from_area_radius(zeta)
-    return geometry(profile, GraphSurface(grid, f, time_tag=t_label))
 
 
 def _rhs(geom: SurfaceGeometry, tau: float) -> np.ndarray:
@@ -332,8 +326,9 @@ def _guard(grid: SphereGrid, geom: SurfaceGeometry, cfl: float) -> float:
     return cfl * grid.h_theta**2 * scale
 
 
-def _advance(profile, grid, zeta, t, dt, cfl, geom, max_substeps):
-    """Substep from t to t + dt; returns (zeta, geometry at t + dt)."""
+def _advance(geom, t, dt, cfl, max_substeps):
+    """Substep geom's surface from t to t + dt; returns the geometry at t + dt."""
+    grid, profile, zeta = geom.grid, geom.surface.profile, geom.surface.zeta
     t_end = t + dt
     t_cur = t
     n_sub = 0
@@ -353,15 +348,15 @@ def _advance(profile, grid, zeta, t, dt, cfl, geom, max_substeps):
         htau = tau1 - tau0
         k1 = _rhs(geom, tau0)
         z_mid = grid.polar_filter(zeta + 0.5 * htau * k1)
-        geom_mid = _geom_of_zeta(profile, grid, z_mid, t_label=t_cur + 0.5 * h)
+        geom_mid = geometry(profile, GraphSurface(grid, z_mid, profile, t_cur + 0.5 * h))
         k2 = _rhs(geom_mid, tau0 + 0.5 * htau)
         zeta = grid.polar_filter(zeta + htau * k2)
         if not np.all(np.isfinite(zeta)):
             raise CurvatureError(f"flow produced non-finite radii at t = {t_cur:.6g}")
         t_cur += h
-        geom = _geom_of_zeta(profile, grid, zeta, t_label=t_cur)
+        geom = geometry(profile, GraphSurface(grid, zeta, profile, t_cur))
         if remaining - h <= 1e-12 * max(1.0, abs(t_end)):
-            return zeta, geom
+            return geom
 
 
 def _record(series: dict, k: int, geom: SurfaceGeometry, t: float, r0: float):
@@ -387,8 +382,9 @@ def _record(series: dict, k: int, geom: SurfaceGeometry, t: float, r0: float):
     series["h_max"][k] = np.max(geom.H)
     series["absA_max"][k] = np.sqrt(np.max(geom.absA2))
     series["lam1_min"][k] = np.min(geom.lam1)
-    series["r_min"][k] = np.min(geom.surface.f)
-    series["r_max"][k] = np.max(geom.surface.f)
+    # area radii until ``run`` maps them to r once the flow has ended
+    series["r_min"][k] = np.min(geom.surface.zeta)
+    series["r_max"][k] = np.max(geom.surface.zeta)
     series["gradf_max"][k] = np.sqrt(np.max(geom.grad_f_sigma2))
     series["hdev"][k] = np.sum((geom.H - hbar) ** 2 * dmu_w)
     series["param_res"][k] = np.sum(

@@ -1,8 +1,10 @@
 """Star-shaped surfaces as radial graphs over S^2 and their geometry.
 
-A surface is a nodal field f(theta, phi) of radial coordinates.  With ambient
-metric dr^2 + lambda(r)^2 sigma the induced metric and second fundamental form
-of the graph are
+A surface is a nodal field zeta(theta, phi) of area radii, the graph r = f
+with zeta = lambda(f).  Its geometry needs zeta alone: with lambda', lambda''
+from the profile's s-form, the chain rule gives f_a = zeta_a / lambda' and
+Hess_ab f = (Hess_ab zeta - lambda'' f_a f_b) / lambda'.  With ambient metric
+dr^2 + lambda(r)^2 sigma the induced metric and second fundamental form are
 
     g_ab = lambda^2 sigma_ab + f_a f_b
     A_ab = (lambda lambda' sigma_ab + 2 (lambda'/lambda) f_a f_b - Hess_ab f) / v
@@ -31,26 +33,32 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .ambient import AmbientProfile
-from .errors import CurvatureError, DomainError, GeometryError
+from .errors import CurvatureError, GeometryError
 from .sphere_grid import SphereGrid
 
 
 @dataclass
 class GraphSurface:
-    """Radial graph over a sphere grid; f holds the r-coordinate per node."""
+    """Radial graph over a sphere grid; zeta holds the area radius per node."""
 
     grid: SphereGrid
-    f: np.ndarray
+    zeta: np.ndarray
+    profile: AmbientProfile
     time_tag: float = 0.0
 
     def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=float)
-        if self.f.shape != self.grid.shape:
+        self.zeta = np.asarray(self.zeta, dtype=float)
+        if self.zeta.shape != self.grid.shape:
             raise GeometryError(
-                f"graph shape {self.f.shape} != grid shape {self.grid.shape}"
+                f"graph shape {self.zeta.shape} != grid shape {self.grid.shape}"
             )
-        if np.any(self.f <= 0.0) or not np.all(np.isfinite(self.f)):
-            raise GeometryError("graph radii must be finite and positive")
+        if np.any(self.zeta <= 0.0) or not np.all(np.isfinite(self.zeta)):
+            raise GeometryError("graph area radii must be finite and positive")
+
+    @property
+    def f(self) -> np.ndarray:
+        """The graph's radii r = lambda^{-1}(zeta)."""
+        return self.profile.radius_from_area_radius(self.zeta)
 
 
 @dataclass
@@ -90,10 +98,7 @@ class SurfaceGeometry:
 
 def make_round(profile: AmbientProfile, rbar: float, grid: SphereGrid) -> GraphSurface:
     """Coordinate sphere f == rbar."""
-    lo, hi = profile.r_domain
-    if not lo <= rbar <= hi:
-        raise DomainError(f"rbar = {rbar:.6g} outside profile domain [{lo:.6g}, {hi:.6g}]")
-    return GraphSurface(grid=grid, f=np.full(grid.shape, float(rbar)))
+    return make_graph(profile, grid, rbar)
 
 
 def make_graph(
@@ -125,29 +130,31 @@ def make_graph(
         f = rbar * (1.0 + amplitude * np.sin(th) ** 2 * np.cos(2.0 * ph))
     else:
         raise ValueError(f"unknown graph formula {formula!r}")
-    profile.check_domain(f)
-    return GraphSurface(grid=grid, f=f)
+    return GraphSurface(grid, profile.area_radius_from_radius(f), profile)
 
 
 def geometry(profile: AmbientProfile, surface: GraphSurface) -> SurfaceGeometry:
     """First/second fundamental forms, curvatures and area element."""
     grid = surface.grid
-    f = surface.f
+    lam = surface.zeta
+    dlam, d2lam, R_amb, rc_rad, _ = profile.warp_at_area_radius(lam)
 
-    f_t, f_tt = grid.theta_derivs(f)
-    f_p, f_pp = grid.phi_derivs(f)
-    f_tp = grid.dtheta(f_p)
+    z_t, z_tt = grid.theta_derivs(lam)
+    z_p, z_pp = grid.phi_derivs(lam)
+    z_tp = grid.dtheta(z_p)
 
     st = grid.sin_theta[:, None]
     ct = grid.cos_theta[:, None]
     cot = grid.cot_theta[:, None]
 
-    # covariant Hessian on (S^2, sigma)
-    hess_tt = f_tt
-    hess_tp = f_tp - cot * f_p
-    hess_pp = f_pp + st * ct * f_t
+    # graph gradient and covariant Hessian on (S^2, sigma), by the chain rule
+    inv_dlam = 1.0 / dlam
+    f_t = z_t * inv_dlam
+    f_p = z_p * inv_dlam
+    hess_tt = (z_tt - d2lam * f_t * f_t) * inv_dlam
+    hess_tp = (z_tp - cot * z_p - d2lam * f_t * f_p) * inv_dlam
+    hess_pp = (z_pp + st * ct * z_t - d2lam * f_p * f_p) * inv_dlam
 
-    lam, dlam, d2lam, R_amb, rc_rad, k12_rad = profile.warp_curvature(f)
     grad_f_sigma2 = f_t**2 + (f_p / st) ** 2
     v = np.sqrt(1.0 + grad_f_sigma2 / lam**2)
 
@@ -274,7 +281,7 @@ def intrinsic_diameter(geom: SurfaceGeometry, n_sources: int = 8) -> float:
     # sources spread over latitude rings and the extremal-radius node
     ring_ids = np.linspace(0, nt - 1, max(2, n_sources - 1)).astype(int)
     sources = [idx[i, (i * 7) % np_] for i in ring_ids]
-    sources.append(int(np.argmax(geom.surface.f)))
+    sources.append(int(np.argmax(geom.surface.zeta)))
     sources = sorted(set(sources))
 
     dist = dijkstra(graph, directed=False, indices=sources)

@@ -80,3 +80,54 @@ def fd_warp_curvature(profile, r, h=1e-4):
     lam_p = (profile.warp(r + h)[0] - profile.warp(r - h)[0]) / (2 * h)
     lam_pp = (profile.warp(r + h)[0] - 2 * lam + profile.warp(r - h)[0]) / h**2
     return 2.0 * (1.0 - lam_p**2) / lam**2 - 4.0 * lam_pp / lam
+
+
+def r_path_geometry(profile, grid, f):
+    """Graph geometry computed from the radii f: the spectral derivatives act
+    on f itself and the warp is evaluated at r.  This is the formulation the
+    area-radius geometry replaced; it is kept as the reference for it."""
+    f_t, f_tt = grid.theta_derivs(f)
+    f_p, f_pp = grid.phi_derivs(f)
+    f_tp = grid.dtheta(f_p)
+
+    st = grid.sin_theta[:, None]
+    ct = grid.cos_theta[:, None]
+    cot = grid.cot_theta[:, None]
+    hess_tt = f_tt
+    hess_tp = f_tp - cot * f_p
+    hess_pp = f_pp + st * ct * f_t
+
+    lam, dlam, _, R_amb, rc_rad, _ = profile.warp_curvature(f)
+    v = np.sqrt(1.0 + (f_t**2 + (f_p / st) ** 2) / lam**2)
+
+    g11 = lam**2 + f_t**2
+    g12 = f_t * f_p
+    g22 = (lam * st) ** 2 + f_p**2
+    det_g = g11 * g22 - g12**2
+
+    c = 2.0 * dlam / lam
+    A11 = (lam * dlam + c * f_t**2 - hess_tt) / v
+    A12 = (c * f_t * f_p - hess_tp) / v
+    A22 = (lam * dlam * st**2 + c * f_p**2 - hess_pp) / v
+    H = (A11 * g22 + A22 * g11 - 2.0 * A12 * g12) / det_g
+
+    B11 = A11 - 0.5 * H * g11
+    B12 = A12 - 0.5 * H * g12
+    B22 = A22 - 0.5 * H * g22
+    pinch2 = np.maximum(-4.0 * (B11 * B22 - B12**2) / det_g, 0.0)
+    prod12 = 0.25 * (H**2 - pinch2)
+
+    inv_v2 = 1.0 / v**2
+    rc_nn = rc_rad * inv_v2 + (1.0 - inv_v2) * 0.5 * (R_amb - rc_rad)
+    k12 = 0.5 * R_amb - rc_nn
+    dmu = np.sqrt(det_g) / st
+
+    H_t = grid.dtheta(H)
+    H_p = grid.dphi(H)
+    grad_H2 = (g22 * H_t**2 - 2.0 * g12 * H_t * H_p + g11 * H_p**2) / det_g
+    return {
+        "H": H, "g11": g11, "g12": g12, "g22": g22, "dmu": dmu,
+        "K": k12 + prod12, "Rc_nn": rc_nn, "K12": k12,
+        "absA2": 0.5 * (H**2 + pinch2), "pinch2": pinch2, "grad_H2": grad_H2,
+        "area": float(np.sum(dmu * grid.weights)),
+    }

@@ -8,10 +8,8 @@ from imcf_lab.ambient import (
     HyperbolicProfile,
     MassAspectProfile,
     TabulatedProfile,
-    curvature_sample,
     horizon_radius,
     validate_profile,
-    warp_eval,
 )
 from imcf_lab.errors import DomainError, ProfileError
 
@@ -19,7 +17,7 @@ from .oracles import fd_warp_curvature
 
 
 def test_hyperbolic_warp_at_unit_area_radius(hyperbolic):
-    lam, dlam, d2lam = warp_eval(hyperbolic, np.arcsinh(1.0))
+    lam, dlam, d2lam = hyperbolic.warp(np.arcsinh(1.0))
     assert abs(lam - 1.0) < 1e-14
     assert abs(dlam - np.sqrt(2.0)) < 1e-14
     assert abs(d2lam - 1.0) < 1e-14
@@ -29,7 +27,7 @@ def test_adss_warp_at_area_radius_two(adss1):
     # differentiate lambda'^2 = 1 + lambda^2 - 2m/lambda by hand:
     # lambda'' = lambda + m/lambda^2 -> 2.25 at lambda = 2, m = 1
     r = float(adss1.radius_from_area_radius(2.0))
-    lam, dlam, d2lam = warp_eval(adss1, r)
+    lam, dlam, d2lam = adss1.warp(r)
     assert abs(lam - 2.0) < 1e-11
     assert abs(dlam - 2.0) < 1e-11
     assert abs(d2lam - 2.25) < 1e-11
@@ -37,15 +35,15 @@ def test_adss_warp_at_area_radius_two(adss1):
 
 def test_domain_error_below_floor(hyperbolic):
     with pytest.raises(DomainError):
-        warp_eval(hyperbolic, 0.0)
+        hyperbolic.warp(0.0)
     with pytest.raises(DomainError):
-        warp_eval(hyperbolic, 1e3)
+        hyperbolic.warp(1e3)
 
 
 @settings(max_examples=40, deadline=None)
 @given(r=st.floats(0.2, 10.0))
 def test_hyperbolic_curvature_constants(r):
-    c = curvature_sample(HyperbolicProfile(), r)
+    c = HyperbolicProfile().curvature(r)
     assert abs(c.R + 6.0) < 1e-12
     assert abs(c.Rc_nn + 2.0) < 1e-12
     assert abs(c.K12 + 1.0) < 1e-12
@@ -58,7 +56,7 @@ def test_adss_curvature_closed_forms(m, u):
     lo, hi = prof.s_domain
     s = lo + u * (hi - lo)
     r = float(prof.radius_from_area_radius(s))
-    c = curvature_sample(prof, r)
+    c = prof.curvature(r)
     assert abs(c.R + 6.0) < 1e-10
     assert abs((c.Rc_nn + 2.0) - (-2.0 * m / s**3)) < 1e-10
     assert abs((c.K12 + 1.0) - (2.0 * m / s**3)) < 1e-10
@@ -67,7 +65,7 @@ def test_adss_curvature_closed_forms(m, u):
 def test_adss_example_values(adss1):
     # frozen: Rc_nn = -2 - 2m/lam^3 = -2.25, K12 = -1 + 2m/lam^3 = -0.75 at lam = 2
     r = float(adss1.radius_from_area_radius(2.0))
-    c = curvature_sample(adss1, r)
+    c = adss1.curvature(r)
     assert abs(c.Rc_nn + 2.25) < 1e-11
     assert abs(c.K12 + 0.75) < 1e-11
     assert abs(c.R + 6.0) < 1e-11
@@ -80,7 +78,7 @@ def test_sectional_identity_every_profile(m, u):
     prof = AdSSProfile(m, s_domain=(1.1 * horizon_radius(m), 15.0))
     lo, hi = prof.r_domain
     r = lo + u * (hi - lo)
-    c = curvature_sample(prof, r)
+    c = prof.curvature(r)
     assert abs((c.K12 + 1.0) - (0.5 * (c.R + 6.0) - (c.Rc_nn + 2.0))) < 1e-12
 
 
@@ -92,7 +90,7 @@ def test_constant_mass_aspect_matches_adss():
         (1.2, 10.0),
     )
     r = np.linspace(0.1, prof.r_domain[1] - 0.1, 64)
-    c = curvature_sample(prof, r)
+    c = prof.curvature(r)
     assert np.max(np.abs(c.R + 6.0)) < 1e-10
 
 
@@ -105,7 +103,7 @@ def test_mass_aspect_scalar_curvature_vs_fd_oracle():
     for r in (lo + 0.2 * (hi - lo), lo + 0.5 * (hi - lo), lo + 0.8 * (hi - lo)):
         s = prof.warp(r)[0]
         expected = -6.0 + 4.0 * dm_f(s) / s**2
-        c = curvature_sample(prof, r)
+        c = prof.curvature(r)
         assert abs(c.R - expected) < 1e-9
         # oracle step balances truncation against the warp-spline noise
         assert abs(fd_warp_curvature(prof, r, h=2e-3) - expected) < 1e-4
@@ -149,7 +147,7 @@ def test_spline_derivative_fd_consistency(adss1):
 def test_tabulated_profile_reproduces_hyperbolic():
     r = np.linspace(0.3, 3.0, 1600)
     prof = TabulatedProfile(r, np.sinh(r))
-    c = curvature_sample(prof, 1.5)
+    c = prof.curvature(1.5)
     assert abs(c.R + 6.0) < 1e-5
     assert abs(c.Rc_nn + 2.0) < 1e-5
 
@@ -160,6 +158,11 @@ def test_tabulated_profile_rejects_bad_data():
     lam[5] = lam[4] - 0.1  # not increasing
     with pytest.raises(ProfileError):
         TabulatedProfile(r, lam)
+    # increasing samples whose spline still dips: lambda' < 0 near r = 2.5
+    dipping = TabulatedProfile([0.5, 1.0, 1.5, 2.0, 2.5], [1.0, 1.01, 1.02, 3.0, 3.01])
+    with pytest.raises(ProfileError):
+        dipping.warp(1.0)
+    assert not validate_profile(dipping).positivity_ok
 
 
 def test_mass_function_recovers_adss_mass(adss1):

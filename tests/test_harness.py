@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from imcf_lab import harness
 from imcf_lab.errors import WindowError
 from imcf_lab.harness import (
     CSV_COLUMNS,
@@ -10,6 +11,7 @@ from imcf_lab.harness import (
     check_class_membership,
     check_coordinate_compatibility,
     emit,
+    run_row,
     run_sequence,
     table_rows,
     w12_normal_ricci,
@@ -94,6 +96,28 @@ def test_compat_report_round(hyp_round_track):
 def test_compat_window_error(hyp_round_track):
     with pytest.raises(WindowError):
         check_coordinate_compatibility(hyp_round_track, 0.2, 5.0)
+
+
+def test_row_computes_each_snapshot_diameter_once(monkeypatch):
+    """The t-samples {0, T/4, T/2, 3T/4, T} and the compat picks over
+    [T/2, T] share T/2, 3T/4 and T: 7 distinct snapshots, 7 diameters."""
+    scn = _fast_scenario(epsilons=[0.0], checks={"mass_at_infinity": False})
+    real = harness.intrinsic_diameter
+    measured = []
+
+    def diameter(geom):
+        measured.append(geom.surface.time_tag)
+        return real(geom)
+
+    monkeypatch.setattr(harness, "intrinsic_diameter", diameter)
+    result = run_row(scn, scn.rows()[0])
+    assert result.ok, result.error
+    assert len(measured) == len(set(measured)) == 7
+    track = result.track
+    for t, d in result.diam.items():
+        assert d == real(track.geometry_at_time(t))
+    for t, d in zip(result.compat_report.diam_times, result.compat_report.diam_values):
+        assert d == real(track.geometry_at_time(t))
 
 
 def test_run_sequence_rows_and_columns(tmp_path):
