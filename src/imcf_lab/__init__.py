@@ -57,6 +57,7 @@ from .scenario import Scenario, ScenarioRow, load_scenario, scenario_from_dict
 from .sphere_grid import SphereGrid, get_grid
 from .surface import (
     GraphSurface,
+    SpeedGeometry,
     SurfaceGeometry,
     euler_characteristic,
     geometry,
@@ -64,6 +65,7 @@ from .surface import (
     intrinsic_diameter,
     make_graph,
     make_round,
+    speed_geometry,
 )
 
 __version__ = "0.1.0"

@@ -14,6 +14,13 @@ round-off.  The area law |Sigma_t| = |Sigma_0| e^t is therefore exact on
 rotationally symmetric data and the scheme's error budget is spent entirely
 on genuine anisotropy.
 
+Each substep makes one full ``geometry()`` call, at its end, where the next
+substep, the recorded series and the observers read it.  The midpoint feeds
+only the right side, which reads lambda', v and H, so it calls
+``speed_geometry``, the first part of ``geometry()``, and skips the
+diagnostics.  A row therefore makes 1 + substeps full calls and substeps
+midpoint calls.
+
 Checks that read the per-node geometry (pinching, the metric-distance chain,
 the W^{1,2} Ricci norm, Holder, Gauss and diameter samples) are accumulators
 fed by the flow itself: ``run`` hands every observer each stored snapshot's
@@ -22,7 +29,8 @@ from a finished track by rebuilding that geometry from the stored zeta.
 
 Stability: each recorded step of size dt is internally split into substeps
 obeying the parabolic guard dt <= cfl * h_theta^2 * min(H)^2 * min(lambda)^2
-(the linearized flow diffuses with coefficient 1/(H lambda)^2), and the grid's
+(the linearized flow diffuses with coefficient 1/(H lambda)^2; a guard that is
+not finite and positive raises ``StabilityError``), and the grid's
 polar azimuthal filter removes the sub-grid polar modes that an explicit
 scheme cannot propagate.  Recorded times stay on the uniform grid t_k = k dt.
 """
@@ -37,7 +45,14 @@ import numpy as np
 from .ambient import AmbientProfile
 from .errors import CurvatureError, ImcfLabError, StabilityError
 from .sphere_grid import SphereGrid
-from .surface import GraphSurface, SurfaceGeometry, geometry, integrate
+from .surface import (
+    GraphSurface,
+    SpeedGeometry,
+    SurfaceGeometry,
+    geometry,
+    integrate,
+    speed_geometry,
+)
 
 _SERIES_FIELDS = (
     "area", "m_H", "I_gradH", "I_pinch", "I_R", "I_Rc", "I_K12",
@@ -316,7 +331,7 @@ def run(
 # -- internals -----------------------------------------------------------------
 
 
-def _rhs(geom: SurfaceGeometry, tau: float) -> np.ndarray:
+def _rhs(geom: SpeedGeometry, tau: float) -> np.ndarray:
     # d zeta / d tau along IMCF in the exponential time variable
     return (2.0 / tau) * geom.dlam * geom.v / geom.H
 
@@ -334,21 +349,24 @@ def _advance(geom, t, dt, cfl, max_substeps):
     n_sub = 0
     while True:
         remaining = t_end - t_cur
-        h = min(remaining, _guard(grid, geom, cfl))
-        if h <= 0 or not np.isfinite(h):
-            raise StabilityError(f"degenerate CFL guard ({h}) at t = {t_cur:.6g}")
+        guard = _guard(grid, geom, cfl)
+        # tested before the min: min(remaining, nan) is remaining
+        if not (guard > 0 and np.isfinite(guard)):
+            raise StabilityError(f"degenerate CFL guard ({guard}) at t = {t_cur:.6g}")
+        h = min(remaining, guard)
         n_sub += 1
         if n_sub > max_substeps:
             raise StabilityError(
                 f"substep budget {max_substeps} exhausted (guard "
-                f"{_guard(grid, geom, cfl):.3g} at t = {t_cur:.6g})"
+                f"{guard:.3g} at t = {t_cur:.6g})"
             )
         tau0 = np.exp(0.5 * t_cur)
         tau1 = np.exp(0.5 * (t_cur + h))
         htau = tau1 - tau0
         k1 = _rhs(geom, tau0)
         z_mid = grid.polar_filter(zeta + 0.5 * htau * k1)
-        geom_mid = geometry(profile, GraphSurface(grid, z_mid, profile, t_cur + 0.5 * h))
+        # the midpoint feeds only the speed, so it skips geometry()'s diagnostics
+        geom_mid = speed_geometry(profile, GraphSurface(grid, z_mid, profile, t_cur + 0.5 * h))
         k2 = _rhs(geom_mid, tau0 + 0.5 * htau)
         zeta = grid.polar_filter(zeta + htau * k2)
         if not np.all(np.isfinite(zeta)):

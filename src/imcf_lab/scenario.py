@@ -19,6 +19,8 @@ eps = 0 rows degrade to the exact model ambient with round data.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -124,19 +126,24 @@ class Scenario:
             problems.append(f"unknown family {self.family!r}; choose from {sorted(_FAMILIES)}")
         if self.mode == "RPI" and self.family in ("ellipsoid", "combined"):
             problems.append("RPI sweeps use the mass_aspect family")
-        if self.T <= 0 or self.dt <= 0:
+        # the T-relative checks below need a usable T
+        time_ok = False
+        if not (_finite(self.T) and _finite(self.dt)):
+            problems.append(f"T and dt must be finite numbers, got T = {self.T!r}, dt = {self.dt!r}")
+        elif self.T <= 0 or self.dt <= 0:
             problems.append("T and dt must be positive")
         else:
+            time_ok = True
             n = self.T / self.dt
             if abs(n - round(n)) > 1e-9 * max(1.0, n):
                 problems.append(f"dt = {self.dt} does not divide T = {self.T}")
         for n, name in ((self.n_theta, "n_theta"), (self.n_phi, "n_phi")):
             if n < 8 or (n & (n - 1)) != 0:
                 problems.append(f"{name} = {n} must be a power of two >= 8")
-        if self.t_samples is not None:
+        if time_ok and self.t_samples is not None:
             if any(not 0 <= t <= self.T + 1e-12 for t in self.t_samples):
                 problems.append("t_samples must lie in [0, T]")
-        if self.compat_window is not None:
+        if time_ok and self.compat_window is not None:
             a, b = self.compat_window
             if not 0 <= a < b <= self.T + 1e-12:
                 problems.append("compat_window must satisfy 0 <= a < b <= T")
@@ -146,10 +153,14 @@ class Scenario:
             problems.append("surface area_radius must be positive")
         if self.amplitude_factor < 0:
             problems.append("amplitude_factor must be nonnegative")
-        if self.cfl <= 0:
-            problems.append("cfl must be positive")
-        if self.snap_every is not None and self.snap_every < 1:
-            problems.append("snap_every must be >= 1")
+        if not (_finite(self.cfl) and self.cfl > 0):
+            problems.append(f"cfl must be a finite positive number, got {self.cfl!r}")
+        if self.snap_every is not None and not (
+            isinstance(self.snap_every, numbers.Integral)
+            and not isinstance(self.snap_every, bool)
+            and self.snap_every >= 1
+        ):
+            problems.append(f"snap_every must be an integer >= 1, got {self.snap_every!r}")
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -226,6 +237,11 @@ class Scenario:
             # columns stay strictly ordered all the way down the sweep
             kind = "p2"
         return make_graph(profile, self.grid(), rbar, kind, amplitude)
+
+
+def _finite(x) -> bool:
+    """A real, finite number (JSON's NaN and Infinity, strings and booleans are not)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def build_profile(spec: dict, scn: Scenario) -> AmbientProfile:

@@ -22,6 +22,13 @@ points.  Ambient curvatures are tilted into the actual normal direction:
 which is exact for a 3-dimensional ambient (the sectional curvature of a plane
 equals R/2 minus the Ricci curvature of its normal).  The Gauss equation
 K = K12 + lambda_1 lambda_2 then gives the intrinsic curvature.
+
+``geometry`` runs in two consecutive parts.  ``speed_geometry`` is the first:
+the s-form, the zeta derivatives, the chain rule, g, A, v and H, with every
+guard (domain and profile errors from the s-form, det g <= 0, H <= 0).  That
+is all the flow's normal speed v/H needs, so the RK2 midpoint stops there.
+``geometry`` then adds the diagnostics: the pinch split, the tilted ambient
+curvatures, K, the area density, grad H and the area.
 """
 
 from __future__ import annotations
@@ -62,8 +69,8 @@ class GraphSurface:
 
 
 @dataclass
-class SurfaceGeometry:
-    """Per-node extrinsic/intrinsic geometry of a graph surface."""
+class SpeedGeometry:
+    """Part 1 of ``geometry``: the fields up to H, which set the flow's speed."""
 
     surface: GraphSurface
     lam: np.ndarray
@@ -73,27 +80,34 @@ class SurfaceGeometry:
     g12: np.ndarray
     g22: np.ndarray
     det_g: np.ndarray
-    dmu: np.ndarray            # area density relative to the grid weights
     A11: np.ndarray
     A12: np.ndarray
     A22: np.ndarray
     H: np.ndarray
+    grad_f_sigma2: np.ndarray  # |grad f|^2 w.r.t. the round metric
+    R: np.ndarray              # ambient scalar curvature
+    Rc_rr: np.ndarray          # ambient Ricci curvature in the radial direction
+
+    @property
+    def grid(self) -> SphereGrid:
+        return self.surface.grid
+
+
+@dataclass
+class SurfaceGeometry(SpeedGeometry):
+    """Per-node extrinsic/intrinsic geometry of a graph surface."""
+
+    dmu: np.ndarray            # area density relative to the grid weights
     pinch2: np.ndarray         # (lambda_1 - lambda_2)^2
     lam1: np.ndarray
     lam2: np.ndarray
     prod12: np.ndarray         # lambda_1 * lambda_2
     absA2: np.ndarray
-    R: np.ndarray
     Rc_nn: np.ndarray
     K12: np.ndarray
     K: np.ndarray
     grad_H2: np.ndarray        # |grad H|^2 w.r.t. the induced metric
-    grad_f_sigma2: np.ndarray  # |grad f|^2 w.r.t. the round metric
     area: float = field(default=0.0)
-
-    @property
-    def grid(self) -> SphereGrid:
-        return self.surface.grid
 
 
 def make_round(profile: AmbientProfile, rbar: float, grid: SphereGrid) -> GraphSurface:
@@ -133,8 +147,8 @@ def make_graph(
     return GraphSurface(grid, profile.area_radius_from_radius(f), profile)
 
 
-def geometry(profile: AmbientProfile, surface: GraphSurface) -> SurfaceGeometry:
-    """First/second fundamental forms, curvatures and area element."""
+def speed_geometry(profile: AmbientProfile, surface: GraphSurface) -> SpeedGeometry:
+    """Metric, second fundamental form and H: all the flow's speed v/H reads."""
     grid = surface.grid
     lam = surface.zeta
     dlam, d2lam, R_amb, rc_rad, _ = profile.warp_at_area_radius(lam)
@@ -175,12 +189,26 @@ def geometry(profile: AmbientProfile, surface: GraphSurface) -> SurfaceGeometry:
         raise CurvatureError(
             f"mean curvature nonpositive (min H = {float(np.min(H)):.6g})"
         )
+    return SpeedGeometry(
+        surface=surface,
+        lam=lam, dlam=dlam, v=v,
+        g11=g11, g12=g12, g22=g22, det_g=det_g,
+        A11=A11, A12=A12, A22=A22, H=H,
+        grad_f_sigma2=grad_f_sigma2, R=R_amb, Rc_rr=rc_rad,
+    )
+
+
+def geometry(profile: AmbientProfile, surface: GraphSurface) -> SurfaceGeometry:
+    """First/second fundamental forms, curvatures and area element."""
+    sp = speed_geometry(profile, surface)
+    grid, H = sp.grid, sp.H
+    g11, g12, g22, det_g = sp.g11, sp.g12, sp.g22, sp.det_g
 
     # trace-free part keeps the umbilic pinch at round-off instead of
     # suffering the cancellation in H^2 - 4 det(A)/det(g)
-    B11 = A11 - 0.5 * H * g11
-    B12 = A12 - 0.5 * H * g12
-    B22 = A22 - 0.5 * H * g22
+    B11 = sp.A11 - 0.5 * H * g11
+    B12 = sp.A12 - 0.5 * H * g12
+    B22 = sp.A22 - 0.5 * H * g22
     pinch2 = np.maximum(-4.0 * (B11 * B22 - B12**2) / det_g, 0.0)
     gap = np.sqrt(pinch2)
     lam1 = 0.5 * (H - gap)
@@ -189,25 +217,21 @@ def geometry(profile: AmbientProfile, surface: GraphSurface) -> SurfaceGeometry:
     absA2 = 0.5 * (H**2 + pinch2)
 
     # ambient curvatures tilted from the radial frame to the actual normal
-    inv_v2 = 1.0 / v**2
-    rc_nn = rc_rad * inv_v2 + (1.0 - inv_v2) * 0.5 * (R_amb - rc_rad)
-    k12 = 0.5 * R_amb - rc_nn
+    inv_v2 = 1.0 / sp.v**2
+    rc_nn = sp.Rc_rr * inv_v2 + (1.0 - inv_v2) * 0.5 * (sp.R - sp.Rc_rr)
+    k12 = 0.5 * sp.R - rc_nn
     K = k12 + prod12
 
-    dmu = np.sqrt(det_g) / st
+    dmu = np.sqrt(det_g) / grid.sin_theta[:, None]
 
     H_t = grid.dtheta(H)
     H_p = grid.dphi(H)
     grad_H2 = (g22 * H_t**2 - 2.0 * g12 * H_t * H_p + g11 * H_p**2) / det_g
 
     geom = SurfaceGeometry(
-        surface=surface,
-        lam=lam, dlam=dlam, v=v,
-        g11=g11, g12=g12, g22=g22, det_g=det_g, dmu=dmu,
-        A11=A11, A12=A12, A22=A22,
-        H=H, pinch2=pinch2, lam1=lam1, lam2=lam2, prod12=prod12, absA2=absA2,
-        R=R_amb, Rc_nn=rc_nn, K12=k12, K=K,
-        grad_H2=grad_H2, grad_f_sigma2=grad_f_sigma2,
+        **vars(sp),
+        dmu=dmu, pinch2=pinch2, lam1=lam1, lam2=lam2, prod12=prod12, absA2=absA2,
+        Rc_nn=rc_nn, K12=k12, K=K, grad_H2=grad_H2,
     )
     geom.area = integrate(geom, 1.0)
     return geom

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from imcf_lab.cli import main
 
 FAST_DOC = {
@@ -97,3 +99,17 @@ def test_run_deterministic_csv(tmp_path):
     assert main(["run", str(p), "--out", str(a), "--quiet", "--format", "csv"]) == 0
     assert main(["run", str(p), "--out", str(b), "--quiet", "--format", "csv"]) == 0
     assert (a / "cli-fast.csv").read_bytes() == (b / "cli-fast.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("T", float("nan")), ("dt", float("nan")), ("snap_every", 2.5),
+     ("cfl", float("nan")), ("cfl", float("inf"))],
+)
+def test_run_rejects_bad_time_grid_value_in_one_line(tmp_path, capsys, field, value):
+    p = _write(tmp_path, {**FAST_DOC, field: value})
+    assert main(["run", str(p), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and err.count("\n") == 1
+    assert field in err
+    assert not (tmp_path / "o").exists()

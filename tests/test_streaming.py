@@ -57,23 +57,24 @@ def _close(a, b, rel=REL):
 
 @pytest.fixture(scope="module", params=sorted(DOCS))
 def streamed_row(request):
-    """One row of each data set, with its geometry() and RK2 right-side calls counted."""
+    """One row of each data set, with its full geometry(), midpoint
+    speed_geometry() and RK2 right-side calls counted."""
     scn = _scenario(request.param)
     row = scn.rows()[0]
-    counts = {"geometry": 0, "rhs": 0}
-    real_geometry, real_rhs = imcf.geometry, imcf._rhs
+    counts = dict.fromkeys(("geometry", "speed_geometry", "_rhs"), 0)
 
-    def geometry(*args, **kwargs):
-        counts["geometry"] += 1
-        return real_geometry(*args, **kwargs)
+    def counted(name):
+        real = getattr(imcf, name)
 
-    def rhs(*args, **kwargs):
-        counts["rhs"] += 1
-        return real_rhs(*args, **kwargs)
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return call
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(imcf, "geometry", geometry)
-        mp.setattr(imcf, "_rhs", rhs)
+        for name in counts:
+            mp.setattr(imcf, name, counted(name))
         result = run_row(scn, row)
     assert result.ok, result.error
     return scn, result, counts
@@ -82,10 +83,13 @@ def streamed_row(request):
 def test_row_makes_only_the_flows_geometry_calls(streamed_row):
     _, result, counts = streamed_row
     # two right-side evaluations per RK2 substep
-    substeps = counts["rhs"] // 2
-    assert counts["rhs"] % 2 == 0
+    substeps = counts["_rhs"] // 2
+    assert counts["_rhs"] % 2 == 0
     assert substeps >= result.track.n_steps
-    assert counts["geometry"] == 1 + 2 * substeps
+    # one full call to start and one at the end of each substep; the
+    # midpoint needs only the speed
+    assert counts["geometry"] == 1 + substeps
+    assert counts["speed_geometry"] == substeps
 
 
 def test_streamed_checks_match_replay(streamed_row):
