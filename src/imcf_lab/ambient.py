@@ -270,8 +270,8 @@ class MassAspectProfile(_OdeWarpProfile):
         """Shape-preserving (PCHIP) spline through tabulated (s, m) pairs."""
         s_points = np.asarray(s_points, dtype=float)
         m_points = np.asarray(m_points, dtype=float)
-        if len(s_points) < 2 or np.any(np.diff(s_points) <= 0):
-            raise ProfileError("mass-aspect points need strictly increasing s")
+        if len(s_points) < 2 or len(m_points) != len(s_points) or np.any(np.diff(s_points) <= 0):
+            raise ProfileError("mass-aspect profile points need strictly increasing s, one m per s")
         spline = PchipInterpolator(s_points, m_points)
         dspline = spline.derivative()
         return cls(spline, dspline, (float(s_points[0]), float(s_points[-1])))
@@ -285,8 +285,8 @@ class TabulatedProfile(AmbientProfile):
     def __init__(self, r_nodes, lam_values):
         r_nodes = np.asarray(r_nodes, dtype=float)
         lam_values = np.asarray(lam_values, dtype=float)
-        if len(r_nodes) < 4 or np.any(np.diff(r_nodes) <= 0):
-            raise ProfileError("tabulated profile needs >= 4 strictly increasing radii")
+        if len(r_nodes) < 4 or len(lam_values) != len(r_nodes) or np.any(np.diff(r_nodes) <= 0):
+            raise ProfileError("tabulated profile needs >= 4 strictly increasing radii, one lam per r")
         if np.any(lam_values <= 0) or np.any(np.diff(lam_values) <= 0):
             raise ProfileError("tabulated lambda must be positive and increasing")
         self._s_of_r = CubicSpline(r_nodes, lam_values, bc_type="not-a-knot")

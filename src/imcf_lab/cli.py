@@ -5,7 +5,9 @@
     imcf-lab verify <scenario-file>
     imcf-lab oracle
 
-Exit codes: 0 success, 1 validation failure, 2 solver failure, 3 IO failure.
+Exit codes: 0 success, 1 scenario error (one line: the file does not parse,
+breaks the schema, or its profiles or initial surfaces cannot be built),
+2 solver failure, 3 IO failure.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 import numpy as np
 
 from .ambient import AdSSProfile, HyperbolicProfile, validate_profile
-from .errors import ImcfLabError, ParseError, ValidationError
+from .errors import DomainError, ImcfLabError, ParseError, ProfileError, ValidationError
 from .harness import emit, run_sequence
 from .imcf import exact_round_flow
 from .scenario import load_scenario
@@ -47,20 +49,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-        if args.seed_grid:
-            try:
-                nt, nph = (int(x) for x in args.seed_grid.lower().split("x"))
-            except ValueError:
-                raise ValidationError(f"bad --seed-grid {args.seed_grid!r}, want NxM")
-            scn.n_theta, scn.n_phi = nt, nph
-        if args.dt is not None:
-            scn.dt = args.dt
-        scn.validate()
-    except (ParseError, ValidationError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
+    scn = load_scenario(args.scenario)
+    if args.seed_grid:
+        try:
+            nt, nph = (int(x) for x in args.seed_grid.lower().split("x"))
+        except ValueError:
+            raise ValidationError(f"bad --seed-grid {args.seed_grid!r}, want NxM")
+        scn.n_theta, scn.n_phi = nt, nph
+    if args.dt is not None:
+        scn.dt = args.dt
+    scn.validate()
 
     if not args.quiet:
         print(f"running scenario {scn.id!r} "
@@ -89,12 +87,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-        rows = scn.rows()
-    except (ParseError, ValidationError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
+    scn = load_scenario(args.scenario)
+    rows = scn.rows()
     ok = True
     print(f"scenario {scn.id!r}: {len(rows)} row(s), grid {scn.n_theta}x{scn.n_phi}, "
           f"dt {scn.dt:g}, T {scn.T:g}, mode {scn.mode}")
@@ -139,6 +133,11 @@ def main(argv=None) -> int:
             code = _cmd_verify(args)
         else:
             code = _cmd_oracle(args)
+    except (ParseError, ValidationError, ProfileError, DomainError) as exc:
+        # only loading a scenario and building its rows raise these: every
+        # row's own failures are caught and reported by the sweep
+        print(f"scenario error: {exc}", file=sys.stderr)
+        code = 1
     except ImcfLabError as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = 2

@@ -6,10 +6,8 @@ time-dependent fiber 2-metric on the sphere grid.  Labels:
     hat                1/H(x,t)^2 dt^2 + g(x,t)
     g1                 1/Hbar(t)^2 dt^2 + g(x,t)
     g2                 1/Hbar(t)^2 dt^2 + e^t g(x,0)
-    g2p                1/Hbar(t)^2 dt^2 + e^{t-T} g(x,T)
     g3_pmt             (1/4)(1 + e^{-t}/r0^2)^{-1} dt^2 + e^t g(x,0)
     g3_rpi             (1/4)(e^{-t}/r0^2 - 2m e^{-3t/2}/r0^3 + 1)^{-1} dt^2 + e^t g(x,0)
-    g3_alt             (r0^2/4) e^t dt^2 + e^t g(x,0)      (reproduction variant)
     hyperbolic_model   PMT lapse with round fiber r0^2 e^t sigma
     adss_model         RPI lapse with round fiber r0^2 e^t sigma
 
@@ -43,10 +41,8 @@ LABELS = (
     "hat",
     "g1",
     "g2",
-    "g2p",
     "g3_pmt",
     "g3_rpi",
-    "g3_alt",
     "hyperbolic_model",
     "adss_model",
 )
@@ -124,10 +120,8 @@ def assemble(
     time_indices: np.ndarray | None = None,
 ) -> ProductMetricGrid:
     """Sample one of the product metrics over the track's snapshot times."""
-    if label not in LABELS and label != "g2'":
+    if label not in LABELS:
         raise ValueError(f"unknown metric label {label!r}; choose from {LABELS}")
-    if label == "g2'":
-        label = "g2p"
     if r0 is None:
         r0 = track.r0
     if label in ("g3_rpi", "adss_model"):
@@ -146,30 +140,21 @@ def assemble(
 
     if label == "hat":
         lapse2 = 1.0 / samples["H"] ** 2
-    elif label in ("g1", "g2", "g2p"):
+    elif label in ("g1", "g2"):
         lapse2 = 1.0 / samples["hbar"] ** 2
     elif label in ("g3_pmt", "hyperbolic_model"):
         lapse2 = _model_lapse2(tcol, r0, 0.0) * ones
     elif label in ("g3_rpi", "adss_model"):
         lapse2 = _model_lapse2(tcol, r0, mm) * ones
-    elif label == "g3_alt":
-        lapse2 = 0.25 * r0**2 * np.exp(tcol) * ones
 
     if label in ("hat", "g1"):
         fib = (samples["g11"], samples["g12"], samples["g22"])
-    elif label in ("g2", "g3_pmt", "g3_rpi", "g3_alt"):
+    elif label in ("g2", "g3_pmt", "g3_rpi"):
         scale = np.exp(tcol)
         fib = (
             scale * samples["g11"][0][None, :, :],
             scale * samples["g12"][0][None, :, :],
             scale * samples["g22"][0][None, :, :],
-        )
-    elif label == "g2p":
-        scale = np.exp(tcol - track.T)
-        fib = (
-            scale * samples["g11"][-1][None, :, :],
-            scale * samples["g12"][-1][None, :, :],
-            scale * samples["g22"][-1][None, :, :],
         )
     else:  # round model fiber r0^2 e^t sigma
         scale = r0**2 * np.exp(tcol)

@@ -116,7 +116,6 @@ class RowResult:
     eps: float | None
     ok: bool
     error: str | None = None
-    track: FlowTrack | None = None
     diag: mass.MassDiagnostics | None = None
     class_report: ClassReport | None = None
     compat_report: CompatReport | None = None
@@ -400,12 +399,12 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
         snap_times = times[snap_indices]
         compat = pinch = chain = samples = None
         diameters = {}
-        if scn.checks.get("compat", True):
+        if scn.checks["compat"]:
             a, b = scn.resolved_compat_window()
             compat = CompatAccumulator(grid, snap_times, scn.T, a, b, diameters=diameters)
-        if scn.checks.get("pinch", True):
+        if scn.checks["pinch"]:
             pinch = mass.PinchAccumulator(snap_times, grid.shape)
-        if scn.checks.get("distances", True):
+        if scn.checks["distances"]:
             chain = comparison.ChainAccumulator(
                 snap_times, comparison.sample_indices(len(snap_times)),
                 mode=scn.mode, m=scn.m,
@@ -422,11 +421,10 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
                 acc.observe for acc in (compat, pinch, chain, samples) if acc is not None
             ],
         )
-        result.track = track
         result.diag = mass.diagnostics(track)
         result.mH_T = float(track.series.m_H[-1])
 
-        if scn.checks.get("class", True):
+        if scn.checks["class"]:
             result.class_report = check_class_membership(
                 track, scalar_floor_ok=profile_report.passed
             )
@@ -434,7 +432,7 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
             result.compat_report = compat.result(track.series)
         if pinch is not None:
             result.pinch_pass = pinch.result().n_violations == 0
-        if scn.checks.get("mass_at_infinity", True) and scn.T >= 2.0:
+        if scn.checks["mass_at_infinity"] and scn.T >= 2.0:
             try:
                 result.mH_inf = mass.mass_at_infinity(track.times, track.series.m_H)
             except FitError:

@@ -1,8 +1,9 @@
 """Scenario files: experiment configuration for the harness.
 
-A scenario is a UTF-8 JSON document; unknown keys are rejected (fail-closed).
-It describes either a single ambient profile + initial surface, or an
-epsilon-family sweep.  Shipped families:
+A scenario is a UTF-8 JSON document whose schema is the field table
+``FIELDS`` (type, allowed values, default and doc of every key) plus the
+cross-field ``RULES``.  It describes either a single ambient profile + initial
+surface, or an epsilon-family sweep.  Shipped families:
 
     mass_aspect  PMT: ambient mass aspect m_eps(s) = eps * tanh((s - s_lo)/ell)
                  with round initial data; RPI: m_eps(s) = m - eps * rho(s) with
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import dataclass, field
+import os
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,21 +37,150 @@ from .ambient import (
     horizon_radius,
 )
 from .errors import ParseError, ValidationError
-from .sphere_grid import SphereGrid, get_grid
+from .imcf import _SERIES_FIELDS
+from .sphere_grid import get_grid
 from .surface import GraphSurface, make_graph
 
-_TOP_KEYS = {
-    "id", "mode", "m", "epsilons", "family", "profile", "surface",
-    "T", "dt", "grid", "t_samples", "compat_window", "checks",
-    "amplitude_factor", "cfl", "snap_every", "out",
-}
-_PROFILE_KEYS = {"kind", "m", "s_min", "s_max", "r_min", "r_max", "points", "r", "lam"}
-_SURFACE_KEYS = {"type", "area_radius", "amplitude"}
-_GRID_KEYS = {"n_theta", "n_phi"}
-_CHECK_KEYS = {"class", "compat", "pinch", "distances", "mass_at_infinity"}
-_FAMILIES = {"mass_aspect", "ellipsoid", "combined"}
+REQUIRED = ...  # default of a key the document must give
 
-_DEFAULT_CHECKS = {name: True for name in _CHECK_KEYS}
+
+@dataclass(frozen=True)
+class Field:
+    """One key of a scenario object.  ``allowed`` names a test in ``RANGES``
+    (applied to each item of a list) or lists the allowed values.  An
+    ``object`` has its own ``fields``, or one table per value of its ``kind``
+    key.  A ``None`` default lets the key be absent or null, and its reader
+    derives the value the doc names."""
+
+    name: str
+    type: str
+    default: object
+    doc: str
+    allowed: str | tuple = ()
+    fields: tuple | dict = ()
+
+
+RANGES = {
+    "> 0": lambda x: x > 0,
+    ">= 0": lambda x: x >= 0,
+    ">= 1": lambda x: x >= 1,
+    "nonempty": lambda x: len(x) > 0,
+    "a power of two >= 8": lambda n: n >= 8 and n & (n - 1) == 0,
+}
+
+_GRID = (
+    Field("n_theta", "integer", 64, "Gauss-Legendre latitude nodes", "a power of two >= 8"),
+    Field("n_phi", "integer", 128, "uniform longitude nodes", "a power of two >= 8"),
+)
+_SURFACE = (
+    Field("type", "string", "round", "initial graph; round with an amplitude is p2",
+          allowed=("round", "ellipsoid", "p2", "bumpy")),
+    Field("area_radius", "number", 1.0, "area radius s0 of the unperturbed sphere", "> 0"),
+    Field("amplitude", "number", 0.0, "graph amplitude (sweeps derive it from eps)"),
+)
+_CHECKS = (
+    Field("class", "boolean", True, "flow-class membership"),
+    Field("compat", "boolean", True, "coordinate compatibility over `compat_window`"),
+    Field("pinch", "boolean", True, "pinching bounds"),
+    Field("distances", "boolean", True, "L^2 distance chain, Holder and Gauss deviations, diameters"),
+    Field("mass_at_infinity", "boolean", True, "tail fit of m_H (runs only when T >= 2)"),
+)
+_PROFILES = {
+    "hyperbolic": (
+        Field("r_min", "number", 1e-6, "smallest radius", "> 0"),
+        Field("r_max", "number", None, "largest radius (default: beyond the flow's reach)", "> 0"),
+    ),
+    "adss": (
+        Field("m", "number", REQUIRED, "mass", "> 0"),
+        Field("s_min", "number", None, "smallest area radius (default: outside the horizon)", "> 0"),
+        Field("s_max", "number", None, "largest area radius (default: beyond the flow's reach)", "> 0"),
+    ),
+    "mass_aspect": (
+        Field("points", "object", REQUIRED, "samples of m(s), joined by a PCHIP spline", fields=(
+            Field("s", "numbers", REQUIRED, "strictly increasing area radii"),
+            Field("m", "numbers", REQUIRED, "mass aspect at each s"),
+        )),
+    ),
+    "tabulated": (
+        Field("r", "numbers", REQUIRED, "strictly increasing radii (at least 4)"),
+        Field("lam", "numbers", REQUIRED, "increasing warp lambda(r) > 0 at each r"),
+    ),
+}
+FIELDS = (
+    Field("id", "string", REQUIRED, "report name", "nonempty"),
+    Field("mode", "string", "PMT", "positive-mass or Penrose experiment", allowed=("PMT", "RPI")),
+    Field("m", "number", None, "target mass (RPI needs it)", "> 0"),
+    Field("epsilons", "numbers", None, "strictly decreasing sweep values (may end in 0)", ">= 0"),
+    Field("family", "string", None, "sweep family (default: combined for PMT, mass_aspect for RPI)",
+          allowed=("mass_aspect", "ellipsoid", "combined")),
+    Field("profile", "object", None, "explicit ambient in place of a family", fields=_PROFILES),
+    Field("surface", "object", {}, "initial surface", fields=_SURFACE),
+    Field("T", "number", 2.0, "flow horizon", "> 0"),
+    Field("dt", "number", 1e-3, "recorded step; T holds at least 2 of them", "> 0"),
+    Field("grid", "object", {}, "quadrature grid", fields=_GRID),
+    Field("t_samples", "numbers", None, "report times in [0, T] (default: 0, T/4, T/2, 3T/4, T)"),
+    Field("compat_window", "numbers", None, "[a, b], 0 <= a < b <= T, of the compatibility check "
+          "(default: [T/2, T])"),
+    Field("checks", "object", {}, "check toggles", fields=_CHECKS),
+    Field("amplitude_factor", "number", 0.5, "combined family: surface amplitude = factor * eps", ">= 0"),
+    Field("cfl", "number", 0.2, "parabolic CFL factor of the substeps", "> 0"),
+    Field("snap_every", "integer", None, "snapshot stride in steps (default: about 400 snapshots)",
+          ">= 1"),
+    Field("out", "string", "out", "output directory when `--out` is not given"),
+)
+
+
+def _number(v) -> bool:
+    """A finite real (JSON's NaN and Infinity, strings and booleans are not)."""
+    big = sys.float_info.max
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and -big <= v <= big
+
+
+_TYPES = {
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "number": ("a finite number", _number),
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "boolean": ("true or false", lambda v: isinstance(v, bool)),
+    "numbers": ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_number, v))),
+}
+
+
+def _walk(fields, obj, where: str) -> dict:
+    """Check a JSON object against a field table (unknown keys, wrong types and
+    non-finite numbers are ``ParseError``, values out of range or choices
+    ``ValidationError``); return it with the defaults filled."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} must be an object, got {obj!r}")
+    if isinstance(fields, dict):
+        kind = obj.get("kind")
+        if not (isinstance(kind, str) and kind in fields):
+            raise ParseError(f"unknown {where} kind {kind!r}; choose from {sorted(fields)}")
+        fields = (Field("kind", "string", REQUIRED, ""), *fields[kind])
+    unknown = set(obj) - {f.name for f in fields}
+    if unknown:
+        raise ParseError(f"unknown key(s) {sorted(map(str, unknown))} in {where}")
+    out = {}
+    for f in fields:
+        key = f.name if where == "scenario" else f"{where}.{f.name}"
+        value = obj[f.name] if f.name in obj else f.default
+        if value is REQUIRED:
+            raise ParseError(f"{key} is required")
+        if value is None and f.default is None:
+            out[f.name] = None
+            continue
+        if f.type == "object":
+            out[f.name] = _walk(f.fields, value, key)
+            continue
+        expected, is_type = _TYPES[f.type]
+        if not is_type(value):
+            raise ParseError(f"{key} must be {expected}, got {value!r}")
+        if isinstance(f.allowed, tuple) and f.allowed and value not in f.allowed:
+            raise ValidationError(f"{key} must be one of {list(f.allowed)}, got {value!r}")
+        items = value if f.type == "numbers" else [value]
+        if isinstance(f.allowed, str) and not all(map(RANGES[f.allowed], items)):
+            raise ValidationError(f"{key} must be {f.allowed}, got {value!r}")
+        out[f.name] = value
+    return out
 
 
 @dataclass
@@ -62,33 +193,16 @@ class ScenarioRow:
     label: str
 
 
-@dataclass
 class Scenario:
-    id: str
-    mode: str = "PMT"
-    m: float | None = None
-    epsilons: list | None = None
-    family: str | None = None
-    profile: dict | None = None
-    surface: dict = field(
-        default_factory=lambda: {"type": "round", "area_radius": 1.0, "amplitude": 0.0}
-    )
-    T: float = 2.0
-    dt: float = 1e-3
-    n_theta: int = 64
-    n_phi: int = 128
-    t_samples: list | None = None
-    compat_window: list | None = None
-    checks: dict = field(default_factory=lambda: dict(_DEFAULT_CHECKS))
-    amplitude_factor: float = 0.5
-    cfl: float = 0.2
-    snap_every: int | None = None
-    out: str = "out"
+    """A checked scenario: one attribute per key of ``FIELDS``, with ``grid``
+    spread into ``n_theta`` and ``n_phi``.  ``profile`` and ``surface`` keep
+    the form they were written in (reports echo them); their defaults are
+    filled where the rows are built."""
+
+    def __init__(self, **values):
+        self.__dict__.update(values)
 
     # -- derived -------------------------------------------------------------
-
-    def grid(self) -> SphereGrid:
-        return get_grid(self.n_theta, self.n_phi)
 
     def resolved_t_samples(self) -> list:
         if self.t_samples is not None:
@@ -101,80 +215,35 @@ class Scenario:
         return (0.5 * self.T, self.T)
 
     @property
+    def surface_spec(self) -> dict:
+        return _walk(_SURFACE, self.surface, "surface")
+
+    @property
     def area_radius(self) -> float:
-        return float(self.surface.get("area_radius", 1.0))
+        return float(self.surface_spec["area_radius"])
 
     def validate(self) -> None:
-        problems = []
-        if not self.id:
-            problems.append("id must be a nonempty string")
-        if self.mode not in ("PMT", "RPI"):
-            problems.append(f"mode must be PMT or RPI, got {self.mode!r}")
-        if self.mode == "RPI" and (self.m is None or self.m <= 0):
-            problems.append("RPI mode needs a positive target mass m")
-        if self.epsilons is not None:
-            eps = list(self.epsilons)
-            if len(eps) == 0:
-                problems.append("epsilons must be nonempty when given")
-            if any(e < 0 for e in eps):
-                problems.append("epsilons must be nonnegative")
-            if any(b >= a for a, b in zip(eps, eps[1:])):
-                problems.append("epsilons must be strictly decreasing")
-            if self.profile is not None:
-                problems.append("give either a profile or an epsilon family, not both")
-        if self.family is not None and self.family not in _FAMILIES:
-            problems.append(f"unknown family {self.family!r}; choose from {sorted(_FAMILIES)}")
-        if self.mode == "RPI" and self.family in ("ellipsoid", "combined"):
-            problems.append("RPI sweeps use the mass_aspect family")
-        # the T-relative checks below need a usable T
-        time_ok = False
-        if not (_finite(self.T) and _finite(self.dt)):
-            problems.append(f"T and dt must be finite numbers, got T = {self.T!r}, dt = {self.dt!r}")
-        elif self.T <= 0 or self.dt <= 0:
-            problems.append("T and dt must be positive")
-        else:
-            time_ok = True
-            n = self.T / self.dt
-            if abs(n - round(n)) > 1e-9 * max(1.0, n):
-                problems.append(f"dt = {self.dt} does not divide T = {self.T}")
-        for n, name in ((self.n_theta, "n_theta"), (self.n_phi, "n_phi")):
-            if n < 8 or (n & (n - 1)) != 0:
-                problems.append(f"{name} = {n} must be a power of two >= 8")
-        if time_ok and self.t_samples is not None:
-            if any(not 0 <= t <= self.T + 1e-12 for t in self.t_samples):
-                problems.append("t_samples must lie in [0, T]")
-        if time_ok and self.compat_window is not None:
-            a, b = self.compat_window
-            if not 0 <= a < b <= self.T + 1e-12:
-                problems.append("compat_window must satisfy 0 <= a < b <= T")
-        if self.surface.get("type", "round") not in ("round", "ellipsoid", "p2", "bumpy"):
-            problems.append(f"unknown surface type {self.surface.get('type')!r}")
-        if self.area_radius <= 0:
-            problems.append("surface area_radius must be positive")
-        if self.amplitude_factor < 0:
-            problems.append("amplitude_factor must be nonnegative")
-        if not (_finite(self.cfl) and self.cfl > 0):
-            problems.append(f"cfl must be a finite positive number, got {self.cfl!r}")
-        if self.snap_every is not None and not (
-            isinstance(self.snap_every, numbers.Integral)
-            and not isinstance(self.snap_every, bool)
-            and self.snap_every >= 1
-        ):
-            problems.append(f"snap_every must be an integer >= 1, got {self.snap_every!r}")
+        """Check the scenario against ``FIELDS`` and ``RULES`` (again after
+        the command line's grid and dt overrides)."""
+        doc = {f.name: getattr(self, f.name) for f in FIELDS if f.name != "grid"}
+        _walk(FIELDS, {**doc, "grid": {f.name: getattr(self, f.name) for f in _GRID}}, "scenario")
+        problems = [problem.format(s=self) for problem, holds in RULES if not holds(self)]
         if problems:
             raise ValidationError("; ".join(problems))
 
     # -- row construction ------------------------------------------------------
 
     def rows(self) -> list[ScenarioRow]:
+        """Build each row's profile and initial surface; a profile or graph
+        that cannot be built raises ``ProfileError`` or ``DomainError``."""
         self.validate()
         if self.epsilons is None:
             profile = (
-                build_profile(self.profile, self)
+                build_profile(_walk(_PROFILES, self.profile, "profile"), self)
                 if self.profile is not None
                 else self._family_profile(0.0)
             )
-            surf = self._build_surface(profile, self.surface.get("amplitude", 0.0))
+            surf = self._build_surface(profile, float(self.surface_spec["amplitude"]))
             return [ScenarioRow(eps=None, profile=profile, surface0=surf, label=self.id)]
         family = self.family or ("combined" if self.mode == "PMT" else "mass_aspect")
         rows = []
@@ -226,9 +295,7 @@ class Scenario:
 
     def _build_surface(self, profile: AmbientProfile, amplitude: float) -> GraphSurface:
         rbar = float(profile.radius_from_area_radius(self.area_radius))
-        kind = self.surface.get("type", "round")
-        if self.epsilons is None:
-            amplitude = float(self.surface.get("amplitude", 0.0))
+        kind = self.surface_spec["type"]
         if amplitude == 0.0:
             kind = "round"
         elif kind == "round":
@@ -236,78 +303,80 @@ class Scenario:
             # deviation is first order in the amplitude, so the stability
             # columns stay strictly ordered all the way down the sweep
             kind = "p2"
-        return make_graph(profile, self.grid(), rbar, kind, amplitude)
+        return make_graph(profile, get_grid(self.n_theta, self.n_phi), rbar, kind, amplitude)
 
 
-def _finite(x) -> bool:
-    """A real, finite number (JSON's NaN and Infinity, strings and booleans are not)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+# -- cross-field rules: (problem, test a sound scenario passes) -----------------
+
+
+def _whole_steps(s: Scenario) -> bool:
+    n = s.T / s.dt
+    # the mass derivative's one-sided difference needs three samples
+    return math.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, n) and round(n) >= 2
+
+
+# per-node work arrays a row holds at once (geometry fields, RK2 stages, checks)
+_WORK_ARRAYS = 64
+
+
+def _fits_in_memory(s: Scenario) -> bool:
+    """A row's bytes, estimated from the inputs before anything is allocated,
+    fit in the machine's physical memory."""
+    steps = s.T / s.dt
+    if not math.isfinite(steps):
+        return True  # _whole_steps reports it
+    n = round(steps)
+    n_snap = n // (s.snap_every or max(1, n // 400)) + 2
+    nodes = s.n_theta * s.n_phi
+    need = 8 * ((3 * n_snap + _WORK_ARRAYS) * nodes + s.n_theta**2 + len(_SERIES_FIELDS) * (n + 1))
+    return need <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _in_flow(s: Scenario, ts) -> bool:
+    return bool(ts) and 0 <= min(ts) and max(ts) <= s.T + 1e-12
+
+
+RULES = (
+    ("RPI mode needs a positive target mass m", lambda s: s.mode != "RPI" or s.m is not None),
+    ("give either a profile or an epsilon family (epsilons), not both",
+     lambda s: s.profile is None or s.epsilons is None),
+    ("epsilons must be nonempty and strictly decreasing, got {s.epsilons!r}",
+     lambda s: (e := s.epsilons) is None or bool(e) and all(b < a for a, b in zip(e, e[1:]))),
+    ("RPI sweeps use the mass_aspect family",
+     lambda s: s.mode != "RPI" or s.family in (None, "mass_aspect")),
+    ("dt = {s.dt!r} must divide T = {s.T!r} into at least 2 steps", _whole_steps),
+    ("t_samples must be a nonempty list of times in [0, T], got {s.t_samples!r}",
+     lambda s: s.t_samples is None or _in_flow(s, s.t_samples)),
+    ("compat_window must be [a, b] with 0 <= a < b <= T, got {s.compat_window!r}",
+     lambda s: (w := s.compat_window) is None or len(w) == 2 and w[0] < w[1] and _in_flow(s, w)),
+    ("grid, T/dt and snap_every ask for more memory per row than this machine has", _fits_in_memory),
+)
 
 
 def build_profile(spec: dict, scn: Scenario) -> AmbientProfile:
-    """Instantiate an explicit (non-family) profile spec."""
-    kind = spec.get("kind")
-    s0 = scn.area_radius
-    default_lo = 0.8 * s0 - 1e-3
-    default_hi = 1.3 * s0 * np.exp(0.5 * scn.T) + 1e-3
+    """Instantiate an explicit (non-family) profile from its filled spec."""
+    kind = spec["kind"]
+    default_lo, default_hi = scn._s_bounds(0.0)
     if kind == "hyperbolic":
-        r_min = float(spec.get("r_min", 1e-6))
-        r_max = float(spec.get("r_max", max(25.0, np.arcsinh(default_hi) + 1.0)))
-        return HyperbolicProfile((r_min, r_max))
+        r_max = spec["r_max"] if spec["r_max"] is not None else max(25.0, np.arcsinh(default_hi) + 1.0)
+        return HyperbolicProfile((spec["r_min"], r_max))
     if kind == "adss":
-        m = float(spec["m"])
-        s_min = float(spec.get("s_min", max(default_lo, 1.02 * horizon_radius(m))))
-        s_max = float(spec.get("s_max", max(default_hi, 1.5 * s_min)))
+        m = spec["m"]
+        s_min = spec["s_min"] if spec["s_min"] is not None else max(default_lo, 1.02 * horizon_radius(m))
+        s_max = spec["s_max"] if spec["s_max"] is not None else max(default_hi, 1.5 * s_min)
         return AdSSProfile(m, (s_min, s_max))
     if kind == "mass_aspect":
-        pts = spec.get("points")
-        if not isinstance(pts, dict) or "s" not in pts or "m" not in pts:
-            raise ParseError("mass_aspect profile needs points: {s: [...], m: [...]}")
-        return MassAspectProfile.from_points(pts["s"], pts["m"])
-    if kind == "tabulated":
-        if "r" not in spec or "lam" not in spec:
-            raise ParseError("tabulated profile needs r and lam arrays")
-        return TabulatedProfile(spec["r"], spec["lam"])
-    raise ParseError(f"unknown profile kind {kind!r}")
-
-
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"unknown key(s) {sorted(unknown)} in {where}")
+        return MassAspectProfile.from_points(spec["points"]["s"], spec["points"]["m"])
+    return TabulatedProfile(spec["r"], spec["lam"])
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "scenario")
-    if "id" not in doc or not isinstance(doc["id"], str):
-        raise ParseError("scenario needs a string 'id'")
-    if "profile" in doc and doc["profile"] is not None:
-        if not isinstance(doc["profile"], dict):
-            raise ParseError("'profile' must be an object")
-        _check_keys(doc["profile"], _PROFILE_KEYS, "profile")
-    if "surface" in doc:
-        if not isinstance(doc["surface"], dict):
-            raise ParseError("'surface' must be an object")
-        _check_keys(doc["surface"], _SURFACE_KEYS, "surface")
-    checks = dict(_DEFAULT_CHECKS)
-    if "checks" in doc:
-        if not isinstance(doc["checks"], dict):
-            raise ParseError("'checks' must be an object")
-        _check_keys(doc["checks"], _CHECK_KEYS, "checks")
-        checks.update({k: bool(v) for k, v in doc["checks"].items()})
-    kwargs = {k: v for k, v in doc.items() if k not in ("grid", "checks")}
-    if "grid" in doc:
-        if not isinstance(doc["grid"], dict):
-            raise ParseError("'grid' must be an object")
-        _check_keys(doc["grid"], _GRID_KEYS, "grid")
-        kwargs["n_theta"] = int(doc["grid"].get("n_theta", 64))
-        kwargs["n_phi"] = int(doc["grid"].get("n_phi", 128))
-    try:
-        scn = Scenario(checks=checks, **kwargs)
-    except TypeError as exc:
-        raise ParseError(f"bad scenario field: {exc}") from exc
+    """Check a scenario document against ``FIELDS`` and ``RULES``."""
+    values = _walk(FIELDS, doc, "scenario")
+    for name in ("profile", "surface"):
+        if name in doc:
+            values[name] = doc[name]
+    scn = Scenario(**values.pop("grid"), **values)
     scn.validate()
     return scn
 

@@ -40,7 +40,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .ambient import AmbientProfile
-from .errors import CurvatureError, GeometryError
+from .errors import CurvatureError, DomainError, GeometryError
 from .sphere_grid import SphereGrid
 
 
@@ -144,6 +144,8 @@ def make_graph(
         f = rbar * (1.0 + amplitude * np.sin(th) ** 2 * np.cos(2.0 * ph))
     else:
         raise ValueError(f"unknown graph formula {formula!r}")
+    if np.min(f) <= 0.0:
+        raise DomainError(f"surface amplitude {amplitude:g} gives the {formula} graph a radius <= 0")
     return GraphSurface(grid, profile.area_radius_from_radius(f), profile)
 
 

@@ -36,23 +36,21 @@ def verdict(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _strip_tracks(report):
-    """Keep the scalar payload of a sweep, releasing the per-node snapshots."""
-    payload = []
-    for rr in report.rows:
-        payload.append({
+def _payload(report):
+    """The scalar payload of a sweep, one dict per row."""
+    return [
+        {
             "eps": rr.eps,
             "ok": rr.ok,
-            "m_H": None if rr.track is None else rr.track.series.m_H.copy(),
+            "m_H": None if rr.diag is None else rr.diag.m_H,
             "pinch_pass": rr.pinch_pass,
             "mH_T": rr.mH_T,
-            "distances": dict(rr.distances),
+            "distances": rr.distances,
             "c_alpha": rr.c_alpha,
-            "gauss_dev": dict(rr.gauss_dev),
-        })
-        rr.track = None
-        rr.diag = None
-    return payload
+            "gauss_dev": rr.gauss_dev,
+        }
+        for rr in report.rows
+    ]
 
 
 # -- shared flows ---------------------------------------------------------------
@@ -115,14 +113,14 @@ def pmt_sweep():
     t0 = time.perf_counter()
     report = run_sequence(scn)
     elapsed = time.perf_counter() - t0
-    return _strip_tracks(report), elapsed, scn
+    return _payload(report), elapsed, scn
 
 
 @pytest.fixture(scope="session")
 def rpi_sweep():
     scn = load_scenario("scenarios/rpi_sweep.json")
     report = run_sequence(scn)
-    return _strip_tracks(report), scn
+    return _payload(report), scn
 
 
 # -- criteria ---------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -101,15 +102,59 @@ def test_run_deterministic_csv(tmp_path):
     assert (a / "cli-fast.csv").read_bytes() == (b / "cli-fast.csv").read_bytes()
 
 
+def _doc_with(field, value):
+    """FAST_DOC with the dotted key ``field`` set to ``value``; for profile and
+    surface keys, the same scenario with an explicit hyperbolic profile in
+    place of the sweep."""
+    doc = copy.deepcopy(FAST_DOC)
+    if field.startswith(("profile", "surface")):
+        del doc["epsilons"], doc["family"]
+        doc["profile"] = {"kind": "hyperbolic"}
+    *path, last = field.split(".")
+    node = doc
+    for name in path:
+        node = node.setdefault(name, {})
+    node[last] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("T", float("nan")), ("dt", float("nan")), ("snap_every", 2.5),
-     ("cfl", float("nan")), ("cfl", float("inf"))],
+     ("cfl", float("nan")), ("cfl", float("inf")),
+     ("grid.n_theta", float("nan")), ("grid.n_theta", 16.5), ("checks.pinch", "no"),
+     ("surface.area_radius", "1"), ("surface.amplitude", "0.1"),
+     ("m", "1"), ("profile", {"kind": "adss"}),
+     ("compat_window", [0.05, 0.1, 0.2]), ("epsilons", ["a"]), ("t_samples", "abc"),
+     ("family", ["x"]),
+     ("profile", {"kind": "mass_aspect", "points": {"s": [0.8, 1.5, 3.0], "m": [0.0, 0.1]}}),
+     ("out", 5),
+     ("profile", {"kind": "nope"}),
+     ("profile", {"kind": "hyperbolic", "m": 1.0}),
+     ("profile", {"kind": "hyperbolic", "points": {"s": [0.8, 1.5], "m": [0.0, 0.1]}}),
+     ("T", 2.5e-3),  # one step of dt
+     ("surface", {"type": "p2", "amplitude": 5.0})],  # negative initial radius
 )
-def test_run_rejects_bad_time_grid_value_in_one_line(tmp_path, capsys, field, value):
-    p = _write(tmp_path, {**FAST_DOC, field: value})
-    assert main(["run", str(p), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+def test_run_rejects_bad_time_grid_value_in_one_line(tmp_path, capsys, monkeypatch, field, value):
+    p = _write(tmp_path, _doc_with(field, value))
+    monkeypatch.chdir(tmp_path)  # no --out: the scenario's own "out" is used
+    assert main(["run", str(p), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and err.count("\n") == 1
     assert field in err
+    assert list(tmp_path.iterdir()) == [p]
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_row_building_errors_are_scenario_errors(tmp_path, capsys, command):
+    """A profile that cannot be built (s_min inside the horizon) exits 1 in one line."""
+    doc = {"id": "below-horizon", "mode": "RPI", "m": 1.0,
+           "profile": {"kind": "adss", "m": 1.0, "s_min": 0.1},
+           "surface": {"area_radius": 2.0}, "T": 0.25, "dt": 2.5e-3,
+           "grid": {"n_theta": 16, "n_phi": 32}}
+    p = _write(tmp_path, doc)
+    assert main([command, str(p), *(["--out", str(tmp_path / "o")] if command == "run" else [])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and err.count("\n") == 1
+    assert "horizon" in err
     assert not (tmp_path / "o").exists()

@@ -102,18 +102,23 @@ def test_row_computes_each_snapshot_diameter_once(monkeypatch):
     """The t-samples {0, T/4, T/2, 3T/4, T} and the compat picks over
     [T/2, T] share T/2, 3T/4 and T: 7 distinct snapshots, 7 diameters."""
     scn = _fast_scenario(epsilons=[0.0], checks={"mass_at_infinity": False})
-    real = harness.intrinsic_diameter
-    measured = []
+    real, real_run = harness.intrinsic_diameter, harness.run
+    measured, tracks = [], []
 
     def diameter(geom):
         measured.append(geom.surface.time_tag)
         return real(geom)
 
+    def run(*args, **kwargs):
+        tracks.append(real_run(*args, **kwargs))
+        return tracks[-1]
+
     monkeypatch.setattr(harness, "intrinsic_diameter", diameter)
+    monkeypatch.setattr(harness, "run", run)
     result = run_row(scn, scn.rows()[0])
     assert result.ok, result.error
     assert len(measured) == len(set(measured)) == 7
-    track = result.track
+    (track,) = tracks
     for t, d in result.diam.items():
         assert d == real(track.geometry_at_time(t))
     for t, d in zip(result.compat_report.diam_times, result.compat_report.diam_values):

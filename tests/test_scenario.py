@@ -1,12 +1,18 @@
+import copy
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imcf_lab.ambient import validate_profile
 from imcf_lab.errors import ParseError, ValidationError
+from imcf_lab.harness import _scenario_echo
 from imcf_lab.mass import hawking_mass
-from imcf_lab.scenario import load_scenario, scenario_from_dict
+from imcf_lab.scenario import FIELDS, REQUIRED, Field, load_scenario, scenario_from_dict
 from imcf_lab.surface import geometry
 
 
@@ -81,6 +87,7 @@ def test_shipped_scenarios_parse_and_validate():
                  "ellipsoid_hyperbolic"):
         scn = load_scenario(f"scenarios/{name}.json")
         scn.validate()
+        assert _reparse_echo(scn) == _scenario_echo(scn), name
 
 
 def test_pmt_family_rows_monotone_floor():
@@ -132,3 +139,156 @@ def test_scenario_json_roundtrip(tmp_path):
     scn = load_scenario(p)
     assert scn.id == "rt"
     assert len(scn.rows()) == 2
+
+
+def test_memory_estimate_rejects_huge_rows_before_allocating():
+    """Only the estimate runs: nothing here builds a grid or a flow."""
+    with pytest.raises(ValidationError, match="memory"):
+        scenario_from_dict({"id": "x", "grid": {"n_theta": 2**40, "n_phi": 128}})
+    with pytest.raises(ValidationError, match="memory"):
+        scenario_from_dict({"id": "x", "T": 1e9, "dt": 1e-9})
+
+
+def _allowed(allowed) -> str:
+    return allowed if isinstance(allowed, str) else ", ".join(map(json.dumps, allowed))
+
+
+def _cell(value) -> str:
+    if value is REQUIRED:
+        return "required"
+    return "-" if value is None else json.dumps(value)
+
+
+def _schema_rows(fields) -> list:
+    """README rows of a field table, then of each object field's own tables."""
+    rows = [
+        f"| `{f.name}` | {f.type} | {_allowed(f.allowed)} | {_cell(f.default)} | {f.doc} |"
+        for f in fields
+    ]
+    for f in fields:
+        if f.type == "object":
+            tables = f.fields.values() if isinstance(f.fields, dict) else [f.fields]
+            for table in tables:
+                rows += _schema_rows(table)
+    return rows
+
+
+def test_readme_key_tables_match_the_field_table():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files")[1].split("\n## ")[0]
+    listed = [line for line in section.splitlines() if line.startswith("| `")]
+    assert listed == _schema_rows(FIELDS)
+
+
+# -- fuzzing the parser: only scenario_from_dict runs, never rows() ---------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+_OBJECTS = st.sampled_from([
+    {}, {"kind": "hyperbolic"}, {"kind": "adss", "m": 0.5}, {"type": "bumpy", "amplitude": 0.1},
+    {"kind": "mass_aspect", "points": {"s": [0.8, 1.5, 3.0], "m": [0.0, 0.1, 0.2]}},
+])
+_NUMBER = (st.sampled_from([0.0, 2.5e-3, 0.05, 0.25, 0.5, 1.0, 2.0]) | st.floats(-10, 10)
+           | st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+def _typed(field):
+    """Values of the field's own JSON type, so that many fuzzed documents are valid."""
+    return {
+        "number": _NUMBER,
+        "integer": st.sampled_from([8, 16, 32]) | st.integers(-4, 2**12),
+        "boolean": st.booleans(),
+        "string": (st.sampled_from(field.allowed) if isinstance(field.allowed, tuple) and field.allowed
+                   else st.text(max_size=6)),
+        "numbers": st.lists(_NUMBER, max_size=4) | st.sampled_from([[0.1, 0.0], [0.0, 0.25]]),
+        "object": _OBJECTS,
+    }[field.type]
+
+
+_BASES = (
+    {"id": "sweep", "epsilons": [0.1, 0.0], "T": 0.25, "dt": 2.5e-3,
+     "grid": {"n_theta": 16, "n_phi": 32}, "checks": {"compat": False}},
+    {"id": "explicit", "profile": {"kind": "adss", "m": 1.0, "s_min": 1.6},
+     "surface": {"type": "p2", "area_radius": 2.0, "amplitude": 0.05}, "T": 0.5},
+    {"id": "rpi", "mode": "RPI", "m": 0.5, "epsilons": [0.1], "t_samples": [0.0, 1.0],
+     "compat_window": [1.0, 2.0], "snap_every": 10},
+)
+
+
+def _key_paths(fields, prefix=()):
+    for f in fields:
+        yield (*prefix, f.name), f
+        if f.type == "object":
+            tables = f.fields.values() if isinstance(f.fields, dict) else [f.fields]
+            for table in tables:
+                yield from _key_paths(table, (*prefix, f.name))
+
+
+_KIND = Field("kind", "string", REQUIRED, "", ("hyperbolic", "adss", "nope"))
+_PATHS = [*_key_paths(FIELDS), (("profile", "kind"), _KIND), (("bogus",), _KIND)]
+
+
+_KIND_TABLES = next(f.fields for f in FIELDS if f.name == "profile")
+_PROFILE_DOCS = {
+    "hyperbolic": {"kind": "hyperbolic"},
+    "adss": {"kind": "adss", "m": 1.0},
+    "mass_aspect": {"kind": "mass_aspect", "points": {"s": [1.0, 2.0], "m": [0.0, 0.1]}},
+    "tabulated": {"kind": "tabulated", "r": [1.0, 2.0, 3.0, 4.0], "lam": [1.0, 2.0, 3.0, 4.0]},
+}
+
+
+def _set(doc, path, value):
+    *path, last = path
+    for name in path:
+        doc = doc.setdefault(name, {})
+    doc[last] = value
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_every_number_key_rejects_non_finite_values(value):
+    for path, field in _key_paths(FIELDS):
+        if field.type not in ("number", "numbers"):
+            continue
+        bases = [{"id": "x"}]
+        if path[0] == "profile":  # under the kind whose table has the key
+            bases = [{"id": "x", "profile": copy.deepcopy(_PROFILE_DOCS[kind])}
+                     for kind, table in _KIND_TABLES.items() if path[1] in {f.name for f in table}]
+        for base in bases:
+            _set(base, path, [value] if field.type == "numbers" else value)
+            with pytest.raises(ParseError, match=".".join(path)):
+                scenario_from_dict(base)
+
+
+@st.composite
+def _documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(_BASES)))
+    for _ in range(draw(st.integers(0, 2))):
+        (*path, last), field = draw(st.sampled_from(_PATHS))
+        node = doc
+        for name in path:
+            if not isinstance(node.get(name), dict):
+                node[name] = {}
+            node = node[name]
+        node[last] = draw(_JSON if draw(st.integers(0, 3)) == 0 else _typed(field))
+    return doc
+
+
+def _reparse_echo(scn):
+    doc = dict(_scenario_echo(scn))
+    doc["grid"] = {"n_theta": doc.pop("n_theta"), "n_phi": doc.pop("n_phi")}
+    return _scenario_echo(scenario_from_dict(doc))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=_documents() | _JSON)
+def test_fuzzed_documents_fail_cleanly_or_round_trip(doc):
+    try:
+        scn = scenario_from_dict(doc)
+    except (ParseError, ValidationError) as exc:
+        assert "\n" not in str(exc)
+        return
+    json.dumps(_scenario_echo(scn), allow_nan=False)  # a valid echo is strict JSON
+    assert _reparse_echo(scn) == _scenario_echo(scn)

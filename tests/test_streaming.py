@@ -58,10 +58,16 @@ def _close(a, b, rel=REL):
 @pytest.fixture(scope="module", params=sorted(DOCS))
 def streamed_row(request):
     """One row of each data set, with its full geometry(), midpoint
-    speed_geometry() and RK2 right-side calls counted."""
+    speed_geometry() and RK2 right-side calls counted, and the track its
+    flow returned (the row itself keeps only the series)."""
     scn = _scenario(request.param)
     row = scn.rows()[0]
     counts = dict.fromkeys(("geometry", "speed_geometry", "_rhs"), 0)
+    tracks = []
+
+    def run(*args, **kwargs):
+        tracks.append(imcf.run(*args, **kwargs))
+        return tracks[-1]
 
     def counted(name):
         real = getattr(imcf, name)
@@ -75,17 +81,18 @@ def streamed_row(request):
     with pytest.MonkeyPatch.context() as mp:
         for name in counts:
             mp.setattr(imcf, name, counted(name))
+        mp.setattr(harness, "run", run)
         result = run_row(scn, row)
     assert result.ok, result.error
-    return scn, result, counts
+    return scn, result, tracks[0], counts
 
 
 def test_row_makes_only_the_flows_geometry_calls(streamed_row):
-    _, result, counts = streamed_row
+    _, _, track, counts = streamed_row
     # two right-side evaluations per RK2 substep
     substeps = counts["_rhs"] // 2
     assert counts["_rhs"] % 2 == 0
-    assert substeps >= result.track.n_steps
+    assert substeps >= track.n_steps
     # one full call to start and one at the end of each substep; the
     # midpoint needs only the speed
     assert counts["geometry"] == 1 + substeps
@@ -93,8 +100,7 @@ def test_row_makes_only_the_flows_geometry_calls(streamed_row):
 
 
 def test_streamed_checks_match_replay(streamed_row):
-    scn, result, _ = streamed_row
-    track = result.track
+    scn, result, track, _ = streamed_row
     a, b = scn.resolved_compat_window()
     replayed = harness.check_coordinate_compatibility(track, a, b)
     streamed = result.compat_report
@@ -117,8 +123,7 @@ def test_streamed_checks_match_replay(streamed_row):
 
 
 def test_streamed_chain_matches_full_grid_reference(streamed_row):
-    scn, result, _ = streamed_row
-    track = result.track
+    scn, result, track, _ = streamed_row
     g3, model = ("g3_pmt", "hyperbolic_model") if scn.mode == "PMT" else ("g3_rpi", "adss_model")
     idx = default_time_indices(track)
     grids = {
@@ -224,7 +229,7 @@ def test_check_error_is_raised_after_the_flow_in_check_order():
     (row,) = run_sequence(scenario_from_dict(doc)).rows
     assert not row.ok
     assert row.error == "WindowError: window [0.1, 0.1001] holds fewer than 3 stored times"
-    assert row.track is not None and row.class_report is not None
+    assert row.diag is not None and row.class_report is not None
     assert row.compat_report is None and row.pinch_pass is None and row.distances == {}
 
 
