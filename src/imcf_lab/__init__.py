@@ -39,7 +39,7 @@ from .harness import (
     run_sequence,
     w12_normal_ricci,
 )
-from .imcf import FlowTrack, exact_round_flow, run, step
+from .imcf import FlowTrack, exact_round_flow, record, run, step
 from .mass import (
     GerochResiduals,
     MassDiagnostics,

@@ -7,13 +7,15 @@
 
 Exit codes: 0 success, 1 scenario error (one line: the file does not parse,
 breaks the schema, or its profiles or initial surfaces cannot be built),
-2 solver failure, 3 IO failure.
+2 solver failure or any other fault (one line), 3 IO failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
+from pathlib import Path
 
 import numpy as np
 
@@ -144,6 +146,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"IO failure: {exc}", file=sys.stderr)
         code = 3
+    except Exception as exc:
+        # last resort for a fault that is not the package's own: one line
+        # naming where it was raised, in place of a traceback
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {exc} "
+            f"(at {Path(frame.filename).name}:{frame.lineno} in {frame.name})",
+            file=sys.stderr,
+        )
+        code = 2
     return code
 
 

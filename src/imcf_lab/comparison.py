@@ -22,9 +22,10 @@ matching how the convergence statements are quantified).
 ``ChainAccumulator`` computes the hat -> g1 -> g2 -> g3 -> model chain while
 the flow runs: one spatial integral per sampled time, a trapezoid in t at
 the end, and nothing but the first sample's fiber held in between.
-``distance_chain`` replays a finished track through it.  ``assemble`` and
-``l2_distance`` build the full (time, node) grids instead; they are the
-reference the streamed chain is tested against.
+``distance_chain`` replays a recorded track (from ``imcf.record``) through
+it.  ``assemble`` and ``l2_distance`` build the full (time, node) grids of a
+recorded track instead; they are the reference the streamed chain is tested
+against.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def assemble(
     m: float | None = None,
     time_indices: np.ndarray | None = None,
 ) -> ProductMetricGrid:
-    """Sample one of the product metrics over the track's snapshot times."""
+    """Sample one of the product metrics over a recorded track's snapshot times."""
     if label not in LABELS:
         raise ValueError(f"unknown metric label {label!r}; choose from {LABELS}")
     if r0 is None:
@@ -304,7 +305,8 @@ def distance_chain(
     """All pairwise distances along the hat -> g1 -> g2 -> g3 -> model chain.
 
     Every distance is measured against the model metric of the chosen mode, so
-    the square roots obey the plain triangle inequality.
+    the square roots obey the plain triangle inequality.  Replays a track from
+    ``imcf.record`` through ``ChainAccumulator``.
     """
     if time_indices is None:
         time_indices = default_time_indices(track)

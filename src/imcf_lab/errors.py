@@ -51,3 +51,7 @@ class ValidationError(ImcfLabError):
 
 class WindowError(ImcfLabError):
     """Requested time window not contained in the computed flow track."""
+
+
+class TrackError(ImcfLabError):
+    """Flow track stores no snapshots (it came from ``run``, not ``record``)."""

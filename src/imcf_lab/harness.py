@@ -243,8 +243,8 @@ def w12_normal_ricci(track: FlowTrack, a: float, b: float) -> float:
     """W^{1,2} norm of Rc(nu,nu) over Sigma x [a,b], flat product measure.
 
     Differences in t between stored times, spectral derivatives on the
-    sphere, quadrature against d(sigma) dt.  Replays the track through
-    ``W12Accumulator``.
+    sphere, quadrature against d(sigma) dt.  Replays a track from
+    ``imcf.record`` through ``W12Accumulator``.
     """
     acc = W12Accumulator(track.grid, track.snap_times, a, b)
     track.replay(acc)
@@ -345,7 +345,7 @@ def check_coordinate_compatibility(
 ) -> CompatReport:
     """Radial growth ratios, graph-gradient bound and the W^{1,2} Ricci norm.
 
-    Replays the track through ``CompatAccumulator``.
+    Replays a track from ``imcf.record`` through ``CompatAccumulator``.
     """
     acc = CompatAccumulator(track.grid, track.snap_times, track.T, a, b, n_diam)
     track.replay(acc)
@@ -387,8 +387,10 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
     """Flow one scenario row, streaming every enabled check through the flow.
 
     Each check's accumulator sees the flow's own geometry at the stored
-    snapshots, so no geometry is rebuilt after the flow.  Check errors are
-    raised once the flow has ended, in the order the checks are listed here.
+    snapshots, so no geometry is rebuilt after the flow and the row keeps no
+    per-node snapshots (the flow goes through ``run``, not ``record``).
+    Check errors are raised once the flow has ended, in the order the checks
+    are listed here.
     Any exception marks the row failed and is recorded as ``Type: message``.
     """
     result = RowResult(label=row.label, eps=row.eps, ok=True)

@@ -24,8 +24,11 @@ midpoint calls.
 Checks that read the per-node geometry (pinching, the metric-distance chain,
 the W^{1,2} Ricci norm, Holder, Gauss and diameter samples) are accumulators
 fed by the flow itself: ``run`` hands every observer each stored snapshot's
-geometry as it is computed, and ``FlowTrack.replay`` feeds the same observers
-from a finished track by rebuilding that geometry from the stored zeta.
+geometry as it is computed.  ``run`` keeps only the per-step series, so a
+sweep row holds no per-node history.  Storing the snapshots is one more
+observer, ``SnapshotRecorder``: ``record`` is ``run`` with one attached, and
+only its track can be replayed (``FlowTrack.replay`` feeds the same observers
+afterwards by rebuilding each snapshot's geometry from its stored zeta).
 
 Stability: each recorded step of size dt is internally split into substeps
 obeying the parabolic guard dt <= cfl * h_theta^2 * min(H)^2 * min(lambda)^2
@@ -37,13 +40,13 @@ scheme cannot propagate.  Recorded times stay on the uniform grid t_k = k dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .ambient import AmbientProfile
-from .errors import CurvatureError, ImcfLabError, StabilityError
+from .errors import CurvatureError, ImcfLabError, StabilityError, TrackError
 from .sphere_grid import SphereGrid
 from .surface import (
     GraphSurface,
@@ -107,7 +110,9 @@ class ClassBounds:
 
 @dataclass
 class FlowTrack:
-    """Uniform-grid IMCF history: scalar series plus per-node snapshots."""
+    """Uniform-grid IMCF history: scalar series plus, on a track from
+    ``record``, the per-node snapshots.  ``run``'s track stores none: its
+    snapshot arrays have length 0 and it cannot be replayed."""
 
     profile: AmbientProfile
     grid: SphereGrid
@@ -118,7 +123,8 @@ class FlowTrack:
     r0: float
     snap_indices: np.ndarray
     snap_times: np.ndarray
-    snap_zeta: np.ndarray    # (n_snap, n_theta, n_phi) area radii
+    # (n_snap, n_theta, n_phi) from ``record``, (0, n_theta, n_phi) from ``run``
+    snap_zeta: np.ndarray    # area radii
     snap_P1: np.ndarray      # cumulative trapezoid of 2 lambda_1 / H
     snap_P2: np.ndarray      # cumulative trapezoid of 2 lambda_2 / H
 
@@ -146,8 +152,15 @@ class FlowTrack:
             raise ValueError(f"t = {t:.6g} is not a stored snapshot time")
         return j
 
+    def _require_snapshots(self) -> None:
+        if len(self.snap_zeta) != len(self.snap_indices):
+            raise TrackError(
+                "this track stores no snapshots to replay; flow it with imcf.record, not imcf.run"
+            )
+
     def snapshot_geometry(self, j: int) -> SurfaceGeometry:
         """Geometry of stored snapshot j, rebuilt from its zeta (not cached)."""
+        self._require_snapshots()
         surface = GraphSurface(self.grid, self.snap_zeta[j], self.profile, self.snap_times[j])
         return geometry(self.profile, surface)
 
@@ -160,6 +173,7 @@ class FlowTrack:
         It sees the same arguments ``run`` passed its observer during the
         flow, with the geometry rebuilt from the stored zeta.
         """
+        self._require_snapshots()
         for j in acc.indices:
             j = int(j)
             acc.observe(
@@ -261,17 +275,14 @@ def run(
     """Flow from t = 0 to T on the uniform grid t_k = k dt.
 
     Every observer is called at each stored snapshot with the geometry the
-    flow computed there (see ``Observer``).
+    flow computed there (see ``Observer``).  The track keeps the series but
+    no per-node snapshots; ``record`` keeps those too.
     """
     times, snap_indices = time_grid(T, dt, snap_every)
     N = len(times) - 1
     grid = surface0.grid
 
     series = {name: np.empty(N + 1) for name in _SERIES_FIELDS}
-    n_snap = len(snap_indices)
-    snap_zeta = np.empty((n_snap, *grid.shape))
-    snap_P1 = np.empty((n_snap, *grid.shape))
-    snap_P2 = np.empty((n_snap, *grid.shape))
     snap_pos = {int(k): j for j, k in enumerate(snap_indices)}
 
     P1 = np.zeros(grid.shape)
@@ -294,12 +305,8 @@ def run(
         rate1_prev, rate2_prev = rate1, rate2
 
         if k in snap_pos:
-            j = snap_pos[k]
-            snap_zeta[j] = geom.surface.zeta
-            snap_P1[j] = P1
-            snap_P2[j] = P2
             for observe in observers:
-                observe(j, float(t_k), geom, P1, P2)
+                observe(snap_pos[k], float(t_k), geom, P1, P2)
 
         if k < N:
             try:
@@ -312,6 +319,7 @@ def run(
         np.stack([series["r_min"], series["r_max"]])
     )
     fs = FlowSeries(times=times, **series)
+    no_snapshots = np.empty((0, *grid.shape))
     return FlowTrack(
         profile=profile,
         grid=grid,
@@ -322,10 +330,48 @@ def run(
         r0=r0,
         snap_indices=snap_indices,
         snap_times=times[snap_indices],
-        snap_zeta=snap_zeta,
-        snap_P1=snap_P1,
-        snap_P2=snap_P2,
+        snap_zeta=no_snapshots,
+        snap_P1=no_snapshots,
+        snap_P2=no_snapshots,
     )
+
+
+class SnapshotRecorder(SnapshotAccumulator):
+    """Copies every stored snapshot's zeta, P1 and P2 as the flow hands them over."""
+
+    def __init__(self, n_snap: int, shape: tuple):
+        super().__init__(np.arange(n_snap))
+        self.zeta = np.empty((n_snap, *shape))
+        self.P1 = np.empty((n_snap, *shape))
+        self.P2 = np.empty((n_snap, *shape))
+
+    def take(self, i, j, t, geom, P1, P2) -> None:
+        # P1 and P2 are the flow's live buffers: assigning into a slot copies them
+        self.zeta[j] = geom.surface.zeta
+        self.P1[j] = P1
+        self.P2[j] = P2
+
+
+def record(
+    profile: AmbientProfile,
+    surface0: GraphSurface,
+    T: float,
+    dt: float,
+    cfl: float = 0.2,
+    snap_every: int | None = None,
+    max_substeps: int = 500_000,
+    observers: Sequence[Observer] = (),
+) -> FlowTrack:
+    """``run`` with a ``SnapshotRecorder`` attached: the returned track stores
+    every snapshot's zeta, P1 and P2, so it can be replayed.  The recorder
+    sees each snapshot before ``observers`` do."""
+    n_snap = len(time_grid(T, dt, snap_every)[1])
+    rec = SnapshotRecorder(n_snap, surface0.grid.shape)
+    track = run(
+        profile, surface0, T, dt, cfl=cfl, snap_every=snap_every,
+        max_substeps=max_substeps, observers=[rec.observe, *observers],
+    )
+    return replace(track, snap_zeta=rec.zeta, snap_P1=rec.P1, snap_P2=rec.P2)
 
 
 # -- internals -----------------------------------------------------------------

@@ -176,7 +176,8 @@ def weak_ricci_pairing(
                           + psi (H^2 - 2|A|^2) + psi_t H^2 ] dmu dt
 
     The time-derivative term of the test function is part of the identity and
-    is kept (dropping it changes the result for time-dependent psi).
+    is kept (dropping it changes the result for time-dependent psi).  Reads
+    the snapshots of a track from ``imcf.record``.
     """
     if not 0.0 <= a < b <= track.T + 1e-12:
         raise ValueError(f"need 0 <= a < b <= T, got [{a}, {b}]")
@@ -273,8 +274,8 @@ def pinch_bounds_check(track: FlowTrack, tol: float = 1e-9) -> PinchReport:
         exp(int_0^t 2 lambda_1/H) g(x,0) <= g(x,t) <= exp(int_0^t 2 lambda_2/H) g(x,0)
 
     as 2x2 quadratic forms; eigenvalue signs are tested relative to the local
-    metric scale with tolerance ``tol``.  Replays the track through
-    ``PinchAccumulator``.
+    metric scale with tolerance ``tol``.  Replays a track from ``imcf.record``
+    through ``PinchAccumulator``.
     """
     acc = PinchAccumulator(track.snap_times, track.grid.shape, tol)
     track.replay(acc)

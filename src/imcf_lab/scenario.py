@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .ambient import (
+    S_TABULATED_MAX,
     AdSSProfile,
     AmbientProfile,
     HyperbolicProfile,
@@ -215,6 +216,10 @@ class Scenario:
         return (0.5 * self.T, self.T)
 
     @property
+    def resolved_family(self) -> str:
+        return self.family or ("combined" if self.mode == "PMT" else "mass_aspect")
+
+    @property
     def surface_spec(self) -> dict:
         return _walk(_SURFACE, self.surface, "surface")
 
@@ -245,7 +250,7 @@ class Scenario:
             )
             surf = self._build_surface(profile, float(self.surface_spec["amplitude"]))
             return [ScenarioRow(eps=None, profile=profile, surface0=surf, label=self.id)]
-        family = self.family or ("combined" if self.mode == "PMT" else "mass_aspect")
+        family = self.resolved_family
         rows = []
         for eps in self.epsilons:
             profile = self._family_profile(eps, family)
@@ -315,6 +320,16 @@ def _whole_steps(s: Scenario) -> bool:
     return math.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, n) and round(n) >= 2
 
 
+def _s_domain_tabulable(s: Scenario) -> bool:
+    """Every row's derived s-domain (``_s_bounds``) ends at or below S_TABULATED_MAX."""
+    if s.epsilons is None:
+        amplitudes = [0.0]
+    else:
+        amplitudes = [s._family_amplitude(eps, s.resolved_family) for eps in s.epsilons]
+    with np.errstate(over="ignore"):  # e^{T/2} may overflow to inf, which fails
+        return all(s._s_bounds(amp)[1] <= S_TABULATED_MAX for amp in amplitudes)
+
+
 # per-node work arrays a row holds at once (geometry fields, RK2 stages, checks)
 _WORK_ARRAYS = 64
 
@@ -328,7 +343,10 @@ def _fits_in_memory(s: Scenario) -> bool:
     n = round(steps)
     n_snap = n // (s.snap_every or max(1, n // 400)) + 2
     nodes = s.n_theta * s.n_phi
-    need = 8 * ((3 * n_snap + _WORK_ARRAYS) * nodes + s.n_theta**2 + len(_SERIES_FIELDS) * (n + 1))
+    need = 8 * (_WORK_ARRAYS * nodes + s.n_theta**2 + len(_SERIES_FIELDS) * (n + 1))
+    # the flow stores no snapshots; the pinch check keeps two boolean verdicts
+    # per node and snapshot
+    need += 2 * n_snap * nodes
     return need <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -345,6 +363,8 @@ RULES = (
     ("RPI sweeps use the mass_aspect family",
      lambda s: s.mode != "RPI" or s.family in (None, "mass_aspect")),
     ("dt = {s.dt!r} must divide T = {s.T!r} into at least 2 steps", _whole_steps),
+    ("T = {s.T!r} carries the flow's area radius 1.3 s0 (1 + |amplitude|) e^(T/2) past "
+     f"{S_TABULATED_MAX:g}, the largest a profile is tabulated to", _s_domain_tabulable),
     ("t_samples must be a nonempty list of times in [0, T], got {s.t_samples!r}",
      lambda s: s.t_samples is None or _in_flow(s, s.t_samples)),
     ("compat_window must be [a, b] with 0 <= a < b <= T, got {s.compat_window!r}",

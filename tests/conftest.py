@@ -31,7 +31,7 @@ def adss1():
 def hyp_round_track(hyperbolic, grid32):
     """Short round flow in hyperbolic space, unit area radius (32x64 grid)."""
     s0 = make_round(hyperbolic, float(np.arcsinh(1.0)), grid32)
-    return imcf.run(hyperbolic, s0, T=0.5, dt=1e-3, snap_every=1)
+    return imcf.record(hyperbolic, s0, T=0.5, dt=1e-3, snap_every=1)
 
 
 @pytest.fixture(scope="session")
@@ -39,4 +39,4 @@ def adss_round_track(adss1, grid32):
     """Short round flow in AdSS(m=1) started at area radius 2 (32x64 grid)."""
     r0 = float(adss1.radius_from_area_radius(2.0))
     s0 = make_round(adss1, r0, grid32)
-    return imcf.run(adss1, s0, T=0.5, dt=1e-3, snap_every=1)
+    return imcf.record(adss1, s0, T=0.5, dt=1e-3, snap_every=1)

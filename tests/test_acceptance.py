@@ -15,7 +15,7 @@ import pytest
 from imcf_lab.ambient import AdSSProfile, HyperbolicProfile, MassAspectProfile
 from imcf_lab.cli import main as cli_main
 from imcf_lab.harness import check_coordinate_compatibility, run_sequence, w12_normal_ricci
-from imcf_lab.imcf import run
+from imcf_lab.imcf import record, run
 from imcf_lab.mass import (
     ProbeField,
     geroch_identity_residual,
@@ -60,21 +60,21 @@ def _payload(report):
 def hyp_track():
     prof = HyperbolicProfile()
     s0 = make_round(prof, float(np.arcsinh(1.0)), get_grid(*GRID))
-    return run(prof, s0, T=2.0, dt=DT)
+    return record(prof, s0, T=2.0, dt=DT)
 
 
 @pytest.fixture(scope="session")
 def hyp_track_refined():
     prof = HyperbolicProfile()
     s0 = make_round(prof, float(np.arcsinh(1.0)), get_grid(128, 256))
-    return run(prof, s0, T=2.0, dt=DT / 2, snap_every=40)
+    return record(prof, s0, T=2.0, dt=DT / 2, snap_every=40)
 
 
 @pytest.fixture(scope="session")
 def adss_track():
     prof = AdSSProfile(1.0, s_domain=(1.6, 16.0))
     s0 = make_round(prof, float(prof.radius_from_area_radius(2.0)), get_grid(*GRID))
-    return run(prof, s0, T=2.0, dt=DT)
+    return record(prof, s0, T=2.0, dt=DT)
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +82,7 @@ def adss_horizon_track():
     # start one part in a thousand outside the horizon of m = 1 (s_h = 1)
     prof = AdSSProfile(1.0, s_domain=(1.0005, 8.0))
     s0 = make_round(prof, float(prof.radius_from_area_radius(1.001)), get_grid(*GRID))
-    return run(prof, s0, T=2.0, dt=DT)
+    return record(prof, s0, T=2.0, dt=DT)
 
 
 def _mass_aspect_profile(eps: float) -> MassAspectProfile:
@@ -97,14 +97,14 @@ def _mass_aspect_profile(eps: float) -> MassAspectProfile:
 def massaspect_track():
     prof = _mass_aspect_profile(0.1)
     s0 = make_round(prof, float(prof.radius_from_area_radius(1.0)), get_grid(*GRID))
-    return run(prof, s0, T=2.0, dt=DT)
+    return record(prof, s0, T=2.0, dt=DT)
 
 
 @pytest.fixture(scope="session")
 def hyp_track_T10():
     prof = HyperbolicProfile()
     s0 = make_round(prof, float(np.arcsinh(1.0)), get_grid(*GRID))
-    return run(prof, s0, T=10.0, dt=DT)
+    return record(prof, s0, T=10.0, dt=DT)
 
 
 @pytest.fixture(scope="session")

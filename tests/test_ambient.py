@@ -183,3 +183,27 @@ def test_adss_requires_positive_mass():
 def test_domain_crossing_horizon_rejected():
     with pytest.raises(ProfileError):
         AdSSProfile(1.0, s_domain=(0.5, 10.0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        HyperbolicProfile,
+        lambda: AdSSProfile(1.0),
+        lambda: MassAspectProfile.from_points([0.8, 1.5, 3.0], [0.0, 0.05, 0.1]),
+        lambda: TabulatedProfile(np.linspace(0.3, 3.0, 8), np.sinh(np.linspace(0.3, 3.0, 8))),
+    ],
+    ids=["hyperbolic", "adss", "mass_aspect", "tabulated"],
+)
+def test_inverse_warp_accepts_an_empty_stack(make):
+    """A track from ``run`` stores no snapshots; its ``snap_f`` inverts an empty stack."""
+    r = make().radius_from_area_radius(np.empty((0, 4, 4)))
+    assert r.shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("s_hi", [np.inf, np.nan, 2e6])
+def test_ode_profile_rejects_a_domain_end_it_cannot_tabulate(s_hi):
+    with pytest.raises(ProfileError, match="invalid area-radius domain"):
+        AdSSProfile(1.0, s_domain=(2.0, s_hi))
+    with pytest.raises(ProfileError, match="invalid area-radius domain"):
+        MassAspectProfile(lambda s: 0.0 * s, lambda s: 0.0 * s, (0.8, s_hi))

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from imcf_lab import ambient
 from imcf_lab.cli import main
+from imcf_lab.scenario import Scenario
 
 FAST_DOC = {
     "id": "cli-fast",
@@ -158,3 +160,42 @@ def test_row_building_errors_are_scenario_errors(tmp_path, capsys, command):
     assert err.startswith("scenario error: ") and err.count("\n") == 1
     assert "horizon" in err
     assert not (tmp_path / "o").exists()
+
+
+def _one_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("T", [2000, 1400])
+def test_long_horizon_is_a_scenario_error_before_any_profile(tmp_path, capsys, monkeypatch, command, T):
+    """The family's s-domain end 1.3 e^{T/2} overflows (T = 2000) or passes
+    what a profile can tabulate (T = 1400): one line, exit 1, and no profile
+    is built."""
+    built = []
+
+    def build(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        raise RuntimeError("a profile was built")
+
+    monkeypatch.setattr(ambient.AmbientProfile, "__init__", build)
+    monkeypatch.setattr(ambient._OdeWarpProfile, "__init__", build)
+    doc = {"id": "b", "epsilons": [0.1], "T": T, "dt": 1, "grid": {"n_theta": 8, "n_phi": 8}}
+    p = _write(tmp_path, doc)
+    assert main([command, str(p), *(["--out", str(tmp_path / "o")] if command == "run" else [])]) == 1
+    assert "tabulated to" in _one_line(capsys, "scenario error: T = ")
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_foreign_exception_exits_2_in_one_line(tmp_path, capsys, monkeypatch, command):
+    def rows(self):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(Scenario, "rows", rows)
+    p = _write(tmp_path, FAST_DOC)
+    assert main([command, str(p), *(["--out", str(tmp_path / "o")] if command == "run" else [])]) == 2
+    err = _one_line(capsys, "internal error: ValueError: injected (at test_cli.py:")
+    assert err.rstrip().endswith(" in rows)")

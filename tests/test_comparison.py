@@ -12,7 +12,7 @@ from imcf_lab.comparison import (
     model_mean_curvature_sq,
 )
 from imcf_lab.errors import ParamError, ShapeError
-from imcf_lab.imcf import run
+from imcf_lab.imcf import record
 from imcf_lab.surface import geometry, make_graph, make_round
 
 RBAR = float(np.arcsinh(1.0))
@@ -89,7 +89,7 @@ def test_chain_vanishes_on_exact_models(hyp_round_track, adss_round_track):
 
 def test_triangle_chain_inequality(hyperbolic, grid32):
     surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
-    track = run(hyperbolic, surf, T=0.3, dt=1e-3)
+    track = record(hyperbolic, surf, T=0.3, dt=1e-3)
     chain = distance_chain(track, mode="PMT")
     lhs = np.sqrt(chain["hat_model"])
     rhs = (

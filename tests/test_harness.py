@@ -16,7 +16,7 @@ from imcf_lab.harness import (
     table_rows,
     w12_normal_ricci,
 )
-from imcf_lab.imcf import run
+from imcf_lab.imcf import record, run
 from imcf_lab.scenario import scenario_from_dict
 from imcf_lab.surface import make_graph
 
@@ -102,7 +102,7 @@ def test_row_computes_each_snapshot_diameter_once(monkeypatch):
     """The t-samples {0, T/4, T/2, 3T/4, T} and the compat picks over
     [T/2, T] share T/2, 3T/4 and T: 7 distinct snapshots, 7 diameters."""
     scn = _fast_scenario(epsilons=[0.0], checks={"mass_at_infinity": False})
-    real, real_run = harness.intrinsic_diameter, harness.run
+    real = harness.intrinsic_diameter
     measured, tracks = [], []
 
     def diameter(geom):
@@ -110,7 +110,7 @@ def test_row_computes_each_snapshot_diameter_once(monkeypatch):
         return real(geom)
 
     def run(*args, **kwargs):
-        tracks.append(real_run(*args, **kwargs))
+        tracks.append(record(*args, **kwargs))
         return tracks[-1]
 
     monkeypatch.setattr(harness, "intrinsic_diameter", diameter)

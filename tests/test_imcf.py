@@ -3,7 +3,7 @@ import pytest
 
 from imcf_lab.ambient import AdSSProfile, HyperbolicProfile
 from imcf_lab.errors import DomainError, StabilityError
-from imcf_lab.imcf import exact_round_flow, run, step
+from imcf_lab.imcf import exact_round_flow, record, run, step
 from imcf_lab.sphere_grid import get_grid
 from imcf_lab.surface import geometry, make_graph, make_round
 
@@ -71,7 +71,7 @@ def test_monotone_expansion(hyp_round_track):
 
 def test_monotone_expansion_ellipsoid(hyperbolic, grid32):
     surf = make_graph(hyperbolic, grid32, RBAR, "ellipsoid", 0.05)
-    tr = run(hyperbolic, surf, T=0.2, dt=1e-3, snap_every=20)
+    tr = record(hyperbolic, surf, T=0.2, dt=1e-3, snap_every=20)
     assert np.all(np.diff(tr.snap_f, axis=0) > 0)
 
 
@@ -134,7 +134,7 @@ def test_near_horizon_start_substeps(adss1):
 
 def test_snapshot_times_span_run(hyperbolic, grid32):
     surf = make_round(hyperbolic, RBAR, grid32)
-    tr = run(hyperbolic, surf, T=0.1, dt=1e-3, snap_every=7)
+    tr = record(hyperbolic, surf, T=0.1, dt=1e-3, snap_every=7)
     assert tr.snap_times[0] == 0.0
     assert tr.snap_times[-1] == pytest.approx(0.1)
     geom = tr.geometry_at_time(0.0)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from imcf_lab.ambient import AdSSProfile, MassAspectProfile
 from imcf_lab.errors import FitError
-from imcf_lab.imcf import run
+from imcf_lab.imcf import record, run
 from imcf_lab.mass import (
     ProbeField,
     area_parameterization_residual,
@@ -169,7 +169,7 @@ def test_pinch_bounds_graph_gauge_drift_documented(hyperbolic, grid32):
     graph gradient, so for visibly anisotropic data the node-wise bounds are
     expected to close only at O(amplitude); this pins that behavior."""
     surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
-    tr = run(hyperbolic, surf, T=0.3, dt=1e-3)
+    tr = record(hyperbolic, surf, T=0.3, dt=1e-3)
     rep = pinch_bounds_check(tr)
     worst = min(rep.worst_lower, rep.worst_upper)
     assert worst > -0.05  # bounded by O(amplitude), not order unity

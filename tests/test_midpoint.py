@@ -32,9 +32,9 @@ def test_flow_with_full_midpoint_geometry_is_bitwise_equal(monkeypatch):
     grid = get_grid(32, 64)
     profile = _mass_aspect()
     surf0 = make_graph(profile, grid, float(profile.radius_from_area_radius(1.0)), "p2", 0.05)
-    fast = imcf.run(profile, surf0, T=0.05, dt=1e-3, snap_every=10)
+    fast = imcf.record(profile, surf0, T=0.05, dt=1e-3, snap_every=10)
     monkeypatch.setattr(imcf, "speed_geometry", surface.geometry)
-    full = imcf.run(profile, surf0, T=0.05, dt=1e-3, snap_every=10)
+    full = imcf.record(profile, surf0, T=0.05, dt=1e-3, snap_every=10)
     assert np.array_equal(fast.snap_zeta, full.snap_zeta)
     assert np.array_equal(fast.snap_P1, full.snap_P1)
     assert np.array_equal(fast.snap_P2, full.snap_P2)

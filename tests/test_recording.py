@@ -1,0 +1,87 @@
+"""Snapshot storage is asked for: ``run`` keeps no per-node track, ``record``
+keeps every snapshot exactly as the flow handed it to its observers, and only
+a recorded track can be replayed."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from imcf_lab import imcf
+from imcf_lab.comparison import distance_chain
+from imcf_lab.errors import TrackError
+from imcf_lab.harness import check_coordinate_compatibility, run_row, w12_normal_ricci
+from imcf_lab.mass import ProbeField, pinch_bounds_check, weak_ricci_pairing
+
+from imcf_lab.scenario import scenario_from_dict
+
+from .test_streaming import BASE, DOCS, _scenario
+
+
+@pytest.fixture(scope="module")
+def p2_row():
+    """The combined family's eps = 0.1 row (mass-aspect ambient, p2 graph) at 32x64."""
+    scn = _scenario("p2-mass-aspect")
+    return scn, scn.rows()[0]
+
+
+def test_sweep_row_holds_less_than_one_snapshot_track():
+    """A row with every check on, 401 snapshots at 32x64, peaks below the
+    bytes that the flow's zeta, P1 and P2 snapshots alone would take."""
+    scn = scenario_from_dict({"id": "p2", **BASE, **DOCS["p2-mass-aspect"], "T": 0.4})
+    row = scn.rows()[0]
+    n_snap = len(imcf.time_grid(scn.T, scn.dt, scn.snap_every)[1])
+    assert n_snap == 401
+    track_bytes = 3 * n_snap * row.surface0.zeta.size * 8
+    tracemalloc.start()
+    try:
+        result = run_row(scn, row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok, result.error
+    assert peak < track_bytes, (peak, track_bytes)
+
+
+def test_record_stores_what_the_observers_received(p2_row):
+    scn, row = p2_row
+    seen = {}
+
+    def observe(j, t, geom, P1, P2):
+        seen[j] = (geom.surface.zeta.copy(), P1.copy(), P2.copy())
+
+    track = imcf.record(row.profile, row.surface0, T=scn.T, dt=scn.dt, observers=[observe])
+    assert sorted(seen) == list(range(len(track.snap_indices)))
+    for j, (zeta, P1, P2) in seen.items():
+        assert np.array_equal(track.snap_zeta[j], zeta)
+        assert np.array_equal(track.snap_P1[j], P1)
+        assert np.array_equal(track.snap_P2[j], P2)
+    # the later snapshots are not the live buffers' final state
+    assert not np.array_equal(track.snap_P1[1], track.snap_P1[-1])
+    plain = imcf.run(row.profile, row.surface0, T=scn.T, dt=scn.dt)
+    for name in vars(plain.series):
+        assert np.array_equal(getattr(plain.series, name), getattr(track.series, name)), name
+
+
+def test_run_track_stores_no_snapshots_and_cannot_be_replayed(p2_row):
+    scn, row = p2_row
+    track = imcf.run(row.profile, row.surface0, T=scn.T, dt=scn.dt)
+    empty = (0, *row.surface0.grid.shape)
+    assert track.snap_zeta.shape == track.snap_P1.shape == track.snap_P2.shape == empty
+    assert len(track.snap_indices) == len(track.snap_times) == 201
+    # the mass-aspect inverse accepts the empty stack
+    assert track.snap_f.shape == empty
+    acc = imcf.SnapshotRecorder(len(track.snap_indices), row.surface0.grid.shape)
+    checks = {
+        "replay": lambda: track.replay(acc),
+        "snapshot_geometry": lambda: track.snapshot_geometry(0),
+        "geometry_at_time": lambda: track.geometry_at_time(0.0),
+        "pinch_bounds_check": lambda: pinch_bounds_check(track),
+        "distance_chain": lambda: distance_chain(track),
+        "w12_normal_ricci": lambda: w12_normal_ricci(track, 0.1, 0.2),
+        "check_coordinate_compatibility": lambda: check_coordinate_compatibility(track, 0.1, 0.2),
+        "weak_ricci_pairing": lambda: weak_ricci_pairing(track, ProbeField.constant(), 0.0, 0.1),
+    }
+    for name, call in checks.items():
+        with pytest.raises(TrackError, match="imcf.record, not imcf.run"):
+            call()

@@ -103,7 +103,7 @@ def test_flow_inverts_the_warp_at_most_once(name, monkeypatch):
         return real(self, s)
 
     monkeypatch.setattr(cls, "radius_from_area_radius", counted)
-    track = imcf.run(row.profile, row.surface0, T=0.05, dt=1e-3)
+    track = imcf.record(row.profile, row.surface0, T=0.05, dt=1e-3)
     assert len(calls) <= 1
     assert track.series.r_min[-1] == pytest.approx(np.min(track.snap_f[-1]), rel=1e-12)
     assert track.series.r_max[-1] == pytest.approx(np.max(track.snap_f[-1]), rel=1e-12)

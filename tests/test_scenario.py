@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imcf_lab import scenario
 from imcf_lab.ambient import validate_profile
 from imcf_lab.errors import ParseError, ValidationError
 from imcf_lab.harness import _scenario_echo
@@ -147,6 +148,18 @@ def test_memory_estimate_rejects_huge_rows_before_allocating():
         scenario_from_dict({"id": "x", "grid": {"n_theta": 2**40, "n_phi": 128}})
     with pytest.raises(ValidationError, match="memory"):
         scenario_from_dict({"id": "x", "T": 1e9, "dt": 1e-9})
+
+
+def test_memory_estimate_counts_no_snapshot_track(monkeypatch):
+    """The default 64x128 row (T = 2, dt = 1e-3, 402 snapshots) needs about
+    11 MB; storing zeta, P1 and P2 per snapshot would make it 84 MB.  Only
+    the estimate runs, under a 32 MB machine."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32 * 2**20 // 4096}
+    monkeypatch.setattr(scenario.os, "sysconf", pages.__getitem__)
+    scn = scenario_from_dict({"id": "x"})
+    assert (scn.n_theta, scn.n_phi, scn.T, scn.dt) == (64, 128, 2.0, 1e-3)
+    with pytest.raises(ValidationError, match="memory"):
+        scenario_from_dict({"id": "x", "grid": {"n_theta": 2**40, "n_phi": 128}})
 
 
 def _allowed(allowed) -> str:

@@ -66,7 +66,7 @@ def streamed_row(request):
     tracks = []
 
     def run(*args, **kwargs):
-        tracks.append(imcf.run(*args, **kwargs))
+        tracks.append(imcf.record(*args, **kwargs))
         return tracks[-1]
 
     def counted(name):
@@ -149,7 +149,7 @@ def test_streamed_pinch_report_matches_replay():
     row = scn.rows()[0]
     times, snap = imcf.time_grid(scn.T, scn.dt)
     acc = PinchAccumulator(times[snap], row.surface0.grid.shape)
-    track = imcf.run(row.profile, row.surface0, T=scn.T, dt=scn.dt, observers=[acc.observe])
+    track = imcf.record(row.profile, row.surface0, T=scn.T, dt=scn.dt, observers=[acc.observe])
     streamed, replayed = acc.result(), pinch_bounds_check(track)
     assert np.array_equal(streamed.lower_ok, replayed.lower_ok)
     assert np.array_equal(streamed.upper_ok, replayed.upper_ok)
