@@ -39,13 +39,11 @@ from .harness import (
     run_sequence,
     w12_normal_ricci,
 )
-from .imcf import FlowTrack, exact_round_flow, record, run, step
+from .imcf import FlowSeries, FlowTrack, exact_round_flow, record, run, step
 from .mass import (
     GerochResiduals,
-    MassDiagnostics,
     PinchReport,
     ProbeField,
-    area_parameterization_residual,
     diagnostics,
     geroch_identity_residual,
     hawking_mass,

@@ -51,6 +51,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    # checked first: a bad format would otherwise be found only after the sweep
+    formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
+    bad = set(formats) - {"csv", "json", "plot"}
+    if bad:
+        print(f"unknown format(s): {sorted(bad)}", file=sys.stderr)
+        return 1
     scn = load_scenario(args.scenario)
     if args.seed_grid:
         try:
@@ -71,11 +77,6 @@ def _cmd_run(args) -> int:
             status = "ok" if rr.ok else f"FAILED ({rr.error})"
             print(f"  row {rr.label}: {status}")
 
-    formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-    bad = set(formats) - {"csv", "json", "plot"}
-    if bad:
-        print(f"unknown format(s): {sorted(bad)}", file=sys.stderr)
-        return 1
     out_dir = args.out if args.out is not None else scn.out
     try:
         written = emit(report, formats=formats, out_dir=out_dir)

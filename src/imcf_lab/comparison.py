@@ -80,7 +80,7 @@ def _track_samples(track: FlowTrack, idx: np.ndarray) -> dict:
         out["g12"][row] = geom.g12
         out["g22"][row] = geom.g22
         out["dmu"][row] = geom.dmu
-        out["hbar"][row] = track.series.hbar[track.snap_indices[j]]
+        out["hbar"][row] = mean_curvature_average(geom)
     return out
 
 

@@ -5,16 +5,17 @@ assembles a deterministic report table.  A row is one pass over its flow:
 the compatibility, pinching, metric-distance chain, Holder, Gauss and
 diameter checks are accumulators the flow feeds at each stored snapshot, and
 the mass/roundness diagnostics come from the flow's per-step series.
-``emit`` writes CSV (fixed column order, 12 significant digits),
-schema-versioned JSON and a gnuplot script for the CSV.  A failing row is recorded and never aborts the
-remaining rows.
+Each t-sample's report record reads every column at one stored snapshot,
+the nearest.  ``emit`` writes CSV (fixed column order, 12 significant
+digits), schema-versioned JSON and a gnuplot script for the CSV.  A failing
+row is recorded and never aborts the remaining rows.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import comparison, mass
 from .ambient import validate_profile
 from .errors import FitError, WindowError
-from .imcf import FlowTrack, SnapshotAccumulator, area_radius, run, time_grid
+from .imcf import FlowSeries, FlowTrack, SnapshotAccumulator, area_radius, run, time_grid
 from .scenario import Scenario, ScenarioRow
 from .surface import intrinsic_diameter
 from .sphere_grid import SphereGrid
@@ -116,7 +117,8 @@ class RowResult:
     eps: float | None
     ok: bool
     error: str | None = None
-    diag: mass.MassDiagnostics | None = None
+    diag: FlowSeries | None = None
+    sample_steps: dict = field(default_factory=dict)  # t-sample -> step of its snapshot
     class_report: ClassReport | None = None
     compat_report: CompatReport | None = None
     pinch_pass: bool | None = None
@@ -144,9 +146,11 @@ def check_class_membership(
     scalar_floor_ok: bool = True,
 ) -> ClassReport:
     """Observed H range, |A| bound, initial area and mass flags."""
-    b = track.class_bounds
-    area0 = float(track.series.area[0])
-    mH0 = float(track.series.m_H[0])
+    s = track.series
+    H_min, H_max = float(np.min(s.h_min)), float(np.max(s.h_max))
+    absA_max = float(np.max(s.absA_max))
+    area0 = float(s.area[0])
+    mH0 = float(s.m_H[0])
     r0_declared = declared.r0 if declared is not None else None
     r0 = r0_declared if r0_declared is not None else track.r0
     r0_ok = bool(abs(area0 / (4.0 * np.pi * r0**2) - 1.0) <= 1e-8)
@@ -156,19 +160,19 @@ def check_class_membership(
     ):
         within = True
         if declared.H0 is not None:
-            within &= b.H0 >= declared.H0
+            within &= H_min >= declared.H0
         if declared.H1 is not None:
-            within &= b.H1 <= declared.H1
+            within &= H_max <= declared.H1
         if declared.A1 is not None:
-            within &= b.A1 <= declared.A1
+            within &= absA_max <= declared.A1
     return ClassReport(
-        H_min=b.H0,
-        H_max=b.H1,
-        absA_max=b.A1,
+        H_min=H_min,
+        H_max=H_max,
+        absA_max=absA_max,
         r0=r0,
         area0=area0,
         mH0=mH0,
-        h_positive=bool(b.H0 > 0.0),
+        h_positive=bool(H_min > 0.0),
         mH0_nonneg=bool(mH0 >= -1e-10),
         r0_ok=r0_ok,
         scalar_floor_ok=scalar_floor_ok,
@@ -352,19 +356,15 @@ def check_coordinate_compatibility(
     return acc.result(track.series, t_star, ratio_band, c3_max)
 
 
-def _nearest_snapshot(snap_times: np.ndarray, t: float) -> int:
-    return int(np.argmin(np.abs(snap_times - t)))
-
-
 class SampleAccumulator(SnapshotAccumulator):
     """Holder distance of Sigma_0 to round, and the Gauss deviation and
-    intrinsic diameter at the stored snapshot nearest each t-sample
-    (``diameters`` as for ``CompatAccumulator``)."""
+    intrinsic diameter at each t-sample's snapshot (``snap_of``: t -> j;
+    ``diameters`` as for ``CompatAccumulator``)."""
 
-    def __init__(self, snap_times: np.ndarray, t_samples, diameters: dict):
-        self._snap_of = {t: _nearest_snapshot(snap_times, t) for t in t_samples}
+    def __init__(self, snap_of: dict, diameters: dict):
+        self._snap_of = snap_of
         self._gauss, self._diam = {}, diameters
-        super().__init__(sorted({0, *self._snap_of.values()}))
+        super().__init__(sorted({0, *snap_of.values()}))
 
     def take(self, i, j, t, geom, P1, P2) -> None:
         if j == 0:
@@ -399,6 +399,11 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
         grid = row.surface0.grid
         times, snap_indices = time_grid(scn.T, scn.dt, scn.snap_every)
         snap_times = times[snap_indices]
+        # each t-sample's record reads every column at its nearest snapshot
+        snap_of = {
+            t: int(np.argmin(np.abs(snap_times - t))) for t in scn.resolved_t_samples()
+        }
+        result.sample_steps = {t: int(snap_indices[j]) for t, j in snap_of.items()}
         compat = pinch = chain = samples = None
         diameters = {}
         if scn.checks["compat"]:
@@ -411,7 +416,7 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
                 snap_times, comparison.sample_indices(len(snap_times)),
                 mode=scn.mode, m=scn.m,
             )
-            samples = SampleAccumulator(snap_times, scn.resolved_t_samples(), diameters)
+            samples = SampleAccumulator(snap_of, diameters)
         track = run(
             row.profile,
             row.surface0,
@@ -475,14 +480,11 @@ def _fmt(value) -> str:
     return f"{v:.12g}"
 
 
-def _series_at(diag: mass.MassDiagnostics, t: float, name: str) -> float:
-    k = int(np.argmin(np.abs(diag.times - t)))
-    return float(getattr(diag, name)[k])
-
-
 def table_rows(report: ReportTable) -> list[dict]:
     """Flatten a report into one dict per (row, t-sample), CSV column keys."""
     scn = report.scenario
+    names = {f.name for f in fields(FlowSeries)}
+    series_columns = [name for name in CSV_COLUMNS if name in names]
     out = []
     for rr in report.rows:
         flags = {
@@ -498,11 +500,9 @@ def table_rows(report: ReportTable) -> list[dict]:
             rec["t"] = t
             rec.update(flags)
             if rr.ok and rr.diag is not None:
-                for name in (
-                    "area", "m_H", "I_gradH", "I_pinch", "I_R", "I_Rc",
-                    "I_K12", "I_H2", "I_A2", "I_prod", "chi", "Hbar2",
-                ):
-                    rec[name] = _series_at(rr.diag, t, name)
+                k = rr.sample_steps[t]
+                for name in series_columns:
+                    rec[name] = float(getattr(rr.diag, name)[k])
                 rec["l2_hat_g1"] = rr.distances.get("hat_g1")
                 rec["l2_g1_g2"] = rr.distances.get("g1_g2")
                 rec["l2_g2_g3"] = rr.distances.get("g2_g3")

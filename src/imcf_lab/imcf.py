@@ -24,11 +24,13 @@ midpoint calls.
 Checks that read the per-node geometry (pinching, the metric-distance chain,
 the W^{1,2} Ricci norm, Holder, Gauss and diameter samples) are accumulators
 fed by the flow itself: ``run`` hands every observer each stored snapshot's
-geometry as it is computed.  ``run`` keeps only the per-step series, so a
-sweep row holds no per-node history.  Storing the snapshots is one more
-observer, ``SnapshotRecorder``: ``record`` is ``run`` with one attached, and
-only its track can be replayed (``FlowTrack.replay`` feeds the same observers
-afterwards by rebuilding each snapshot's geometry from its stored zeta).
+geometry as it is computed.  ``run`` keeps only the per-step series, a
+``FlowSeries`` that ``_record`` fills at every step and that the checks and
+the report read as it is, so a sweep row holds no per-node history.  Storing
+the snapshots is one more observer, ``SnapshotRecorder``: ``record`` is
+``run`` with one attached, and only its track can be replayed
+(``FlowTrack.replay`` feeds the same observers afterwards by rebuilding each
+snapshot's geometry from its stored zeta).
 
 Stability: each recorded step of size dt is internally split into substeps
 obeying the parabolic guard dt <= cfl * h_theta^2 * min(H)^2 * min(lambda)^2
@@ -40,7 +42,7 @@ scheme cannot propagate.  Recorded times stay on the uniform grid t_k = k dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,13 +59,6 @@ from .surface import (
     speed_geometry,
 )
 
-_SERIES_FIELDS = (
-    "area", "m_H", "I_gradH", "I_pinch", "I_R", "I_Rc", "I_K12",
-    "I_H2", "I_A2", "I_prod", "chi", "hbar", "hbar2",
-    "h_min", "h_max", "absA_max", "lam1_min",
-    "r_min", "r_max", "gradf_max", "hdev", "param_res",
-)
-
 # observer(j, t, geom, P1, P2) at each stored snapshot j; P1 and P2 are the
 # running pinch integrals, buffers the flow keeps updating after the call
 Observer = Callable[[int, float, SurfaceGeometry, np.ndarray, np.ndarray], None]
@@ -71,41 +66,34 @@ Observer = Callable[[int, float, SurfaceGeometry, np.ndarray, np.ndarray], None]
 
 @dataclass
 class FlowSeries:
-    """Per-step scalar reductions along a flow (arrays over the t-grid)."""
+    """Per-step scalar reductions along a flow (arrays over the t-grid).
+
+    The only record of a flow's per-step scalars: ``run`` allocates one array
+    per field but ``times``, and a field that is also a report column has
+    that column's name.
+    """
 
     times: np.ndarray
     area: np.ndarray
     m_H: np.ndarray
-    I_gradH: np.ndarray
-    I_pinch: np.ndarray
-    I_R: np.ndarray
-    I_Rc: np.ndarray
-    I_K12: np.ndarray
-    I_H2: np.ndarray
-    I_A2: np.ndarray
-    I_prod: np.ndarray
+    I_gradH: np.ndarray    # int |grad H|^2 / H^2
+    I_pinch: np.ndarray    # int (lambda_1 - lambda_2)^2
+    I_R: np.ndarray        # int (R + 6)
+    I_Rc: np.ndarray       # int (Rc(nu,nu) + 2)
+    I_K12: np.ndarray      # int (K12 + 1)
+    I_H2: np.ndarray       # int (H^2 - 4)
+    I_A2: np.ndarray       # int (|A|^2 - 2)
+    I_prod: np.ndarray     # int (lambda_1 lambda_2 - 1)
     chi: np.ndarray
-    hbar: np.ndarray       # area average of H
-    hbar2: np.ndarray      # area average of H^2
+    Hbar2: np.ndarray      # area average of H^2
     h_min: np.ndarray
     h_max: np.ndarray
     absA_max: np.ndarray
-    lam1_min: np.ndarray
     r_min: np.ndarray
     r_max: np.ndarray
     gradf_max: np.ndarray  # max |grad_sigma f|
     hdev: np.ndarray       # integral of (H - hbar)^2 dmu
     param_res: np.ndarray  # integral of |dmu/(r0^2 e^t dsigma) - 1| dsigma
-
-
-@dataclass
-class ClassBounds:
-    """Observed flow extrema for class-membership reporting."""
-
-    H0: float
-    H1: float
-    A1: float
-    r0: float
 
 
 @dataclass
@@ -136,15 +124,6 @@ class FlowTrack:
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
-
-    @property
-    def class_bounds(self) -> ClassBounds:
-        return ClassBounds(
-            H0=float(np.min(self.series.h_min)),
-            H1=float(np.max(self.series.h_max)),
-            A1=float(np.max(self.series.absA_max)),
-            r0=self.r0,
-        )
 
     def snap_index_of_time(self, t: float) -> int:
         j = int(np.argmin(np.abs(self.snap_times - t)))
@@ -216,7 +195,7 @@ def area_radius(geom: SurfaceGeometry) -> float:
 
 
 def mean_curvature_average(geom: SurfaceGeometry) -> float:
-    """Area average of H (the series' ``hbar``)."""
+    """Area average of H."""
     return float(np.sum(geom.H * (geom.dmu * geom.grid.weights))) / geom.area
 
 
@@ -282,7 +261,9 @@ def run(
     N = len(times) - 1
     grid = surface0.grid
 
-    series = {name: np.empty(N + 1) for name in _SERIES_FIELDS}
+    series = FlowSeries(
+        times=times, **{f.name: np.empty(N + 1) for f in fields(FlowSeries) if f.name != "times"}
+    )
     snap_pos = {int(k): j for j, k in enumerate(snap_indices)}
 
     P1 = np.zeros(grid.shape)
@@ -315,10 +296,9 @@ def run(
                 raise type(exc)(f"at t = {t_k + dt:.6g}: {exc}") from exc
 
     # one inversion of the per-step extremes of zeta, since r is monotone in s
-    series["r_min"], series["r_max"] = profile.radius_from_area_radius(
-        np.stack([series["r_min"], series["r_max"]])
+    series.r_min, series.r_max = profile.radius_from_area_radius(
+        np.stack([series.r_min, series.r_max])
     )
-    fs = FlowSeries(times=times, **series)
     no_snapshots = np.empty((0, *grid.shape))
     return FlowTrack(
         profile=profile,
@@ -326,7 +306,7 @@ def run(
         dt=dt,
         T=float(T),
         times=times,
-        series=fs,
+        series=series,
         r0=r0,
         snap_indices=snap_indices,
         snap_times=times[snap_indices],
@@ -423,34 +403,32 @@ def _advance(geom, t, dt, cfl, max_substeps):
             return geom
 
 
-def _record(series: dict, k: int, geom: SurfaceGeometry, t: float, r0: float):
+def _record(series: FlowSeries, k: int, geom: SurfaceGeometry, t: float, r0: float):
     w = geom.grid.weights
     dmu_w = geom.dmu * w
     area = geom.area
     i_h2 = float(np.sum((geom.H**2 - 4.0) * dmu_w))
-    series["area"][k] = area
-    series["I_H2"][k] = i_h2
-    series["m_H"][k] = np.sqrt(area / (16.0 * np.pi) ** 3) * (16.0 * np.pi - i_h2)
-    series["I_gradH"][k] = np.sum(geom.grad_H2 / geom.H**2 * dmu_w)
-    series["I_pinch"][k] = np.sum(geom.pinch2 * dmu_w)
-    series["I_R"][k] = np.sum((geom.R + 6.0) * dmu_w)
-    series["I_Rc"][k] = np.sum((geom.Rc_nn + 2.0) * dmu_w)
-    series["I_K12"][k] = np.sum((geom.K12 + 1.0) * dmu_w)
-    series["I_A2"][k] = np.sum((geom.absA2 - 2.0) * dmu_w)
-    series["I_prod"][k] = np.sum((geom.prod12 - 1.0) * dmu_w)
-    series["chi"][k] = np.sum(geom.K * dmu_w) / (2.0 * np.pi)
+    series.area[k] = area
+    series.I_H2[k] = i_h2
+    series.m_H[k] = np.sqrt(area / (16.0 * np.pi) ** 3) * (16.0 * np.pi - i_h2)
+    series.I_gradH[k] = np.sum(geom.grad_H2 / geom.H**2 * dmu_w)
+    series.I_pinch[k] = np.sum(geom.pinch2 * dmu_w)
+    series.I_R[k] = np.sum((geom.R + 6.0) * dmu_w)
+    series.I_Rc[k] = np.sum((geom.Rc_nn + 2.0) * dmu_w)
+    series.I_K12[k] = np.sum((geom.K12 + 1.0) * dmu_w)
+    series.I_A2[k] = np.sum((geom.absA2 - 2.0) * dmu_w)
+    series.I_prod[k] = np.sum((geom.prod12 - 1.0) * dmu_w)
+    series.chi[k] = np.sum(geom.K * dmu_w) / (2.0 * np.pi)
     hbar = mean_curvature_average(geom)
-    series["hbar"][k] = hbar
-    series["hbar2"][k] = np.sum(geom.H**2 * dmu_w) / area
-    series["h_min"][k] = np.min(geom.H)
-    series["h_max"][k] = np.max(geom.H)
-    series["absA_max"][k] = np.sqrt(np.max(geom.absA2))
-    series["lam1_min"][k] = np.min(geom.lam1)
+    series.Hbar2[k] = np.sum(geom.H**2 * dmu_w) / area
+    series.h_min[k] = np.min(geom.H)
+    series.h_max[k] = np.max(geom.H)
+    series.absA_max[k] = np.sqrt(np.max(geom.absA2))
     # area radii until ``run`` maps them to r once the flow has ended
-    series["r_min"][k] = np.min(geom.surface.zeta)
-    series["r_max"][k] = np.max(geom.surface.zeta)
-    series["gradf_max"][k] = np.sqrt(np.max(geom.grad_f_sigma2))
-    series["hdev"][k] = np.sum((geom.H - hbar) ** 2 * dmu_w)
-    series["param_res"][k] = np.sum(
+    series.r_min[k] = np.min(geom.surface.zeta)
+    series.r_max[k] = np.max(geom.surface.zeta)
+    series.gradf_max[k] = np.sqrt(np.max(geom.grad_f_sigma2))
+    series.hdev[k] = np.sum((geom.H - hbar) ** 2 * dmu_w)
+    series.param_res[k] = np.sum(
         np.abs(geom.dmu / (r0**2 * np.exp(t)) - 1.0) * w
     )

@@ -9,6 +9,10 @@ time derivative of int (H^2 - 4) dmu satisfies an exact identity against
 (m_H/2 - dm_H/dt); both are checked here discretely, together with the
 monotonicity inequality whose slack is 4 pi (2 - chi) for surfaces of Euler
 characteristic chi.
+
+The flow records the mass and the diagnostic integrals at every step, in its
+``imcf.FlowSeries``; ``diagnostics`` returns that series, and the identity
+residuals here are computed from it.
 """
 
 from __future__ import annotations
@@ -19,31 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import FitError
-from .imcf import FlowTrack, SnapshotAccumulator
+from .imcf import FlowSeries, FlowTrack, SnapshotAccumulator
 from .surface import SurfaceGeometry, grad_pairing, integrate
 
 SIXTEEN_PI = 16.0 * np.pi
-
-
-@dataclass
-class MassDiagnostics:
-    """Per-time-step mass and roundness diagnostics of a flow track."""
-
-    times: np.ndarray
-    area: np.ndarray
-    m_H: np.ndarray
-    dmH_dt: np.ndarray
-    I_gradH: np.ndarray   # int |grad H|^2 / H^2
-    I_pinch: np.ndarray   # int (lambda_1 - lambda_2)^2
-    I_R: np.ndarray       # int (R + 6)
-    I_Rc: np.ndarray      # int (Rc(nu,nu) + 2)
-    I_K12: np.ndarray     # int (K12 + 1)
-    I_H2: np.ndarray      # int (H^2 - 4)
-    I_A2: np.ndarray      # int (|A|^2 - 2)
-    I_prod: np.ndarray    # int (lambda_1 lambda_2 - 1)
-    chi: np.ndarray
-    Hbar2: np.ndarray     # area average of H^2
-    hbar: np.ndarray      # area average of H
 
 
 @dataclass
@@ -121,26 +104,9 @@ def _ddt(series: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def diagnostics(track: FlowTrack) -> MassDiagnostics:
-    """Assemble the per-step diagnostics recorded along a flow."""
-    s = track.series
-    return MassDiagnostics(
-        times=s.times,
-        area=s.area,
-        m_H=s.m_H,
-        dmH_dt=_ddt(s.m_H, track.dt),
-        I_gradH=s.I_gradH,
-        I_pinch=s.I_pinch,
-        I_R=s.I_R,
-        I_Rc=s.I_Rc,
-        I_K12=s.I_K12,
-        I_H2=s.I_H2,
-        I_A2=s.I_A2,
-        I_prod=s.I_prod,
-        chi=s.chi,
-        Hbar2=s.hbar2,
-        hbar=s.hbar,
-    )
+def diagnostics(track: FlowTrack) -> FlowSeries:
+    """The per-step diagnostics recorded along a flow: its ``FlowSeries``."""
+    return track.series
 
 
 def geroch_identity_residual(track: FlowTrack) -> GerochResiduals:
@@ -280,15 +246,6 @@ def pinch_bounds_check(track: FlowTrack, tol: float = 1e-9) -> PinchReport:
     acc = PinchAccumulator(track.snap_times, track.grid.shape, tol)
     track.replay(acc)
     return acc.result()
-
-
-def area_parameterization_residual(track: FlowTrack):
-    """Per-time defect of the exponential area normalization and of H - Hbar.
-
-    Returns (times, int |dmu/(r0^2 e^t dsigma) - 1| dsigma, int (H - Hbar)^2 dmu).
-    """
-    s = track.series
-    return s.times, s.param_res, s.hdev
 
 
 def mass_at_infinity(

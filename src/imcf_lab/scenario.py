@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .ambient import (
     horizon_radius,
 )
 from .errors import ParseError, ValidationError
-from .imcf import _SERIES_FIELDS
+from .imcf import FlowSeries
 from .sphere_grid import get_grid
 from .surface import GraphSurface, make_graph
 
@@ -343,7 +343,8 @@ def _fits_in_memory(s: Scenario) -> bool:
     n = round(steps)
     n_snap = n // (s.snap_every or max(1, n // 400)) + 2
     nodes = s.n_theta * s.n_phi
-    need = 8 * (_WORK_ARRAYS * nodes + s.n_theta**2 + len(_SERIES_FIELDS) * (n + 1))
+    n_series = len(dataclass_fields(FlowSeries)) - 1  # the arrays ``run`` allocates
+    need = 8 * (_WORK_ARRAYS * nodes + s.n_theta**2 + n_series * (n + 1))
     # the flow stores no snapshots; the pinch check keeps two boolean verdicts
     # per node and snapshot
     need += 2 * n_snap * nodes

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from imcf_lab import ambient
+from imcf_lab import ambient, cli
 from imcf_lab.cli import main
 from imcf_lab.scenario import Scenario
 
@@ -199,3 +199,15 @@ def test_a_foreign_exception_exits_2_in_one_line(tmp_path, capsys, monkeypatch, 
     assert main([command, str(p), *(["--out", str(tmp_path / "o")] if command == "run" else [])]) == 2
     err = _one_line(capsys, "internal error: ValueError: injected (at test_cli.py:")
     assert err.rstrip().endswith(" in rows)")
+
+
+def test_bad_format_is_rejected_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def run_sequence(*args, **kwargs):
+        raise RuntimeError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sequence", run_sequence)
+    p = _write(tmp_path, FAST_DOC)
+    out = tmp_path / "o"
+    assert main(["run", str(p), "--out", str(out), "--format", "csv,pdf"]) == 1
+    assert "'pdf'" in _one_line(capsys, "unknown format(s): ")
+    assert not out.exists()

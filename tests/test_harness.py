@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from imcf_lab import harness
+from imcf_lab import comparison, harness
 from imcf_lab.errors import WindowError
 from imcf_lab.harness import (
     CSV_COLUMNS,
@@ -18,7 +18,7 @@ from imcf_lab.harness import (
 )
 from imcf_lab.imcf import record, run
 from imcf_lab.scenario import scenario_from_dict
-from imcf_lab.surface import make_graph
+from imcf_lab.surface import intrinsic_diameter, make_graph
 
 RBAR = float(np.arcsinh(1.0))
 
@@ -208,3 +208,20 @@ def test_monotone_stability_columns_fast():
     assert mh[0] > mh[1] > abs(mh[2])
     assert l2[0] > l2[1] > l2[2]
     assert ca[0] > ca[1] >= ca[2]
+
+
+def test_record_reads_every_column_at_one_snapshot():
+    """A t-sample between snapshots: m_H and gauss_dev come from the same surface."""
+    doc = {"id": "x", "profile": {"kind": "hyperbolic"},
+           "surface": {"type": "p2", "amplitude": 0.05}, "T": 0.2, "dt": 0.001,
+           "snap_every": 5, "t_samples": [0, 0.0123, 0.2],
+           "grid": {"n_theta": 16, "n_phi": 32}, "checks": {"mass_at_infinity": False}}
+    scn = scenario_from_dict(doc)
+    rec = next(r for r in table_rows(run_sequence(scn)) if r["t"] == 0.0123)
+    row = scn.rows()[0]
+    tr = record(row.profile, row.surface0, T=scn.T, dt=scn.dt, snap_every=scn.snap_every)
+    gauss = [comparison.gauss_deviation(tr.snapshot_geometry(j), tr.r0, float(t))
+             for j, t in enumerate(tr.snap_times)]
+    j = gauss.index(rec["gauss_dev"])
+    assert rec["m_H"] == tr.series.m_H[tr.snap_indices[j]]
+    assert rec["diam"] == intrinsic_diameter(tr.snapshot_geometry(j))

@@ -99,11 +99,11 @@ def test_rotational_symmetry_along_run(hyp_round_track):
 
 
 def test_track_extrema_recorded(hyp_round_track):
-    b = hyp_round_track.class_bounds
+    s = hyp_round_track.series
     # H decreases from 2 sqrt(2) toward 2 along the flow
-    assert abs(b.H1 - 2 * np.sqrt(2.0)) < 1e-9
-    assert abs(b.H0 - 2 * np.sqrt(np.exp(-0.5) + 1.0)) < 1e-9
-    assert abs(b.r0 - 1.0) < 1e-12
+    assert abs(np.max(s.h_max) - 2 * np.sqrt(2.0)) < 1e-9
+    assert abs(np.min(s.h_min) - 2 * np.sqrt(np.exp(-0.5) + 1.0)) < 1e-9
+    assert abs(hyp_round_track.r0 - 1.0) < 1e-12
 
 
 def test_substep_budget_error(hyperbolic, grid32):

@@ -8,7 +8,6 @@ from imcf_lab.errors import FitError
 from imcf_lab.imcf import record, run
 from imcf_lab.mass import (
     ProbeField,
-    area_parameterization_residual,
     diagnostics,
     geroch_identity_residual,
     hawking_mass,
@@ -177,8 +176,8 @@ def test_pinch_bounds_graph_gauge_drift_documented(hyperbolic, grid32):
     assert rep_loose.n_violations == 0
 
 
-def test_area_parameterization_residual_round(hyp_round_track):
-    _, param_res, hdev = area_parameterization_residual(hyp_round_track)
+def test_area_parameterization_series_vanish_round(hyp_round_track):
+    param_res, hdev = hyp_round_track.series.param_res, hyp_round_track.series.hdev
     assert np.max(param_res) < 1e-10
     assert np.max(hdev) < 1e-10
 
@@ -186,7 +185,7 @@ def test_area_parameterization_residual_round(hyp_round_track):
 def test_area_parameterization_hdev_decreases(hyperbolic, grid32):
     surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
     tr = run(hyperbolic, surf, T=0.5, dt=1e-3)
-    _, _, hdev = area_parameterization_residual(tr)
+    hdev = tr.series.hdev
     assert hdev[-1] < hdev[0]
 
 

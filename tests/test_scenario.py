@@ -1,6 +1,9 @@
+import contextlib
 import copy
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imcf_lab import scenario
+from imcf_lab import cli, scenario
 from imcf_lab.ambient import validate_profile
 from imcf_lab.errors import ParseError, ValidationError
 from imcf_lab.harness import _scenario_echo
@@ -305,3 +308,39 @@ def test_fuzzed_documents_fail_cleanly_or_round_trip(doc):
         return
     json.dumps(_scenario_echo(scn), allow_nan=False)  # a valid echo is strict JSON
     assert _reparse_echo(scn) == _scenario_echo(scn)
+
+
+# -- fuzzing the CLI: ``verify`` also builds the rows, so the documents are cut small --
+
+
+def _small(doc):
+    """The document with its grid sizes cut to at most 32 (16x32 when it
+    gives none) and at most two epsilons, so that ``verify`` builds only
+    small rows."""
+    if not isinstance(doc, dict):
+        return doc
+    doc = copy.deepcopy(doc)
+    grid = doc.setdefault("grid", {"n_theta": 16, "n_phi": 32})
+    if isinstance(grid, dict):
+        for key, size in grid.items():
+            if type(size) is int and size > 32:
+                grid[key] = 32
+    if isinstance(doc.get("epsilons"), list):
+        doc["epsilons"] = doc["epsilons"][:2]
+    return doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=_documents() | _JSON)
+def test_fuzzed_documents_drive_the_cli_cleanly(doc):
+    """``imcf-lab verify`` on any document: exit 0 or 1, at most one line on
+    stderr, and never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scn.json"
+        path.write_text(json.dumps(_small(doc)), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", str(path)])
+    assert code in (0, 1), err.getvalue()
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    assert "Traceback" not in out.getvalue() + err.getvalue()
