@@ -11,7 +11,6 @@ Penrose rigidity statements numerically.
 from .ambient import (
     AdSSProfile,
     AmbientProfile,
-    CurvatureSample,
     HyperbolicProfile,
     MassAspectProfile,
     ProfileReport,

@@ -10,17 +10,17 @@ coordinate sphere of area radius s has Hawking mass m(s).  In s alone
     K12       = (1 - lambda'^2)/s^2 = 2 m/s^3 - 1  (tangent to coordinate spheres)
     R         = 2 K12 + 2 Rc(nu,nu) = -6 + 4 m'(s)/s^2
 
-so the floor R >= -6 is exactly monotonicity of m.  The r-API (``warp``,
-``warp_curvature``) is the forward map followed by this s-form.  Kinds:
+so the floor R >= -6 is exactly monotonicity of m.  The r-API
+(``warp_curvature``) is the forward map followed by this s-form.  Kinds:
 
 * ``hyperbolic``  -- lambda = sinh(r), m = 0 (closed forms).
 * ``adss``        -- anti-de Sitter Schwarzschild, constant mass m.
 * ``mass_aspect`` -- a radially varying mass m(s).
-* ``tabulated``   -- cubic spline (not-a-knot) through sampled lambda values;
-                     m(s) = (s/2)(1 + s^2 - lambda'^2) through its own r(s).
+* ``tabulated``   -- cubic spline (not-a-knot) through sampled lambda values,
+                     read once as m(s) = (s/2)(1 + s^2 - lambda'^2).
 
-For the ODE-backed kinds r(s) is built once by integrating
-dr/ds = 1 / sqrt(1 + s^2 - 2 m(s)/s).
+Every kind but ``hyperbolic`` is a mass aspect whose r <-> s map is built
+once by integrating dr/ds = 1 / sqrt(1 + s^2 - 2 m(s)/s).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
 
 from .errors import DomainError, ProfileError
 
@@ -40,6 +40,8 @@ _DOMAIN_SLACK = 1e-10
 # s_lo in [0.8, 1.6] (AdSS down to 1.05 horizon radii), its r <-> s round trip
 # closes to 1e-12 up to here, and drifts to 1e-6 at 2e7 and to 5e-2 at 5e7
 S_TABULATED_MAX = 1e6
+# samples of the r(s) an ODE-backed profile tabulates (and of a tabulated m(s))
+_ODE_SAMPLES = 4001
 
 
 def _in_domain(x, domain, what: str) -> np.ndarray:
@@ -55,15 +57,6 @@ def _in_domain(x, domain, what: str) -> np.ndarray:
     if bad:
         raise DomainError(f"{what} {bad[0]:.6g} outside profile domain [{lo:.6g}, {hi:.6g}]")
     return np.clip(x, lo, hi)
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """Ambient curvatures sampled in the coordinate-sphere frame."""
-
-    R: np.ndarray
-    Rc_nn: np.ndarray
-    K12: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,14 +139,6 @@ class AmbientProfile:
         s = self.area_radius_from_radius(r)
         return (s, *self.warp_at_area_radius(s))
 
-    def warp(self, r):
-        """(lambda, lambda', lambda'') at r, domain-checked."""
-        return self.warp_curvature(r)[:3]
-
-    def curvature(self, r) -> CurvatureSample:
-        _, _, _, R, rc_nn, k12 = self.warp_curvature(r)
-        return CurvatureSample(R=R, Rc_nn=rc_nn, K12=k12)
-
 
 class HyperbolicProfile(AmbientProfile):
     """Hyperbolic 3-space: lambda(r) = sinh(r)."""
@@ -182,14 +167,15 @@ class HyperbolicProfile(AmbientProfile):
 
 
 class _OdeWarpProfile(AmbientProfile):
-    """Warp built from a mass aspect m(s) by integrating dr/ds = 1/lambda'."""
+    """Warp built from a mass aspect m(s) by integrating dr/ds = 1/lambda'
+    from r = r_lo at s_lo."""
 
     def __init__(
         self,
         m_func: Callable,
         dm_func: Callable,
         s_domain: tuple[float, float],
-        n_samples: int = 4001,
+        r_lo: float = 0.0,
     ):
         s_lo, s_hi = float(s_domain[0]), float(s_domain[1])
         if not 0.0 < s_lo < s_hi <= S_TABULATED_MAX:
@@ -202,7 +188,7 @@ class _OdeWarpProfile(AmbientProfile):
 
         # quadratic grading toward s_lo keeps the r-samples near-uniform when
         # the domain floor sits close to a horizon (lambda' -> 0)
-        u = np.linspace(0.0, 1.0, n_samples)
+        u = np.linspace(0.0, 1.0, _ODE_SAMPLES)
         s_grid = s_lo + (s_hi - s_lo) * u * u
         s_grid[0], s_grid[-1] = s_lo, s_hi
         sq = self._dlam_sq(s_grid)
@@ -213,7 +199,7 @@ class _OdeWarpProfile(AmbientProfile):
         sol = solve_ivp(
             lambda s, r: 1.0 / np.sqrt(self._dlam_sq(s)),
             (s_lo, s_hi),
-            [0.0],
+            [r_lo],
             t_eval=s_grid,
             rtol=1e-12,
             atol=1e-14,
@@ -224,7 +210,7 @@ class _OdeWarpProfile(AmbientProfile):
         r_grid = sol.y[0]
         self._s_of_r = CubicSpline(r_grid, s_grid, bc_type="not-a-knot")
         self._r_of_s_guess = PchipInterpolator(s_grid, r_grid)
-        super().__init__((0.0, float(r_grid[-1])))
+        super().__init__((r_lo, float(r_grid[-1])))
 
     def _dlam_sq(self, s):
         s = np.asarray(s, dtype=float)
@@ -267,14 +253,6 @@ class MassAspectProfile(_OdeWarpProfile):
 
     kind = "mass_aspect"
 
-    def __init__(
-        self,
-        m_func: Callable,
-        dm_func: Callable,
-        s_domain: tuple[float, float],
-    ):
-        super().__init__(m_func, dm_func, s_domain)
-
     @classmethod
     def from_points(cls, s_points, m_points) -> "MassAspectProfile":
         """Shape-preserving (PCHIP) spline through tabulated (s, m) pairs."""
@@ -287,8 +265,9 @@ class MassAspectProfile(_OdeWarpProfile):
         return cls(spline, dspline, (float(s_points[0]), float(s_points[-1])))
 
 
-class TabulatedProfile(AmbientProfile):
-    """Cubic spline (not-a-knot) through sampled lambda(r) values."""
+class TabulatedProfile(_OdeWarpProfile):
+    """Cubic spline (not-a-knot) through sampled lambda(r) values, read once
+    as the mass aspect m(s) = (s/2)(1 + s^2 - lambda'^2)."""
 
     kind = "tabulated"
 
@@ -299,31 +278,19 @@ class TabulatedProfile(AmbientProfile):
             raise ProfileError("tabulated profile needs >= 4 strictly increasing radii, one lam per r")
         if np.any(lam_values <= 0) or np.any(np.diff(lam_values) <= 0):
             raise ProfileError("tabulated lambda must be positive and increasing")
-        self._s_of_r = CubicSpline(r_nodes, lam_values, bc_type="not-a-knot")
-        self._dspline = self._s_of_r.derivative()
-        self._d2spline = self._dspline.derivative()
-        # lambda' <= 0 anywhere makes r(s) many-valued: every s-form call fails
-        self._dips = np.min(self._dspline(r_nodes[[0, -1]])) <= 0.0 or bool(
-            len(self._dspline.roots(extrapolate=False))
-        )
-        super().__init__((float(r_nodes[0]), float(r_nodes[-1])))
-
-    def _mass(self, s):
-        if self._dips:
+        lam = CubicSpline(r_nodes, lam_values, bc_type="not-a-knot")
+        dlam = lam.derivative()
+        # lambda' <= 0 anywhere makes r(s) many-valued
+        if np.min(dlam(r_nodes[[0, -1]])) <= 0.0 or len(dlam.roots(extrapolate=False)):
             raise ProfileError("tabulated spline has lambda' <= 0 inside its domain")
-        r = self.radius_from_area_radius(s)
-        dlam = self._dspline(r)
-        q = 1.0 + s * s - dlam * dlam
-        return 0.5 * s * q, 0.5 * q + s * s - s * self._d2spline(r)
-
-    def radius_from_area_radius(self, s):
-        s = np.asarray(s, dtype=float)
-        lo, hi = self.r_domain
-        grid = np.linspace(lo, hi, 2048)
-        r = np.interp(s, self._s_of_r(grid), grid)
-        for _ in range(4):
-            r = np.clip(r - (self._s_of_r(r) - s) / self._dspline(r), lo, hi)
-        return r
+        # m(s) is smooth inside each spline piece: sample every piece at equal
+        # steps, about _ODE_SAMPLES in all, and join the samples exactly in m, m'
+        u = np.linspace(0.0, 1.0, -(-_ODE_SAMPLES // (len(r_nodes) - 1)), endpoint=False)
+        r = np.append((r_nodes[:-1, None] + np.diff(r_nodes)[:, None] * u).ravel(), r_nodes[-1])
+        s, d1, d2 = lam(r), dlam(r), dlam(r, 1)
+        q = 1.0 + s * s - d1 * d1
+        m = CubicHermiteSpline(s, 0.5 * s * q, 0.5 * q + s * s - s * d2)
+        super().__init__(m, m.derivative(), (lam_values[0], lam_values[-1]), r_nodes[0])
 
 
 def horizon_radius(m: float) -> float:

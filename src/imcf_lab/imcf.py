@@ -92,8 +92,6 @@ class FlowSeries:
     r_min: np.ndarray
     r_max: np.ndarray
     gradf_max: np.ndarray  # max |grad_sigma f|
-    hdev: np.ndarray       # integral of (H - hbar)^2 dmu
-    param_res: np.ndarray  # integral of |dmu/(r0^2 e^t dsigma) - 1| dsigma
 
 
 @dataclass
@@ -269,14 +267,12 @@ def run(
     P1 = np.zeros(grid.shape)
     P2 = np.zeros(grid.shape)
     rate1_prev = rate2_prev = None
-    r0 = None
 
     geom = geometry(profile, GraphSurface(grid, grid.polar_filter(surface0.zeta), profile))
+    r0 = area_radius(geom)
     for k in range(N + 1):
         t_k = times[k]
-        if r0 is None:
-            r0 = area_radius(geom)
-        _record(series, k, geom, t_k, r0)
+        _record(series, k, geom)
 
         rate1 = 2.0 * geom.lam1 / geom.H
         rate2 = 2.0 * geom.lam2 / geom.H
@@ -403,9 +399,8 @@ def _advance(geom, t, dt, cfl, max_substeps):
             return geom
 
 
-def _record(series: FlowSeries, k: int, geom: SurfaceGeometry, t: float, r0: float):
-    w = geom.grid.weights
-    dmu_w = geom.dmu * w
+def _record(series: FlowSeries, k: int, geom: SurfaceGeometry):
+    dmu_w = geom.dmu * geom.grid.weights
     area = geom.area
     i_h2 = float(np.sum((geom.H**2 - 4.0) * dmu_w))
     series.area[k] = area
@@ -419,7 +414,6 @@ def _record(series: FlowSeries, k: int, geom: SurfaceGeometry, t: float, r0: flo
     series.I_A2[k] = np.sum((geom.absA2 - 2.0) * dmu_w)
     series.I_prod[k] = np.sum((geom.prod12 - 1.0) * dmu_w)
     series.chi[k] = np.sum(geom.K * dmu_w) / (2.0 * np.pi)
-    hbar = mean_curvature_average(geom)
     series.Hbar2[k] = np.sum(geom.H**2 * dmu_w) / area
     series.h_min[k] = np.min(geom.H)
     series.h_max[k] = np.max(geom.H)
@@ -428,7 +422,3 @@ def _record(series: FlowSeries, k: int, geom: SurfaceGeometry, t: float, r0: flo
     series.r_min[k] = np.min(geom.surface.zeta)
     series.r_max[k] = np.max(geom.surface.zeta)
     series.gradf_max[k] = np.sqrt(np.max(geom.grad_f_sigma2))
-    series.hdev[k] = np.sum((geom.H - hbar) ** 2 * dmu_w)
-    series.param_res[k] = np.sum(
-        np.abs(geom.dmu / (r0**2 * np.exp(t)) - 1.0) * w
-    )

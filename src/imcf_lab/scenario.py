@@ -104,7 +104,8 @@ _PROFILES = {
     ),
     "tabulated": (
         Field("r", "numbers", REQUIRED, "strictly increasing radii (at least 4)"),
-        Field("lam", "numbers", REQUIRED, "increasing warp lambda(r) > 0 at each r"),
+        Field("lam", "numbers", REQUIRED,
+              "increasing warp lambda(r) > 0 at each r; its spline must keep lambda' > 0"),
     ),
 }
 FIELDS = (
@@ -355,6 +356,21 @@ def _in_flow(s: Scenario, ts) -> bool:
     return bool(ts) and 0 <= min(ts) and max(ts) <= s.T + 1e-12
 
 
+def _compat_window_filled(s: Scenario) -> bool:
+    """The compat window holds the 3 stored times its time derivative needs,
+    counted as ``harness._window`` selects them, without building the grid."""
+    w = s.compat_window or (0.5 * s.T, s.T)
+    if not (s.checks["compat"] and _whole_steps(s) and len(w) == 2 and w[0] < w[1]):
+        return True  # off, or another rule reports it
+    n = round(s.T / s.dt)
+    every = s.snap_every or max(1, n // 400)
+    lo, hi = w[0] - 1e-12, w[1] + 1e-12
+    # stored steps: the multiples of snap_every in [0, n], and n itself
+    first = max(0, math.ceil(lo / (every * s.dt)))
+    last = min(n // every, math.floor(hi / (every * s.dt)))
+    return max(0, last - first + 1) + (n % every != 0 and lo <= n * s.dt <= hi) >= 3
+
+
 RULES = (
     ("RPI mode needs a positive target mass m", lambda s: s.mode != "RPI" or s.m is not None),
     ("give either a profile or an epsilon family (epsilons), not both",
@@ -371,6 +387,8 @@ RULES = (
     ("compat_window must be [a, b] with 0 <= a < b <= T, got {s.compat_window!r}",
      lambda s: (w := s.compat_window) is None or len(w) == 2 and w[0] < w[1] and _in_flow(s, w)),
     ("grid, T/dt and snap_every ask for more memory per row than this machine has", _fits_in_memory),
+    ("compat_window (default [T/2, T]) holds fewer than 3 stored times; lower snap_every or "
+     "widen the window", _compat_window_filled),
 )
 
 

@@ -9,11 +9,12 @@ the implementation it checks.
 """
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 
 def ambient_metric(profile, y):
     r, th, _ = y
-    lam = profile.warp(r)[0]
+    lam = profile.warp_curvature(r)[0]
     return np.diag([1.0, lam * lam, lam * lam * np.sin(th) ** 2])
 
 
@@ -76,9 +77,9 @@ def embedding_mean_curvature(profile, f_func, theta, phi, h=1e-4):
 
 def fd_warp_curvature(profile, r, h=1e-4):
     """Scalar curvature at r from finite differences of the warp alone."""
-    lam = profile.warp(r)[0]
-    lam_p = (profile.warp(r + h)[0] - profile.warp(r - h)[0]) / (2 * h)
-    lam_pp = (profile.warp(r + h)[0] - 2 * lam + profile.warp(r - h)[0]) / h**2
+    lam, lam_plus, lam_minus = (profile.warp_curvature(x)[0] for x in (r, r + h, r - h))
+    lam_p = (lam_plus - lam_minus) / (2 * h)
+    lam_pp = (lam_plus - 2 * lam + lam_minus) / h**2
     return 2.0 * (1.0 - lam_p**2) / lam**2 - 4.0 * lam_pp / lam
 
 
@@ -131,3 +132,23 @@ def r_path_geometry(profile, grid, f):
         "absA2": 0.5 * (H**2 + pinch2), "pinch2": pinch2, "grad_H2": grad_H2,
         "area": float(np.sum(dmu * grid.weights)),
     }
+
+
+def tabulated_by_inversion(r_nodes, lam_values, s):
+    """The radius and the s-form (lambda', lambda'', R, Rc_rr, K12) of a
+    tabulated warp at area radius s, by inverting its spline at every call
+    (a 2048-point guess and 4 Newton steps) and reading lambda' and lambda''
+    at that radius.  This is the formulation the once-built mass aspect
+    replaced; it is kept as the reference for it."""
+    lam = CubicSpline(r_nodes, lam_values, bc_type="not-a-knot")
+    dlam = lam.derivative()
+    s = np.asarray(s, dtype=float)
+    lo, hi = r_nodes[0], r_nodes[-1]
+    grid = np.linspace(lo, hi, 2048)
+    r = np.interp(s, lam(grid), grid)
+    for _ in range(4):
+        r = np.clip(r - (lam(r) - s) / dlam(r), lo, hi)
+    d1, d2 = dlam(r), dlam(r, 1)
+    k12 = (1.0 - d1 * d1) / s**2
+    rc = -2.0 * d2 / s
+    return r, (d1, d2, 2.0 * k12 + 2.0 * rc, rc, k12)

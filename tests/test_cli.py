@@ -201,6 +201,38 @@ def test_a_foreign_exception_exits_2_in_one_line(tmp_path, capsys, monkeypatch, 
     assert err.rstrip().endswith(" in rows)")
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_compat_window_without_3_stored_times_is_a_scenario_error(
+    tmp_path, capsys, monkeypatch, command
+):
+    """Stored every 0.1, [T/2, T] = [0.1, 0.2] holds 2 times: one line, exit 1,
+    and no sweep (before, the row flowed and then failed with a WindowError)."""
+
+    def run_sequence(*args, **kwargs):
+        raise RuntimeError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sequence", run_sequence)
+    doc = {"id": "snap", "profile": {"kind": "hyperbolic"}, "T": 0.2, "dt": 0.001,
+           "snap_every": 100, "grid": {"n_theta": 16, "n_phi": 32}}
+    p = _write(tmp_path, doc)
+    assert main([command, str(p), *(["--out", str(tmp_path / "o")] if command == "run" else [])]) == 1
+    assert "fewer than 3 stored times" in _one_line(capsys, "scenario error: compat_window")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_dipping_tabulated_spline_is_a_scenario_error(tmp_path, capsys, command):
+    """Increasing samples whose spline has lambda' < 0 near r = 2.5 cannot be
+    read as a mass aspect: one line, exit 1 (before, ``run`` failed the row
+    and exited 2)."""
+    doc = {"id": "dip", "T": 0.25, "dt": 2.5e-3, "grid": {"n_theta": 16, "n_phi": 32},
+           "profile": {"kind": "tabulated", "r": [0.5, 1.0, 1.5, 2.0, 2.5],
+                       "lam": [1.0, 1.01, 1.02, 3.0, 3.01]}}
+    p = _write(tmp_path, doc)
+    assert main([command, str(p), *(["--out", str(tmp_path / "o")] if command == "run" else [])]) == 1
+    assert "lambda' <= 0" in _one_line(capsys, "scenario error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_format_is_rejected_before_the_sweep(tmp_path, capsys, monkeypatch):
     def run_sequence(*args, **kwargs):
         raise RuntimeError("the sweep ran")

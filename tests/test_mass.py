@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from imcf_lab.ambient import AdSSProfile, MassAspectProfile
 from imcf_lab.errors import FitError
-from imcf_lab.imcf import record, run
+from imcf_lab.imcf import mean_curvature_average, record, run
 from imcf_lab.mass import (
     ProbeField,
     diagnostics,
@@ -176,17 +176,33 @@ def test_pinch_bounds_graph_gauge_drift_documented(hyperbolic, grid32):
     assert rep_loose.n_violations == 0
 
 
+def _area_parameterization(track, snapshots):
+    """At each stored snapshot j: the integral of (H - hbar)^2 dmu and the
+    integral of |dmu / (r0^2 e^t dsigma) - 1| dsigma."""
+    deviation, residual = [], []
+    for j in snapshots:
+        geom = track.snapshot_geometry(j)
+        w = geom.grid.weights
+        hbar = mean_curvature_average(geom)
+        deviation.append(np.sum((geom.H - hbar) ** 2 * geom.dmu * w))
+        growth = track.r0**2 * np.exp(track.snap_times[j])
+        residual.append(np.sum(np.abs(geom.dmu / growth - 1.0) * w))
+    return np.array(deviation), np.array(residual)
+
+
 def test_area_parameterization_series_vanish_round(hyp_round_track):
-    param_res, hdev = hyp_round_track.series.param_res, hyp_round_track.series.hdev
-    assert np.max(param_res) < 1e-10
-    assert np.max(hdev) < 1e-10
+    # the track stores every step
+    steps = range(len(hyp_round_track.snap_times))
+    deviation, residual = _area_parameterization(hyp_round_track, steps)
+    assert np.max(residual) < 1e-10
+    assert np.max(deviation) < 1e-10
 
 
-def test_area_parameterization_hdev_decreases(hyperbolic, grid32):
+def test_area_parameterization_deviation_decreases(hyperbolic, grid32):
     surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
-    tr = run(hyperbolic, surf, T=0.5, dt=1e-3)
-    hdev = tr.series.hdev
-    assert hdev[-1] < hdev[0]
+    tr = record(hyperbolic, surf, T=0.5, dt=1e-3)
+    deviation, _ = _area_parameterization(tr, (0, len(tr.snap_times) - 1))
+    assert deviation[-1] < deviation[0]
 
 
 def test_mass_at_infinity_adss_exact():

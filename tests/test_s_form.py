@@ -90,10 +90,21 @@ def test_tabulated_gap_shrinks_with_knot_spacing():
     assert gaps[1] < gaps[0] / 4.0
 
 
-@pytest.mark.parametrize("name", ["hyperbolic-round", "adss-round", "p2-mass-aspect"])
+_KNOTS = np.linspace(0.3, 3.0, 64)
+FLOW_DOCS = {
+    **DOCS,
+    "p2-tabulated": {
+        "mode": "PMT",
+        "profile": {"kind": "tabulated", "r": _KNOTS.tolist(), "lam": np.sinh(_KNOTS).tolist()},
+        "surface": {"type": "p2", "area_radius": 1.0, "amplitude": 0.05},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_DOCS))
 def test_flow_inverts_the_warp_at_most_once(name, monkeypatch):
     """The step loop runs in zeta: only the per-step r_min/r_max need radii."""
-    row = scenario_from_dict({"id": name, **BASE, **DOCS[name]}).rows()[0]
+    row = scenario_from_dict({"id": name, **BASE, **FLOW_DOCS[name]}).rows()[0]
     cls = type(row.profile)
     real = cls.radius_from_area_radius
     calls = []

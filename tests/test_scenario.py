@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from imcf_lab import cli, scenario
 from imcf_lab.ambient import validate_profile
 from imcf_lab.errors import ParseError, ValidationError
-from imcf_lab.harness import _scenario_echo
+from imcf_lab.harness import _scenario_echo, _window
+from imcf_lab.imcf import time_grid
 from imcf_lab.mass import hawking_mass
 from imcf_lab.scenario import FIELDS, REQUIRED, Field, load_scenario, scenario_from_dict
 from imcf_lab.surface import geometry
@@ -163,6 +164,36 @@ def test_memory_estimate_counts_no_snapshot_track(monkeypatch):
     assert (scn.n_theta, scn.n_phi, scn.T, scn.dt) == (64, 128, 2.0, 1e-3)
     with pytest.raises(ValidationError, match="memory"):
         scenario_from_dict({"id": "x", "grid": {"n_theta": 2**40, "n_phi": 128}})
+
+
+@pytest.mark.parametrize(
+    "T, dt, snap_every, window",
+    [
+        (0.2, 1e-3, 100, None),     # stores 0.1 and 0.2 in [0.1, 0.2]
+        (0.2, 1e-3, 50, None),      # 0.1, 0.15, 0.2
+        (0.2, 1e-3, 67, None),      # 0.134 and the last step
+        (0.2, 1e-3, 51, None),      # 0.102, 0.153 and the last step
+        (0.2, 1e-3, None, [0.0, 0.002]),
+        (0.2, 1e-3, None, [0.0, 0.001]),
+        (0.3, 0.1, None, [0.1, 0.3]),
+        (0.3, 0.1, None, [0.15, 0.3]),
+        (2.0, 2.5e-3, 7, [0.5, 0.55]),
+        (2.0, 2.5e-3, 7, [0.5, 0.6]),
+    ],
+)
+def test_compat_window_rule_counts_the_times_the_check_selects(T, dt, snap_every, window):
+    """The rule counts the stored times in the window as ``harness._window``
+    selects them from the flow's own time grid."""
+    doc = {"id": "w", "profile": {"kind": "hyperbolic"}, "T": T, "dt": dt,
+           "snap_every": snap_every, "compat_window": window}
+    times, snaps = time_grid(T, dt, snap_every)
+    a, b = window or (0.5 * T, T)
+    if len(_window(times[snaps], a, b)) >= 3:
+        scenario_from_dict(doc)
+    else:
+        with pytest.raises(ValidationError, match="fewer than 3 stored times"):
+            scenario_from_dict(doc)
+    scenario_from_dict({**doc, "checks": {"compat": False}})
 
 
 def _allowed(allowed) -> str:

@@ -8,6 +8,7 @@ import pytest
 
 from imcf_lab import harness, imcf
 from imcf_lab.cli import main as cli_main
+from imcf_lab.errors import ValidationError
 from imcf_lab.comparison import (
     assemble,
     c_alpha_distance_to_round,
@@ -223,10 +224,15 @@ def test_any_check_exception_fails_only_its_row(monkeypatch):
 
 def test_check_error_is_raised_after_the_flow_in_check_order():
     """A streamed check that fails reports its error once the flow has ended:
-    earlier checks keep their results and later ones are not reported."""
-    doc = dict(FAST_DOC, epsilons=[0.0], compat_window=[0.1, 0.1001],
-               checks={"mass_at_infinity": False})
-    (row,) = run_sequence(scenario_from_dict(doc)).rows
+    earlier checks keep their results and later ones are not reported.  The
+    scenario rules reject this window up front, so it is set after the row
+    is built, to reach the compatibility check's own guard."""
+    scn = scenario_from_dict(dict(FAST_DOC, epsilons=[0.0], checks={"mass_at_infinity": False}))
+    (built,) = scn.rows()
+    scn.compat_window = [0.1, 0.1001]
+    with pytest.raises(ValidationError, match="fewer than 3 stored times"):
+        scn.validate()
+    row = run_row(scn, built)
     assert not row.ok
     assert row.error == "WindowError: window [0.1, 0.1001] holds fewer than 3 stored times"
     assert row.diag is not None and row.class_report is not None

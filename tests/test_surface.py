@@ -51,7 +51,7 @@ def test_round_sphere_umbilic(hyperbolic, grid64):
 def test_umbilic_consistency_any_radius(rbar):
     prof = HyperbolicProfile()
     geom = geometry(prof, make_round(prof, rbar, get_grid(16, 32)))
-    lam, dlam, _ = prof.warp(rbar)
+    lam, dlam, _ = prof.warp_curvature(rbar)[:3]
     assert np.max(np.abs(geom.H - 2 * dlam / lam)) < 1e-10
     assert np.max(np.abs(geom.lam1 - geom.lam2)) < 1e-10
     assert np.max(np.abs(geom.K - 1.0 / lam**2)) < 1e-10

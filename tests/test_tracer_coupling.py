@@ -31,7 +31,7 @@ def test_track_bytes_accepts_a_run_track():
     """A mass-aspect row, whose track maps zeta to r through the ODE profile."""
     scn = scenario_from_dict({"id": "t", "epsilons": [0.1], "T": 0.01, "dt": 0.005,
                               "surface": {"type": "p2", "amplitude": 0.05},
-                              "grid": {"n_theta": 8, "n_phi": 8}})
+                              "grid": {"n_theta": 8, "n_phi": 8}, "checks": {"compat": False}})
     row = scn.rows()[0]
     track = imcf.run(row.profile, row.surface0, T=scn.T, dt=scn.dt)
     assert tracer._track_bytes(track) >= 0.0
