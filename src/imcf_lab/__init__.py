@@ -30,7 +30,6 @@ from .comparison import (
 from .harness import (
     ClassReport,
     CompatReport,
-    DeclaredBounds,
     ReportTable,
     check_class_membership,
     check_coordinate_compatibility,

@@ -42,6 +42,9 @@ _DOMAIN_SLACK = 1e-10
 S_TABULATED_MAX = 1e6
 # samples of the r(s) an ODE-backed profile tabulates (and of a tabulated m(s))
 _ODE_SAMPLES = 4001
+# radii of validate_profile's scan, and its slack on the floor R >= -6
+_SCAN_SAMPLES = 512
+_R_FLOOR_TOL = 1e-8
 
 
 def _in_domain(x, domain, what: str) -> np.ndarray:
@@ -63,10 +66,7 @@ def _in_domain(x, domain, what: str) -> np.ndarray:
 class ProfileReport:
     """Result of a dense radial scan of a profile (report-only)."""
 
-    kind: str
-    n_samples: int
     min_R: float
-    r_at_min_R: float
     r_floor_ok: bool
     positivity_ok: bool
     tol: float
@@ -168,7 +168,8 @@ class HyperbolicProfile(AmbientProfile):
 
 class _OdeWarpProfile(AmbientProfile):
     """Warp built from a mass aspect m(s) by integrating dr/ds = 1/lambda'
-    from r = r_lo at s_lo."""
+    from r = r_lo at s_lo, piece by piece between the ``s_breaks`` where m''
+    jumps (the one-pass step control misses such a kink)."""
 
     def __init__(
         self,
@@ -176,6 +177,7 @@ class _OdeWarpProfile(AmbientProfile):
         dm_func: Callable,
         s_domain: tuple[float, float],
         r_lo: float = 0.0,
+        s_breaks=(),
     ):
         s_lo, s_hi = float(s_domain[0]), float(s_domain[1])
         if not 0.0 < s_lo < s_hi <= S_TABULATED_MAX:
@@ -191,23 +193,28 @@ class _OdeWarpProfile(AmbientProfile):
         u = np.linspace(0.0, 1.0, _ODE_SAMPLES)
         s_grid = s_lo + (s_hi - s_lo) * u * u
         s_grid[0], s_grid[-1] = s_lo, s_hi
+        s_grid = np.union1d(s_grid, s_breaks)
         sq = self._dlam_sq(s_grid)
         if np.min(sq) <= 0.0:
             raise ProfileError(
                 "1 + s^2 - 2 m(s)/s <= 0 inside the domain (horizon crossed)"
             )
-        sol = solve_ivp(
-            lambda s, r: 1.0 / np.sqrt(self._dlam_sq(s)),
-            (s_lo, s_hi),
-            [r_lo],
-            t_eval=s_grid,
-            rtol=1e-12,
-            atol=1e-14,
-            method="DOP853",
-        )
-        if not sol.success:
-            raise ProfileError(f"warp ODE integration failed: {sol.message}")
-        r_grid = sol.y[0]
+        ends = np.union1d([0, len(s_grid) - 1], np.searchsorted(s_grid, s_breaks))
+        r_grid = np.empty_like(s_grid)
+        r_grid[0] = r_lo
+        for i, j in zip(ends[:-1], ends[1:]):
+            sol = solve_ivp(
+                lambda s, r: 1.0 / np.sqrt(self._dlam_sq(s)),
+                (s_grid[i], s_grid[j]),
+                [r_grid[i]],
+                t_eval=s_grid[i : j + 1],
+                rtol=1e-12,
+                atol=1e-14,
+                method="DOP853",
+            )
+            if not sol.success:
+                raise ProfileError(f"warp ODE integration failed: {sol.message}")
+            r_grid[i : j + 1] = sol.y[0]
         self._s_of_r = CubicSpline(r_grid, s_grid, bc_type="not-a-knot")
         self._r_of_s_guess = PchipInterpolator(s_grid, r_grid)
         super().__init__((r_lo, float(r_grid[-1])))
@@ -290,7 +297,9 @@ class TabulatedProfile(_OdeWarpProfile):
         s, d1, d2 = lam(r), dlam(r), dlam(r, 1)
         q = 1.0 + s * s - d1 * d1
         m = CubicHermiteSpline(s, 0.5 * s * q, 0.5 * q + s * s - s * d2)
-        super().__init__(m, m.derivative(), (lam_values[0], lam_values[-1]), r_nodes[0])
+        super().__init__(
+            m, m.derivative(), (lam_values[0], lam_values[-1]), r_nodes[0], lam_values
+        )
 
 
 def horizon_radius(m: float) -> float:
@@ -303,24 +312,18 @@ def horizon_radius(m: float) -> float:
     return float(pos[0])
 
 
-def validate_profile(
-    profile: AmbientProfile, tol: float = 1e-8, n_samples: int = 512
-) -> ProfileReport:
+def validate_profile(profile: AmbientProfile) -> ProfileReport:
     """Dense radial scan for the scalar-curvature floor and warp positivity."""
     lo, hi = profile.r_domain
     inset = 1e-9 * (hi - lo)
-    r = np.linspace(lo + inset, hi - inset, n_samples)
+    r = np.linspace(lo + inset, hi - inset, _SCAN_SAMPLES)
     try:
-        R = profile.warp_curvature(r)[3]
+        min_R = float(np.min(profile.warp_curvature(r)[3]))
     except (DomainError, ProfileError):  # lambda' <= 0 somewhere on the scan
-        R = np.full(n_samples, np.nan)
-    i = int(np.argmin(R))
+        min_R = float("nan")
     return ProfileReport(
-        kind=profile.kind,
-        n_samples=n_samples,
-        min_R=float(R[i]),
-        r_at_min_R=float(r[i]),
-        r_floor_ok=bool(R[i] >= -6.0 - tol),
-        positivity_ok=not np.isnan(R[i]),
-        tol=tol,
+        min_R=min_R,
+        r_floor_ok=bool(min_R >= -6.0 - _R_FLOOR_TOL),
+        positivity_ok=not np.isnan(min_R),
+        tol=_R_FLOOR_TOL,
     )

@@ -54,8 +54,9 @@ def _cmd_run(args) -> int:
     # checked first: a bad format would otherwise be found only after the sweep
     formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
     bad = set(formats) - {"csv", "json", "plot"}
-    if bad:
-        print(f"unknown format(s): {sorted(bad)}", file=sys.stderr)
+    if bad or not formats:
+        print(f"unknown format(s): {sorted(bad)}" if bad else "--format lists no format",
+              file=sys.stderr)
         return 1
     scn = load_scenario(args.scenario)
     if args.seed_grid:

@@ -38,6 +38,12 @@ from .errors import LapseError, ParamError, ShapeError
 from .imcf import FlowTrack, SnapshotAccumulator, area_radius, mean_curvature_average
 from .surface import SurfaceGeometry, integrate
 
+# Holder exponent of c_alpha, and the cap on the node pairs its seminorm samples
+ALPHA = 0.5
+MAX_PAIRS = 1_000_000
+# stored times the distance chain integrates over
+N_CHAIN_TIMES = 101
+
 LABELS = (
     "hat",
     "g1",
@@ -84,17 +90,11 @@ def _track_samples(track: FlowTrack, idx: np.ndarray) -> dict:
     return out
 
 
-def default_time_indices(track: FlowTrack, n_times: int = 101) -> np.ndarray:
-    """Subsample of snapshot indices including both endpoints."""
-    return sample_indices(len(track.snap_times), n_times)
-
-
-def sample_indices(n_snap: int, n_times: int = 101) -> np.ndarray:
-    """``default_time_indices`` for a track of n_snap stored snapshots."""
-    if n_times >= n_snap:
+def sample_indices(n_snap: int) -> np.ndarray:
+    """At most N_CHAIN_TIMES of n_snap stored snapshots' indices, both ends included."""
+    if N_CHAIN_TIMES >= n_snap:
         return np.arange(n_snap)
-    idx = np.unique(np.linspace(0, n_snap - 1, n_times).round().astype(int))
-    return idx
+    return np.unique(np.linspace(0, n_snap - 1, N_CHAIN_TIMES).round().astype(int))
 
 
 def model_mean_curvature_sq(t, r0: float, m: float = 0.0):
@@ -131,7 +131,7 @@ def assemble(
     mm = 0.0 if m is None else float(m)
 
     if time_indices is None:
-        time_indices = default_time_indices(track)
+        time_indices = sample_indices(len(track.snap_times))
     idx = np.asarray(time_indices, dtype=int)
     times = track.snap_times[idx]
     samples = _track_samples(track, idx)
@@ -218,53 +218,42 @@ def _pointwise_norm2(A, B, ref):
 
 
 class ChainAccumulator(SnapshotAccumulator):
-    """Streaming form of ``distance_chain`` over the snapshots ``time_indices``.
+    """Streaming form of ``distance_chain`` over the snapshots ``sample_indices`` picks.
 
     Per sampled time it integrates the five squared distances over Sigma
     (weighted by dmu / H, as in ``l2_distance``) and keeps only those scalars
-    and the first sample's fiber, which g2 and g3 rescale by e^t.  ``r0``
-    None takes the area radius of the first sample, Sigma_0 for the default
-    sampling.
+    and the first sample's fiber, which g2 and g3 rescale by e^t.  r0 is the
+    area radius of the first sample, Sigma_0.
     """
 
     def __init__(
         self,
         snap_times: np.ndarray,
-        time_indices: np.ndarray,
         mode: str = "PMT",
-        r0: float | None = None,
         m: float | None = None,
     ):
         mode = mode.upper()
         if mode not in ("PMT", "RPI"):
             raise ValueError("mode must be PMT or RPI")
-        super().__init__(time_indices)
+        super().__init__(sample_indices(len(snap_times)))
         self.mode = mode
         self.times = snap_times[self.indices]
         self._growth = np.exp(self.times)
         self._m = m
         self._model_m = 0.0 if mode == "PMT" or m is None else float(m)
         self.spatial = {key: np.empty(len(self.indices)) for key in CHAIN_KEYS}
-        self._fiber0 = None
         self._error = None
-        self._model_lapse = None
-        if r0 is not None:
-            self._set_r0(r0)
-
-    def _set_r0(self, r0: float) -> None:
-        self.r0 = r0
-        try:
-            self._model_lapse = _model_lapse2(self.times, r0, self._model_m)
-        except LapseError as exc:
-            self._error = exc
 
     def take(self, i, j, t, geom, P1, P2) -> None:
-        if self._model_lapse is None and self._error is None:
-            self._set_r0(area_radius(geom))
+        if i == 0:
+            self.r0 = area_radius(geom)
+            self._fiber0 = (geom.g11, geom.g12, geom.g22)
+            try:
+                self._model_lapse = _model_lapse2(self.times, self.r0, self._model_m)
+            except LapseError as exc:
+                self._error = exc
         if self._error is not None:
             return
-        if self._fiber0 is None:
-            self._fiber0 = (geom.g11, geom.g12, geom.g22)
         grid = geom.grid
         growth = self._growth[i]
         lapse_model = self._model_lapse[i]
@@ -295,44 +284,26 @@ class ChainAccumulator(SnapshotAccumulator):
         }
 
 
-def distance_chain(
-    track: FlowTrack,
-    mode: str = "PMT",
-    r0: float | None = None,
-    m: float | None = None,
-    time_indices: np.ndarray | None = None,
-) -> dict:
+def distance_chain(track: FlowTrack, mode: str = "PMT", m: float | None = None) -> dict:
     """All pairwise distances along the hat -> g1 -> g2 -> g3 -> model chain.
 
     Every distance is measured against the model metric of the chosen mode, so
     the square roots obey the plain triangle inequality.  Replays a track from
     ``imcf.record`` through ``ChainAccumulator``.
     """
-    if time_indices is None:
-        time_indices = default_time_indices(track)
-    acc = ChainAccumulator(
-        track.snap_times, time_indices, mode=mode,
-        r0=track.r0 if r0 is None else r0, m=m,
-    )
+    acc = ChainAccumulator(track.snap_times, mode=mode, m=m)
     track.replay(acc)
     return acc.result()
 
 
-def c_alpha_distance_to_round(
-    geom0: SurfaceGeometry,
-    r0: float,
-    alpha: float = 0.5,
-    max_pairs: int = 1_000_000,
-) -> float:
+def c_alpha_distance_to_round(geom0: SurfaceGeometry, r0: float) -> float:
     """Holder-type distance of the initial fiber metric to the round r0^2 sigma.
 
     Components of D = g(.,0) - r0^2 sigma are taken in the sigma-orthonormal
     frame; the value is sup |D| plus a discrete Holder seminorm over a
     deterministic node-pair sample (all pairs within each latitude ring plus
-    power-of-two ring strides along meridians, capped at ``max_pairs``).
+    power-of-two ring separations along meridians, capped at MAX_PAIRS).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     grid = geom0.grid
     st = grid.sin_theta[:, None]
     D1 = geom0.g11 - r0**2
@@ -351,9 +322,9 @@ def c_alpha_distance_to_round(
 
     # within-ring pairs: separation along the latitude circle
     pairs_per_ring = nph * (nph - 1) // 2
-    ring_stride = max(1, int(np.ceil(nt * pairs_per_ring / (0.8 * max_pairs))))
+    ring_step = max(1, int(np.ceil(nt * pairs_per_ring / (0.8 * MAX_PAIRS))))
     dphi = grid.phi[None, :] - grid.phi[:, None]
-    for i in range(0, nt, ring_stride):
+    for i in range(0, nt, ring_step):
         cosd = grid.cos_theta[i] ** 2 + grid.sin_theta[i] ** 2 * np.cos(dphi)
         dist = np.arccos(np.clip(cosd, -1.0, 1.0))
         diff = comp_diff(
@@ -362,14 +333,14 @@ def c_alpha_distance_to_round(
         )
         mask = dist > 1e-12
         if np.any(mask):
-            semi = max(semi, float(np.max(diff[mask] / dist[mask] ** alpha)))
+            semi = max(semi, float(np.max(diff[mask] / dist[mask] ** ALPHA)))
 
     # meridian pairs at power-of-two ring separations
     d = 1
     while d < nt:
         dist = np.abs(grid.theta[d:] - grid.theta[:-d])[:, None]
         diff = comp_diff((D1[d:], D2[d:], D3[d:]), (D1[:-d], D2[:-d], D3[:-d]))
-        semi = max(semi, float(np.max(diff / dist**alpha)))
+        semi = max(semi, float(np.max(diff / dist**ALPHA)))
         d *= 2
 
     return sup + semi

@@ -40,21 +40,16 @@ CSV_COLUMNS = (
 
 JSON_SCHEMA = "imcf-lab-report/1"
 
-
-@dataclass
-class DeclaredBounds:
-    """Optional scenario-declared flow-class constants."""
-
-    H0: float | None = None
-    H1: float | None = None
-    A1: float | None = None
-    r0: float | None = None
-    I0: float | None = None
+# the compatibility check's r(t)/t ratios are read from T_STAR on and must lie
+# in RATIO_BAND; N_DIAM window snapshots get an intrinsic diameter
+T_STAR = 4.0
+RATIO_BAND = (0.4, 0.8)
+N_DIAM = 5
 
 
 @dataclass
 class ClassReport:
-    """Observed flow extrema against the declared class constants."""
+    """Observed flow extrema, initial area and mass, and the profile's floor."""
 
     H_min: float
     H_max: float
@@ -64,17 +59,11 @@ class ClassReport:
     mH0: float
     h_positive: bool
     mH0_nonneg: bool
-    r0_ok: bool
     scalar_floor_ok: bool
-    within_declared: bool | None  # None when nothing was declared
-    I0_declared: float | None     # carried, never checked
 
     @property
     def passed(self) -> bool:
-        flags = [self.h_positive, self.mH0_nonneg, self.r0_ok, self.scalar_floor_ok]
-        if self.within_declared is not None:
-            flags.append(self.within_declared)
-        return all(flags)
+        return self.h_positive and self.mH0_nonneg and self.scalar_floor_ok
 
 
 @dataclass
@@ -95,7 +84,6 @@ class CompatReport:
     C3: float                  # max |grad_sigma f| over the window
     ratio_band: tuple[float, float]
     ratios_ok: bool | None     # None when the window never reaches t_star
-    grad_ok: bool
     w12_ricci: float           # W^{1,2} norm of Rc(nu,nu) over Sigma x [a,b]
     k12_min0: float            # min tangent sectional curvature on Sigma_0
     k12_floor_ok: bool         # K12 >= -1 (up to round-off) on Sigma_0
@@ -105,10 +93,7 @@ class CompatReport:
 
     @property
     def passed(self) -> bool:
-        flags = [self.grad_ok, bool(np.isfinite(self.w12_ricci))]
-        if self.ratios_ok is not None:
-            flags.append(self.ratios_ok)
-        return all(flags)
+        return bool(np.isfinite(self.w12_ricci)) and self.ratios_ok is not False
 
 
 @dataclass
@@ -140,44 +125,21 @@ class ReportTable:
         return any(not r.ok for r in self.rows)
 
 
-def check_class_membership(
-    track: FlowTrack,
-    declared: DeclaredBounds | None = None,
-    scalar_floor_ok: bool = True,
-) -> ClassReport:
+def check_class_membership(track: FlowTrack, scalar_floor_ok: bool = True) -> ClassReport:
     """Observed H range, |A| bound, initial area and mass flags."""
     s = track.series
-    H_min, H_max = float(np.min(s.h_min)), float(np.max(s.h_max))
-    absA_max = float(np.max(s.absA_max))
-    area0 = float(s.area[0])
+    H_min = float(np.min(s.h_min))
     mH0 = float(s.m_H[0])
-    r0_declared = declared.r0 if declared is not None else None
-    r0 = r0_declared if r0_declared is not None else track.r0
-    r0_ok = bool(abs(area0 / (4.0 * np.pi * r0**2) - 1.0) <= 1e-8)
-    within = None
-    if declared is not None and any(
-        v is not None for v in (declared.H0, declared.H1, declared.A1)
-    ):
-        within = True
-        if declared.H0 is not None:
-            within &= H_min >= declared.H0
-        if declared.H1 is not None:
-            within &= H_max <= declared.H1
-        if declared.A1 is not None:
-            within &= absA_max <= declared.A1
     return ClassReport(
         H_min=H_min,
-        H_max=H_max,
-        absA_max=absA_max,
-        r0=r0,
-        area0=area0,
+        H_max=float(np.max(s.h_max)),
+        absA_max=float(np.max(s.absA_max)),
+        r0=track.r0,
+        area0=float(s.area[0]),
         mH0=mH0,
         h_positive=bool(H_min > 0.0),
         mH0_nonneg=bool(mH0 >= -1e-10),
-        r0_ok=r0_ok,
         scalar_floor_ok=scalar_floor_ok,
-        within_declared=within,
-        I0_declared=declared.I0 if declared is not None else None,
     )
 
 
@@ -259,7 +221,7 @@ class CompatAccumulator(SnapshotAccumulator):
     """Snapshot part of ``check_coordinate_compatibility`` over window [a, b].
 
     Reads Sigma_0 (K12 floor), every stored time in the window (W^{1,2}
-    Ricci norm) and n_diam of them (intrinsic diameter); ``result`` adds the
+    Ricci norm) and N_DIAM of them (intrinsic diameter); ``result`` adds the
     series-based ratios and gradient bound once the flow has ended.  Two
     accumulators given one ``diameters`` dict compute a snapshot's diameter once.
     """
@@ -271,7 +233,6 @@ class CompatAccumulator(SnapshotAccumulator):
         T: float,
         a: float,
         b: float,
-        n_diam: int = 5,
         diameters: dict | None = None,
     ):
         self.window = (a, b)
@@ -279,7 +240,7 @@ class CompatAccumulator(SnapshotAccumulator):
         self.w12 = W12Accumulator(grid, snap_times, a, b)
         sel = _window(snap_times, a, b)
         self.picks = sel[
-            np.unique(np.linspace(0, len(sel) - 1, min(n_diam, len(sel))).astype(int))
+            np.unique(np.linspace(0, len(sel) - 1, min(N_DIAM, len(sel))).astype(int))
         ]
         self.diam_times = snap_times[self.picks]
         self._diam = {} if diameters is None else diameters
@@ -294,13 +255,7 @@ class CompatAccumulator(SnapshotAccumulator):
         if j in self.picks and j not in self._diam:
             self._diam[j] = intrinsic_diameter(geom)
 
-    def result(
-        self,
-        series,
-        t_star: float = 4.0,
-        ratio_band: tuple[float, float] = (0.4, 0.8),
-        c3_max: float | None = None,
-    ) -> CompatReport:
+    def result(self, series) -> CompatReport:
         a, b = self.window
         if not self.valid:
             raise WindowError(f"window [{a}, {b}] not inside [0, {self.T}]")
@@ -308,11 +263,11 @@ class CompatAccumulator(SnapshotAccumulator):
         in_window = (s.times >= a - 1e-12) & (s.times <= b + 1e-12)
         C3 = float(np.max(s.gradf_max[in_window]))
 
-        late = s.times >= t_star
+        late = s.times >= T_STAR
         if np.any(late):
             C1 = float(np.min(s.r_min[late] / s.times[late]))
             C2 = float(np.max(s.r_max[late] / s.times[late]))
-            ratios_ok = bool(ratio_band[0] <= C1 and C2 <= ratio_band[1])
+            ratios_ok = bool(RATIO_BAND[0] <= C1 and C2 <= RATIO_BAND[1])
         else:
             C1 = C2 = None
             ratios_ok = None
@@ -322,13 +277,12 @@ class CompatAccumulator(SnapshotAccumulator):
         diam_vals = np.array([self._diam[int(j)] for j in self.picks])
         return CompatReport(
             window=(a, b),
-            t_star=t_star,
+            t_star=T_STAR,
             C1=C1,
             C2=C2,
             C3=C3,
-            ratio_band=ratio_band,
+            ratio_band=RATIO_BAND,
             ratios_ok=ratios_ok,
-            grad_ok=bool(C3 <= c3_max) if c3_max is not None else True,
             w12_ricci=w12,
             k12_min0=self.k12_min0,
             k12_floor_ok=bool(self.k12_min0 >= -1.0 - 1e-10),
@@ -338,22 +292,14 @@ class CompatAccumulator(SnapshotAccumulator):
         )
 
 
-def check_coordinate_compatibility(
-    track: FlowTrack,
-    a: float,
-    b: float,
-    t_star: float = 4.0,
-    ratio_band: tuple[float, float] = (0.4, 0.8),
-    c3_max: float | None = None,
-    n_diam: int = 5,
-) -> CompatReport:
+def check_coordinate_compatibility(track: FlowTrack, a: float, b: float) -> CompatReport:
     """Radial growth ratios, graph-gradient bound and the W^{1,2} Ricci norm.
 
     Replays a track from ``imcf.record`` through ``CompatAccumulator``.
     """
-    acc = CompatAccumulator(track.grid, track.snap_times, track.T, a, b, n_diam)
+    acc = CompatAccumulator(track.grid, track.snap_times, track.T, a, b)
     track.replay(acc)
-    return acc.result(track.series, t_star, ratio_band, c3_max)
+    return acc.result(track.series)
 
 
 class SampleAccumulator(SnapshotAccumulator):
@@ -412,10 +358,7 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
         if scn.checks["pinch"]:
             pinch = mass.PinchAccumulator(snap_times, grid.shape)
         if scn.checks["distances"]:
-            chain = comparison.ChainAccumulator(
-                snap_times, comparison.sample_indices(len(snap_times)),
-                mode=scn.mode, m=scn.m,
-            )
+            chain = comparison.ChainAccumulator(snap_times, mode=scn.mode, m=scn.m)
             samples = SampleAccumulator(snap_of, diameters)
         track = run(
             row.profile,

@@ -132,7 +132,6 @@ def weak_ricci_pairing(
     psi: ProbeField,
     a: float,
     b: float,
-    stride: int = 1,
 ) -> tuple[float, float]:
     """Both sides of the weak normal-Ricci identity over Sigma x [a, b].
 
@@ -150,8 +149,6 @@ def weak_ricci_pairing(
     ja = track.snap_index_of_time(a)
     jb = track.snap_index_of_time(b)
     sel = np.arange(ja, jb + 1)
-    if stride > 1:
-        sel = np.unique(np.concatenate([sel[::stride], [jb]]))
     t_nodes = track.snap_times[sel]
 
     grid = track.grid

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
@@ -61,11 +62,13 @@ class Field:
     fields: tuple | dict = ()
 
 
+_FILE_NAME = "ASCII letters, digits, ., _ or -, not starting with ."
 RANGES = {
     "> 0": lambda x: x > 0,
     ">= 0": lambda x: x >= 0,
     ">= 1": lambda x: x >= 1,
-    "nonempty": lambda x: len(x) > 0,
+    # a report's file name, so it names no other directory and needs no quoting
+    _FILE_NAME: lambda x: re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9._-]*", x) is not None,
     "a power of two >= 8": lambda n: n >= 8 and n & (n - 1) == 0,
 }
 
@@ -109,7 +112,7 @@ _PROFILES = {
     ),
 }
 FIELDS = (
-    Field("id", "string", REQUIRED, "report name", "nonempty"),
+    Field("id", "string", REQUIRED, "report name", _FILE_NAME),
     Field("mode", "string", "PMT", "positive-mass or Penrose experiment", allowed=("PMT", "RPI")),
     Field("m", "number", None, "target mass (RPI needs it)", "> 0"),
     Field("epsilons", "numbers", None, "strictly decreasing sweep values (may end in 0)", ">= 0"),
@@ -126,7 +129,7 @@ FIELDS = (
     Field("checks", "object", {}, "check toggles", fields=_CHECKS),
     Field("amplitude_factor", "number", 0.5, "combined family: surface amplitude = factor * eps", ">= 0"),
     Field("cfl", "number", 0.2, "parabolic CFL factor of the substeps", "> 0"),
-    Field("snap_every", "integer", None, "snapshot stride in steps (default: about 400 snapshots)",
+    Field("snap_every", "integer", None, "snapshot interval in steps (default: about 400 snapshots)",
           ">= 1"),
     Field("out", "string", "out", "output directory when `--out` is not given"),
 )

@@ -258,7 +258,7 @@ def grad_pairing(geom: SurfaceGeometry, a_t, a_p, b_t, b_p) -> np.ndarray:
     ) / geom.det_g
 
 
-def intrinsic_diameter(geom: SurfaceGeometry, n_sources: int = 8) -> float:
+def intrinsic_diameter(geom: SurfaceGeometry) -> float:
     """Upper diameter estimate by shortest paths over grid edges.
 
     Edge lengths use the induced metric averaged between endpoints; the
@@ -304,8 +304,8 @@ def intrinsic_diameter(geom: SurfaceGeometry, n_sources: int = 8) -> float:
     lens = np.concatenate(lens)
     graph = coo_matrix((lens, (rows, cols)), shape=(n, n))
 
-    # sources spread over latitude rings and the extremal-radius node
-    ring_ids = np.linspace(0, nt - 1, max(2, n_sources - 1)).astype(int)
+    # eight sources: seven spread over latitude rings, and the extremal-radius node
+    ring_ids = np.linspace(0, nt - 1, 7).astype(int)
     sources = [idx[i, (i * 7) % np_] for i in ring_ids]
     sources.append(int(np.argmax(geom.surface.zeta)))
     sources = sorted(set(sources))

@@ -350,7 +350,7 @@ def test_pinch_bounds_everywhere(
 
 
 def test_coordinate_compatibility(hyp_track, hyp_track_refined, hyp_track_T10):
-    rep = check_coordinate_compatibility(hyp_track_T10, a=1.0, b=2.0, t_star=4.0)
+    rep = check_coordinate_compatibility(hyp_track_T10, a=1.0, b=2.0)
     ratio_ok = rep.ratios_ok is True
     c3_ok = rep.C3 <= 1e-10
     w_coarse = w12_normal_ricci(hyp_track, 1.0, 2.0)

@@ -243,3 +243,26 @@ def test_bad_format_is_rejected_before_the_sweep(tmp_path, capsys, monkeypatch):
     assert main(["run", str(p), "--out", str(out), "--format", "csv,pdf"]) == 1
     assert "'pdf'" in _one_line(capsys, "unknown format(s): ")
     assert not out.exists()
+
+
+def test_an_empty_format_list_is_rejected_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def run_sequence(*args, **kwargs):
+        raise RuntimeError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sequence", run_sequence)
+    p = _write(tmp_path, FAST_DOC)
+    out = tmp_path / "o"
+    assert main(["run", str(p), "--out", str(out), "--format", ","]) == 1
+    _one_line(capsys, "--format lists no format")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_id", ["../escaped", "it's", ".hidden", "a/b", ""])
+def test_an_id_that_is_not_a_plain_file_name_is_a_scenario_error(tmp_path, capsys, bad_id):
+    """The id names the report files: one that leaves --out or needs quoting
+    in the gnuplot script exits 1 in one line and writes nothing."""
+    p = _write(tmp_path, {**FAST_DOC, "id": bad_id})
+    out = tmp_path / "o" / "out"
+    assert main(["run", str(p), "--out", str(out), "--quiet"]) == 1
+    assert "not starting with ." in _one_line(capsys, "scenario error: id must be ")
+    assert not (tmp_path / "o").exists()

@@ -5,11 +5,11 @@ from imcf_lab.comparison import (
     LABELS,
     assemble,
     c_alpha_distance_to_round,
-    default_time_indices,
     distance_chain,
     gauss_deviation,
     l2_distance,
     model_mean_curvature_sq,
+    sample_indices,
 )
 from imcf_lab.errors import ParamError, ShapeError
 from imcf_lab.imcf import record
@@ -74,7 +74,7 @@ def test_l2_distance_zero_and_symmetry(hyp_round_track):
 
 def test_l2_distance_shape_error(hyp_round_track):
     hat = assemble(hyp_round_track, "hat")
-    idx = default_time_indices(hyp_round_track)[:-10]
+    idx = sample_indices(len(hyp_round_track.snap_times))[:-10]
     short = assemble(hyp_round_track, "g1", time_indices=idx)
     with pytest.raises(ShapeError):
         l2_distance(hat, short, hat, hyp_round_track)
@@ -136,12 +136,6 @@ def test_c_alpha_decreases_with_amplitude(hyperbolic, grid32):
         geom = geometry(hyperbolic, make_graph(hyperbolic, grid32, RBAR, "p2", amp))
         vals.append(c_alpha_distance_to_round(geom, r0=1.0))
     assert vals[0] > vals[1] > vals[2] > 0
-
-
-def test_c_alpha_alpha_range(hyp_round_track):
-    geom0 = hyp_round_track.snapshot_geometry(0)
-    with pytest.raises(ValueError):
-        c_alpha_distance_to_round(geom0, r0=1.0, alpha=1.0)
 
 
 def test_gauss_deviation_round_is_floor(hyp_round_track):

@@ -7,7 +7,6 @@ from imcf_lab import comparison, harness
 from imcf_lab.errors import WindowError
 from imcf_lab.harness import (
     CSV_COLUMNS,
-    DeclaredBounds,
     check_class_membership,
     check_coordinate_compatibility,
     emit,
@@ -38,8 +37,7 @@ def test_class_membership_hyperbolic_round(hyp_round_track):
     assert rep.passed
     assert abs(rep.H_max - 2 * np.sqrt(2.0)) < 1e-9
     assert abs(rep.mH0) < 1e-12
-    assert rep.r0_ok and rep.h_positive and rep.mH0_nonneg
-    assert rep.I0_declared is None
+    assert rep.h_positive and rep.mH0_nonneg
 
 
 def test_class_membership_adss(adss_round_track):
@@ -58,17 +56,6 @@ def test_class_membership_flags_negative_mass(hyperbolic, grid32):
     assert not rep.passed
 
 
-def test_class_membership_declared_bounds(hyp_round_track):
-    ok = check_class_membership(
-        hyp_round_track, DeclaredBounds(H0=1.0, H1=3.0, A1=3.0, I0=0.5)
-    )
-    assert ok.within_declared and ok.passed
-    assert ok.I0_declared == 0.5
-    bad = check_class_membership(hyp_round_track, DeclaredBounds(H1=2.0))
-    assert bad.within_declared is False
-    assert not bad.passed
-
-
 def test_w12_normal_ricci_closed_form(hyp_round_track):
     """Rc(nu,nu) = -2 on hyperbolic round: norm = sqrt(16 pi (b - a))."""
     val = w12_normal_ricci(hyp_round_track, 0.0, 0.5)
@@ -83,7 +70,6 @@ def test_w12_window_too_short(hyp_round_track):
 def test_compat_report_round(hyp_round_track):
     rep = check_coordinate_compatibility(hyp_round_track, 0.0, 0.5)
     assert rep.C3 < 1e-10
-    assert rep.grad_ok
     assert rep.ratios_ok is None  # window never reaches t_star = 4
     assert np.isfinite(rep.w12_ricci)
     assert rep.passed

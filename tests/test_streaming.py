@@ -12,9 +12,9 @@ from imcf_lab.errors import ValidationError
 from imcf_lab.comparison import (
     assemble,
     c_alpha_distance_to_round,
-    default_time_indices,
     gauss_deviation,
     l2_distance,
+    sample_indices,
 )
 from imcf_lab.harness import W12Accumulator, run_row, run_sequence
 from imcf_lab.mass import PinchAccumulator, pinch_bounds_check
@@ -126,7 +126,7 @@ def test_streamed_checks_match_replay(streamed_row):
 def test_streamed_chain_matches_full_grid_reference(streamed_row):
     scn, result, track, _ = streamed_row
     g3, model = ("g3_pmt", "hyperbolic_model") if scn.mode == "PMT" else ("g3_rpi", "adss_model")
-    idx = default_time_indices(track)
+    idx = sample_indices(len(track.snap_times))
     grids = {
         label: assemble(track, label, m=scn.m, time_indices=idx)
         for label in ("hat", "g1", "g2", g3, model)
