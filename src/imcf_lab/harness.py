@@ -417,10 +417,7 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, str):
         return value
-    v = float(value)
-    if not np.isfinite(v):
-        return "nan"
-    return f"{v:.12g}"
+    return f"{float(value):.12g}"
 
 
 def table_rows(report: ReportTable) -> list[dict]:
@@ -502,7 +499,7 @@ def emit(report: ReportTable, formats=("csv", "json", "plot"), out_dir="out") ->
             "table": recs,
         }
         path.write_text(
-            json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n",
+            json.dumps(doc, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
         written.append(path)
@@ -533,16 +530,6 @@ def _dataclass_echo(obj):
     if hasattr(obj, "passed"):
         out["passed"] = obj.passed
     return out
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (set, tuple)):
-        return list(obj)
-    return str(obj)
 
 
 def _plot_script(base: str) -> str:

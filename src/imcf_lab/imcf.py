@@ -55,13 +55,15 @@ from .surface import (
     SpeedGeometry,
     SurfaceGeometry,
     geometry,
-    integrate,
     speed_geometry,
 )
 
 # observer(j, t, geom, P1, P2) at each stored snapshot j; P1 and P2 are the
 # running pinch integrals, buffers the flow keeps updating after the call
 Observer = Callable[[int, float, SurfaceGeometry, np.ndarray, np.ndarray], None]
+
+# a recorded step that needs more substeps than this raises StabilityError
+MAX_SUBSTEPS = 500_000
 
 
 @dataclass
@@ -123,12 +125,6 @@ class FlowTrack:
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    def snap_index_of_time(self, t: float) -> int:
-        j = int(np.argmin(np.abs(self.snap_times - t)))
-        if abs(self.snap_times[j] - t) > 1e-9 * max(1.0, self.T):
-            raise ValueError(f"t = {t:.6g} is not a stored snapshot time")
-        return j
-
     def _require_snapshots(self) -> None:
         if len(self.snap_zeta) != len(self.snap_indices):
             raise TrackError(
@@ -138,11 +134,7 @@ class FlowTrack:
     def snapshot_geometry(self, j: int) -> SurfaceGeometry:
         """Geometry of stored snapshot j, rebuilt from its zeta (not cached)."""
         self._require_snapshots()
-        surface = GraphSurface(self.grid, self.snap_zeta[j], self.profile, self.snap_times[j])
-        return geometry(self.profile, surface)
-
-    def geometry_at_time(self, t: float) -> SurfaceGeometry:
-        return self.snapshot_geometry(self.snap_index_of_time(t))
+        return geometry(self.profile, GraphSurface(self.grid, self.snap_zeta[j], self.profile))
 
     def replay(self, acc: SnapshotAccumulator) -> None:
         """Feed an accumulator the stored snapshots it reads, in order.
@@ -197,6 +189,11 @@ def mean_curvature_average(geom: SurfaceGeometry) -> float:
     return float(np.sum(geom.H * (geom.dmu * geom.grid.weights))) / geom.area
 
 
+def snap_interval(n_steps: int, snap_every: int | None) -> int:
+    """Steps between stored snapshots: ``snap_every``, or about 400 snapshots."""
+    return max(1, n_steps // 400) if snap_every is None else snap_every
+
+
 def time_grid(T: float, dt: float, snap_every: int | None = None):
     """Recorded times t_k = k dt on [0, T] and the indices k stored as snapshots."""
     if T <= 0:
@@ -206,9 +203,7 @@ def time_grid(T: float, dt: float, snap_every: int | None = None):
     if N < 1 or abs(n_float - N) > 1e-9 * max(1.0, n_float):
         raise ValueError(f"dt = {dt} does not divide T = {T}")
     times = dt * np.arange(N + 1)
-    if snap_every is None:
-        snap_every = max(1, N // 400)
-    snap_set = set(range(0, N + 1, snap_every))
+    snap_set = set(range(0, N + 1, snap_interval(N, snap_every)))
     snap_set.add(N)
     return times, np.array(sorted(snap_set))
 
@@ -224,21 +219,6 @@ def exact_round_flow(profile: AmbientProfile, s0: float, t) -> tuple[np.ndarray,
     return s, 2.0 * profile.warp_at_area_radius(s)[0] / s
 
 
-def step(
-    profile: AmbientProfile,
-    surface: GraphSurface,
-    dt: float,
-    cfl: float = 0.2,
-    max_substeps: int = 500_000,
-) -> GraphSurface:
-    """Advance a surface by one recorded time step of size dt."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    zeta = surface.grid.polar_filter(surface.zeta)
-    geom = geometry(profile, GraphSurface(surface.grid, zeta, profile, surface.time_tag))
-    return _advance(geom, surface.time_tag, dt, cfl, max_substeps).surface
-
-
 def run(
     profile: AmbientProfile,
     surface0: GraphSurface,
@@ -246,7 +226,6 @@ def run(
     dt: float,
     cfl: float = 0.2,
     snap_every: int | None = None,
-    max_substeps: int = 500_000,
     observers: Sequence[Observer] = (),
 ) -> FlowTrack:
     """Flow from t = 0 to T on the uniform grid t_k = k dt.
@@ -287,7 +266,7 @@ def run(
 
         if k < N:
             try:
-                geom = _advance(geom, t_k, dt, cfl, max_substeps)
+                geom = _advance(geom, t_k, dt, cfl)
             except ImcfLabError as exc:
                 raise type(exc)(f"at t = {t_k + dt:.6g}: {exc}") from exc
 
@@ -335,7 +314,6 @@ def record(
     dt: float,
     cfl: float = 0.2,
     snap_every: int | None = None,
-    max_substeps: int = 500_000,
     observers: Sequence[Observer] = (),
 ) -> FlowTrack:
     """``run`` with a ``SnapshotRecorder`` attached: the returned track stores
@@ -345,7 +323,7 @@ def record(
     rec = SnapshotRecorder(n_snap, surface0.grid.shape)
     track = run(
         profile, surface0, T, dt, cfl=cfl, snap_every=snap_every,
-        max_substeps=max_substeps, observers=[rec.observe, *observers],
+        observers=[rec.observe, *observers],
     )
     return replace(track, snap_zeta=rec.zeta, snap_P1=rec.P1, snap_P2=rec.P2)
 
@@ -363,7 +341,7 @@ def _guard(grid: SphereGrid, geom: SurfaceGeometry, cfl: float) -> float:
     return cfl * grid.h_theta**2 * scale
 
 
-def _advance(geom, t, dt, cfl, max_substeps):
+def _advance(geom, t, dt, cfl):
     """Substep geom's surface from t to t + dt; returns the geometry at t + dt."""
     grid, profile, zeta = geom.grid, geom.surface.profile, geom.surface.zeta
     t_end = t + dt
@@ -377,9 +355,9 @@ def _advance(geom, t, dt, cfl, max_substeps):
             raise StabilityError(f"degenerate CFL guard ({guard}) at t = {t_cur:.6g}")
         h = min(remaining, guard)
         n_sub += 1
-        if n_sub > max_substeps:
+        if n_sub > MAX_SUBSTEPS:
             raise StabilityError(
-                f"substep budget {max_substeps} exhausted (guard "
+                f"substep budget {MAX_SUBSTEPS} exhausted (guard "
                 f"{guard:.3g} at t = {t_cur:.6g})"
             )
         tau0 = np.exp(0.5 * t_cur)
@@ -388,13 +366,13 @@ def _advance(geom, t, dt, cfl, max_substeps):
         k1 = _rhs(geom, tau0)
         z_mid = grid.polar_filter(zeta + 0.5 * htau * k1)
         # the midpoint feeds only the speed, so it skips geometry()'s diagnostics
-        geom_mid = speed_geometry(profile, GraphSurface(grid, z_mid, profile, t_cur + 0.5 * h))
+        geom_mid = speed_geometry(profile, GraphSurface(grid, z_mid, profile))
         k2 = _rhs(geom_mid, tau0 + 0.5 * htau)
         zeta = grid.polar_filter(zeta + htau * k2)
         if not np.all(np.isfinite(zeta)):
             raise CurvatureError(f"flow produced non-finite radii at t = {t_cur:.6g}")
         t_cur += h
-        geom = geometry(profile, GraphSurface(grid, zeta, profile, t_cur))
+        geom = geometry(profile, GraphSurface(grid, zeta, profile))
         if remaining - h <= 1e-12 * max(1.0, abs(t_end)):
             return geom
 

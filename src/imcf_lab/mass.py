@@ -18,15 +18,18 @@ residuals here are computed from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import FitError
 from .imcf import FlowSeries, FlowTrack, SnapshotAccumulator
-from .surface import SurfaceGeometry, grad_pairing, integrate
+from .surface import SurfaceGeometry, integrate
 
 SIXTEEN_PI = 16.0 * np.pi
+# pinch bounds: a node fails when its normalized eigenvalue is below -PINCH_TOL
+PINCH_TOL = 1e-9
+# mass_at_infinity: largest rms of the tail fit, relative to max(1, |m_inf|)
+MAX_FIT_RESIDUAL = 1e-3
 
 
 @dataclass
@@ -61,32 +64,6 @@ class PinchReport:
     @property
     def n_violations(self) -> int:
         return int(np.sum(~self.lower_ok) + np.sum(~self.upper_ok))
-
-
-@dataclass
-class ProbeField:
-    """Differentiable test function on Sigma x [0, T] with supplied partials."""
-
-    value: Callable    # (theta, phi, t) -> array
-    d_theta: Callable
-    d_phi: Callable
-    d_t: Callable
-
-    @classmethod
-    def constant(cls, c: float = 1.0) -> "ProbeField":
-        f = lambda th, ph, t: np.full_like(th, c)
-        z = lambda th, ph, t: np.zeros_like(th)
-        return cls(value=f, d_theta=z, d_phi=z, d_t=z)
-
-    @classmethod
-    def zonal_cos(cls) -> "ProbeField":
-        z = lambda th, ph, t: np.zeros_like(th)
-        return cls(
-            value=lambda th, ph, t: np.cos(th),
-            d_theta=lambda th, ph, t: -np.sin(th),
-            d_phi=z,
-            d_t=z,
-        )
 
 
 def hawking_mass(geom: SurfaceGeometry) -> float:
@@ -127,72 +104,12 @@ def geroch_identity_residual(track: FlowTrack) -> GerochResiduals:
     )
 
 
-def weak_ricci_pairing(
-    track: FlowTrack,
-    psi: ProbeField,
-    a: float,
-    b: float,
-) -> tuple[float, float]:
-    """Both sides of the weak normal-Ricci identity over Sigma x [a, b].
-
-    lhs = int_a^b int 2 psi Rc(nu,nu) dmu dt
-    rhs = int_{Sigma_a} psi H^2 dmu - int_{Sigma_b} psi H^2 dmu
-          + int_a^b int [ 2 psi |grad H|^2/H^2 - 2 <grad psi, grad H>/H
-                          + psi (H^2 - 2|A|^2) + psi_t H^2 ] dmu dt
-
-    The time-derivative term of the test function is part of the identity and
-    is kept (dropping it changes the result for time-dependent psi).  Reads
-    the snapshots of a track from ``imcf.record``.
-    """
-    if not 0.0 <= a < b <= track.T + 1e-12:
-        raise ValueError(f"need 0 <= a < b <= T, got [{a}, {b}]")
-    ja = track.snap_index_of_time(a)
-    jb = track.snap_index_of_time(b)
-    sel = np.arange(ja, jb + 1)
-    t_nodes = track.snap_times[sel]
-
-    grid = track.grid
-    TH = grid.broadcast_theta(grid.theta)
-    PH = np.broadcast_to(grid.phi[None, :], grid.shape)
-
-    lhs_t = np.empty(len(sel))
-    bulk_t = np.empty(len(sel))
-    surf_a = surf_b = 0.0
-    for i, j in enumerate(sel):
-        geom = track.snapshot_geometry(int(j))
-        t = float(track.snap_times[j])
-        p = psi.value(TH, PH, t)
-        p_th = psi.d_theta(TH, PH, t)
-        p_ph = psi.d_phi(TH, PH, t)
-        p_t = psi.d_t(TH, PH, t)
-        lhs_t[i] = integrate(geom, 2.0 * p * geom.Rc_nn)
-        H_th = grid.dtheta(geom.H)
-        H_ph = grid.dphi(geom.H)
-        cross = grad_pairing(geom, p_th, p_ph, H_th, H_ph)
-        bulk = (
-            2.0 * p * geom.grad_H2 / geom.H**2
-            - 2.0 * cross / geom.H
-            + p * (geom.H**2 - 2.0 * geom.absA2)
-            + p_t * geom.H**2
-        )
-        bulk_t[i] = integrate(geom, bulk)
-        if j == ja:
-            surf_a = integrate(geom, p * geom.H**2)
-        if j == jb:
-            surf_b = integrate(geom, p * geom.H**2)
-
-    lhs = float(np.trapezoid(lhs_t, t_nodes))
-    rhs = surf_a - surf_b + float(np.trapezoid(bulk_t, t_nodes))
-    return lhs, rhs
-
-
 class PinchAccumulator(SnapshotAccumulator):
     """Streaming form of ``pinch_bounds_check``; reads every stored snapshot."""
 
-    def __init__(self, snap_times: np.ndarray, shape: tuple, tol: float = 1e-9):
+    def __init__(self, snap_times: np.ndarray, shape: tuple):
         super().__init__(np.arange(len(snap_times)))
         self.times = snap_times
-        self.tol = tol
         self.lower_ok = np.empty((len(snap_times), *shape), dtype=bool)
         self.upper_ok = np.empty_like(self.lower_ok)
         self.worst_low = self.worst_up = 0.0
@@ -213,8 +130,8 @@ class PinchAccumulator(SnapshotAccumulator):
 
         low = min_eig(geom.g11 - e1 * g0_11, geom.g12 - e1 * g0_12, geom.g22 - e1 * g0_22)
         up = min_eig(e2 * g0_11 - geom.g11, e2 * g0_12 - geom.g12, e2 * g0_22 - geom.g22)
-        self.lower_ok[j] = low >= -self.tol * scale
-        self.upper_ok[j] = up >= -self.tol * scale
+        self.lower_ok[j] = low >= -PINCH_TOL * scale
+        self.upper_ok[j] = up >= -PINCH_TOL * scale
         self.worst_low = min(self.worst_low, float(np.min(low / scale)))
         self.worst_up = min(self.worst_up, float(np.min(up / scale)))
 
@@ -229,7 +146,7 @@ class PinchAccumulator(SnapshotAccumulator):
         )
 
 
-def pinch_bounds_check(track: FlowTrack, tol: float = 1e-9) -> PinchReport:
+def pinch_bounds_check(track: FlowTrack) -> PinchReport:
     """Verify the metric growth bounds from the principal-curvature spread.
 
     At every snapshot time and node the induced metric must satisfy
@@ -237,20 +154,15 @@ def pinch_bounds_check(track: FlowTrack, tol: float = 1e-9) -> PinchReport:
         exp(int_0^t 2 lambda_1/H) g(x,0) <= g(x,t) <= exp(int_0^t 2 lambda_2/H) g(x,0)
 
     as 2x2 quadratic forms; eigenvalue signs are tested relative to the local
-    metric scale with tolerance ``tol``.  Replays a track from ``imcf.record``
-    through ``PinchAccumulator``.
+    metric scale with tolerance ``PINCH_TOL``.  Replays a track from
+    ``imcf.record`` through ``PinchAccumulator``.
     """
-    acc = PinchAccumulator(track.snap_times, track.grid.shape, tol)
+    acc = PinchAccumulator(track.snap_times, track.grid.shape)
     track.replay(acc)
     return acc.result()
 
 
-def mass_at_infinity(
-    times,
-    m_H,
-    tail_fraction: float = 0.5,
-    max_residual: float = 1e-3,
-) -> float:
+def mass_at_infinity(times, m_H, tail_fraction: float = 0.5) -> float:
     """Extrapolated limit of the mass series via a two-term e^{-t/2} tail fit."""
     times = np.asarray(times, dtype=float)
     m_H = np.asarray(m_H, dtype=float)
@@ -267,9 +179,7 @@ def mass_at_infinity(
     fit = design @ coef
     rms = float(np.sqrt(np.mean((fit - y) ** 2)))
     m_inf = float(coef[0])
-    if rms > max_residual * max(1.0, abs(m_inf)):
-        raise FitError(
-            f"tail fit residual {rms:.3g} exceeds threshold "
-            f"{max_residual * max(1.0, abs(m_inf)):.3g}"
-        )
+    threshold = MAX_FIT_RESIDUAL * max(1.0, abs(m_inf))
+    if rms > threshold:
+        raise FitError(f"tail fit residual {rms:.3g} exceeds threshold {threshold:.3g}")
     return m_inf

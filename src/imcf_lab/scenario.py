@@ -39,7 +39,7 @@ from .ambient import (
     horizon_radius,
 )
 from .errors import ParseError, ValidationError
-from .imcf import FlowSeries
+from .imcf import FlowSeries, snap_interval
 from .sphere_grid import get_grid
 from .surface import GraphSurface, make_graph
 
@@ -345,7 +345,7 @@ def _fits_in_memory(s: Scenario) -> bool:
     if not math.isfinite(steps):
         return True  # _whole_steps reports it
     n = round(steps)
-    n_snap = n // (s.snap_every or max(1, n // 400)) + 2
+    n_snap = n // snap_interval(n, s.snap_every) + 2
     nodes = s.n_theta * s.n_phi
     n_series = len(dataclass_fields(FlowSeries)) - 1  # the arrays ``run`` allocates
     need = 8 * (_WORK_ARRAYS * nodes + s.n_theta**2 + n_series * (n + 1))
@@ -366,7 +366,7 @@ def _compat_window_filled(s: Scenario) -> bool:
     if not (s.checks["compat"] and _whole_steps(s) and len(w) == 2 and w[0] < w[1]):
         return True  # off, or another rule reports it
     n = round(s.T / s.dt)
-    every = s.snap_every or max(1, n // 400)
+    every = snap_interval(n, s.snap_every)
     lo, hi = w[0] - 1e-12, w[1] + 1e-12
     # stored steps: the multiples of snap_every in [0, n], and n itself
     first = max(0, math.ceil(lo / (every * s.dt)))

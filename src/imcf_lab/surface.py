@@ -51,7 +51,6 @@ class GraphSurface:
     grid: SphereGrid
     zeta: np.ndarray
     profile: AmbientProfile
-    time_tag: float = 0.0
 
     def __post_init__(self):
         self.zeta = np.asarray(self.zeta, dtype=float)
@@ -247,15 +246,6 @@ def integrate(geom: SurfaceGeometry, field) -> float:
 def euler_characteristic(geom: SurfaceGeometry) -> float:
     """Gauss-Bonnet estimate (1/2pi) * integral of K."""
     return integrate(geom, geom.K) / (2.0 * np.pi)
-
-
-def grad_pairing(geom: SurfaceGeometry, a_t, a_p, b_t, b_p) -> np.ndarray:
-    """Pointwise <grad a, grad b> for fields given by coordinate partials."""
-    return (
-        geom.g22 * a_t * b_t
-        - geom.g12 * (a_t * b_p + a_p * b_t)
-        + geom.g11 * a_p * b_p
-    ) / geom.det_g
 
 
 def intrinsic_diameter(geom: SurfaceGeometry) -> float:

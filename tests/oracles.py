@@ -6,10 +6,18 @@ position-map derivatives by central finite differences, Christoffel symbols
 by finite differences of the metric, normal by linear algebra.  It shares no
 code path (covariant Hessian, spectral differentiation, shape operator) with
 the implementation it checks.
+
+The weak normal-Ricci pairing integrates the flow's weak identity for
+Rc(nu, nu) against a probe field over the snapshots of a recorded track.
 """
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+
+from imcf_lab.surface import integrate
 
 
 def ambient_metric(profile, y):
@@ -152,3 +160,105 @@ def tabulated_by_inversion(r_nodes, lam_values, s):
     k12 = (1.0 - d1 * d1) / s**2
     rc = -2.0 * d2 / s
     return r, (d1, d2, 2.0 * k12 + 2.0 * rc, rc, k12)
+
+
+def snap_index_of_time(track, t: float) -> int:
+    """Index of the stored snapshot at time t."""
+    j = int(np.argmin(np.abs(track.snap_times - t)))
+    if abs(track.snap_times[j] - t) > 1e-9 * max(1.0, track.T):
+        raise ValueError(f"t = {t:.6g} is not a stored snapshot time")
+    return j
+
+
+def grad_pairing(geom, a_t, a_p, b_t, b_p):
+    """Pointwise <grad a, grad b> for fields given by coordinate partials."""
+    return (
+        geom.g22 * a_t * b_t
+        - geom.g12 * (a_t * b_p + a_p * b_t)
+        + geom.g11 * a_p * b_p
+    ) / geom.det_g
+
+
+@dataclass
+class ProbeField:
+    """Differentiable test function on Sigma x [0, T] with supplied partials."""
+
+    value: Callable    # (theta, phi, t) -> array
+    d_theta: Callable
+    d_phi: Callable
+    d_t: Callable
+
+    @classmethod
+    def constant(cls, c: float = 1.0) -> "ProbeField":
+        f = lambda th, ph, t: np.full_like(th, c)
+        z = lambda th, ph, t: np.zeros_like(th)
+        return cls(value=f, d_theta=z, d_phi=z, d_t=z)
+
+    @classmethod
+    def zonal_cos(cls) -> "ProbeField":
+        z = lambda th, ph, t: np.zeros_like(th)
+        return cls(
+            value=lambda th, ph, t: np.cos(th),
+            d_theta=lambda th, ph, t: -np.sin(th),
+            d_phi=z,
+            d_t=z,
+        )
+
+
+def weak_ricci_pairing(
+    track,
+    psi: ProbeField,
+    a: float,
+    b: float,
+) -> tuple[float, float]:
+    """Both sides of the weak normal-Ricci identity over Sigma x [a, b].
+
+    lhs = int_a^b int 2 psi Rc(nu,nu) dmu dt
+    rhs = int_{Sigma_a} psi H^2 dmu - int_{Sigma_b} psi H^2 dmu
+          + int_a^b int [ 2 psi |grad H|^2/H^2 - 2 <grad psi, grad H>/H
+                          + psi (H^2 - 2|A|^2) + psi_t H^2 ] dmu dt
+
+    The time-derivative term of the test function is part of the identity and
+    is kept (dropping it changes the result for time-dependent psi).  Reads
+    the snapshots of a track from ``imcf.record``.
+    """
+    if not 0.0 <= a < b <= track.T + 1e-12:
+        raise ValueError(f"need 0 <= a < b <= T, got [{a}, {b}]")
+    ja = snap_index_of_time(track, a)
+    jb = snap_index_of_time(track, b)
+    sel = np.arange(ja, jb + 1)
+    t_nodes = track.snap_times[sel]
+
+    grid = track.grid
+    TH = grid.broadcast_theta(grid.theta)
+    PH = np.broadcast_to(grid.phi[None, :], grid.shape)
+
+    lhs_t = np.empty(len(sel))
+    bulk_t = np.empty(len(sel))
+    surf_a = surf_b = 0.0
+    for i, j in enumerate(sel):
+        geom = track.snapshot_geometry(int(j))
+        t = float(track.snap_times[j])
+        p = psi.value(TH, PH, t)
+        p_th = psi.d_theta(TH, PH, t)
+        p_ph = psi.d_phi(TH, PH, t)
+        p_t = psi.d_t(TH, PH, t)
+        lhs_t[i] = integrate(geom, 2.0 * p * geom.Rc_nn)
+        H_th = grid.dtheta(geom.H)
+        H_ph = grid.dphi(geom.H)
+        cross = grad_pairing(geom, p_th, p_ph, H_th, H_ph)
+        bulk = (
+            2.0 * p * geom.grad_H2 / geom.H**2
+            - 2.0 * cross / geom.H
+            + p * (geom.H**2 - 2.0 * geom.absA2)
+            + p_t * geom.H**2
+        )
+        bulk_t[i] = integrate(geom, bulk)
+        if j == ja:
+            surf_a = integrate(geom, p * geom.H**2)
+        if j == jb:
+            surf_b = integrate(geom, p * geom.H**2)
+
+    lhs = float(np.trapezoid(lhs_t, t_nodes))
+    rhs = surf_a - surf_b + float(np.trapezoid(bulk_t, t_nodes))
+    return lhs, rhs

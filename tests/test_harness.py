@@ -19,6 +19,8 @@ from imcf_lab.imcf import record, run
 from imcf_lab.scenario import scenario_from_dict
 from imcf_lab.surface import intrinsic_diameter, make_graph
 
+from .oracles import snap_index_of_time
+
 RBAR = float(np.arcsinh(1.0))
 
 FAST = {"T": 0.25, "dt": 2.5e-3, "grid": {"n_theta": 16, "n_phi": 32},
@@ -92,7 +94,7 @@ def test_row_computes_each_snapshot_diameter_once(monkeypatch):
     measured, tracks = [], []
 
     def diameter(geom):
-        measured.append(geom.surface.time_tag)
+        measured.append(geom.area)
         return real(geom)
 
     def run(*args, **kwargs):
@@ -106,9 +108,9 @@ def test_row_computes_each_snapshot_diameter_once(monkeypatch):
     assert len(measured) == len(set(measured)) == 7
     (track,) = tracks
     for t, d in result.diam.items():
-        assert d == real(track.geometry_at_time(t))
+        assert d == real(track.snapshot_geometry(snap_index_of_time(track, t)))
     for t, d in zip(result.compat_report.diam_times, result.compat_report.diam_values):
-        assert d == real(track.geometry_at_time(t))
+        assert d == real(track.snapshot_geometry(snap_index_of_time(track, t)))
 
 
 def test_run_sequence_rows_and_columns(tmp_path):
@@ -145,6 +147,11 @@ def test_emit_csv_json_plot(tmp_path):
     assert doc["schema"] == "imcf-lab-report/1"
     assert len(doc["rows"]) == 2
     assert "fast.csv" in (tmp_path / "fast.gp").read_text()
+
+
+def test_csv_cells_keep_the_sign_of_an_infinity():
+    assert [harness._fmt(v) for v in (np.inf, -np.inf, np.nan)] == ["inf", "-inf", "nan"]
+    assert [harness._fmt(v) for v in (None, True, 0.1)] == ["", "true", "0.1"]
 
 
 def test_emit_deterministic(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from imcf_lab.ambient import AdSSProfile, HyperbolicProfile
+from imcf_lab import imcf
+from imcf_lab.ambient import AdSSProfile
 from imcf_lab.errors import DomainError, StabilityError
-from imcf_lab.imcf import exact_round_flow, record, run, step
+from imcf_lab.imcf import exact_round_flow, record, run
 from imcf_lab.sphere_grid import get_grid
-from imcf_lab.surface import geometry, make_graph, make_round
+from imcf_lab.surface import make_graph, make_round
 
 RBAR = float(np.arcsinh(1.0))
 
@@ -39,16 +40,15 @@ def test_exact_round_flow_domain_error(adss1):
 
 def test_step_preserves_rotational_symmetry(hyperbolic, grid32):
     surf = make_round(hyperbolic, RBAR, grid32)
-    out = step(hyperbolic, surf, 1e-3)
-    assert np.ptp(out.f) < 1e-12
-    assert out.time_tag == pytest.approx(1e-3)
+    out = record(hyperbolic, surf, T=1e-3, dt=1e-3).snap_f[-1]
+    assert np.ptp(out) < 1e-12
 
 
 def test_step_matches_closed_form(hyperbolic, grid32):
     surf = make_round(hyperbolic, RBAR, grid32)
-    out = step(hyperbolic, surf, 1e-3)
+    out = record(hyperbolic, surf, T=1e-3, dt=1e-3).snap_f[-1]
     s_expected, _ = exact_round_flow(hyperbolic, 1.0, 1e-3)
-    s_got = np.sinh(out.f)
+    s_got = np.sinh(out)
     assert np.max(np.abs(s_got - s_expected)) < 1e-12
 
 
@@ -106,16 +106,18 @@ def test_track_extrema_recorded(hyp_round_track):
     assert abs(hyp_round_track.r0 - 1.0) < 1e-12
 
 
-def test_substep_budget_error(hyperbolic, grid32):
+def test_substep_budget_error(hyperbolic, grid32, monkeypatch):
     surf = make_round(hyperbolic, RBAR, grid32)
+    monkeypatch.setattr(imcf, "MAX_SUBSTEPS", 0)
     with pytest.raises(StabilityError):
-        run(hyperbolic, surf, T=0.01, dt=1e-3, max_substeps=0)
+        run(hyperbolic, surf, T=0.01, dt=1e-3)
 
 
-def test_error_carries_failing_time(hyperbolic, grid32):
+def test_error_carries_failing_time(hyperbolic, grid32, monkeypatch):
     surf = make_round(hyperbolic, RBAR, grid32)
+    monkeypatch.setattr(imcf, "MAX_SUBSTEPS", 0)
     try:
-        run(hyperbolic, surf, T=0.01, dt=1e-3, max_substeps=0)
+        run(hyperbolic, surf, T=0.01, dt=1e-3)
     except StabilityError as exc:
         assert "t =" in str(exc)
     else:
@@ -137,5 +139,5 @@ def test_snapshot_times_span_run(hyperbolic, grid32):
     tr = record(hyperbolic, surf, T=0.1, dt=1e-3, snap_every=7)
     assert tr.snap_times[0] == 0.0
     assert tr.snap_times[-1] == pytest.approx(0.1)
-    geom = tr.geometry_at_time(0.0)
+    geom = tr.snapshot_geometry(0)
     assert abs(geom.area - 4 * np.pi) < 1e-12

@@ -1,0 +1,41 @@
+"""No module imports a name it never uses.
+
+No linter ships with the project, so this scans each module's syntax tree:
+every name an ``import`` binds must be read somewhere in the same file.
+``__init__`` is skipped because its imports would be re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "imcf_lab").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py"))
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_scan_finds_an_unused_import():
+    src = "import ast\nimport json as js\nfrom os import path, sep\n\nprint(js, sep)\n"
+    assert unused_imports(src) == ["line 1: ast", "line 3: path"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -7,16 +7,16 @@ from imcf_lab.ambient import AdSSProfile, MassAspectProfile
 from imcf_lab.errors import FitError
 from imcf_lab.imcf import mean_curvature_average, record, run
 from imcf_lab.mass import (
-    ProbeField,
     diagnostics,
     geroch_identity_residual,
     hawking_mass,
     mass_at_infinity,
     pinch_bounds_check,
-    weak_ricci_pairing,
 )
 from imcf_lab.sphere_grid import get_grid
 from imcf_lab.surface import geometry, make_graph, make_round
+
+from .oracles import ProbeField, weak_ricci_pairing
 
 RBAR = float(np.arcsinh(1.0))
 
@@ -172,8 +172,6 @@ def test_pinch_bounds_graph_gauge_drift_documented(hyperbolic, grid32):
     rep = pinch_bounds_check(tr)
     worst = min(rep.worst_lower, rep.worst_upper)
     assert worst > -0.05  # bounded by O(amplitude), not order unity
-    rep_loose = pinch_bounds_check(tr, tol=0.05)
-    assert rep_loose.n_violations == 0
 
 
 def _area_parameterization(track, snapshots):

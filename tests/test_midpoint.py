@@ -74,7 +74,5 @@ def test_midpoint_leaving_the_domain_fails_the_flow_with_its_time(monkeypatch):
 @pytest.mark.parametrize("cfl", [float("nan"), float("inf"), -0.2])
 def test_unusable_cfl_guard_raises(hyperbolic, cfl):
     surf0 = make_graph(hyperbolic, get_grid(16, 32), float(np.arcsinh(1.0)))
-    with pytest.raises(StabilityError, match="degenerate CFL guard"):
-        imcf.step(hyperbolic, surf0, 0.01, cfl=cfl)
     with pytest.raises(StabilityError, match=r"^at t = 0\.01: degenerate CFL guard"):
         imcf.run(hyperbolic, surf0, T=0.01, dt=0.01, cfl=cfl)

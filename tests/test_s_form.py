@@ -65,8 +65,12 @@ def test_s_form_geometry_matches_r_path(kind, shape):
     grid = get_grid(*shape)
     # a tabulated warp is a cubic spline, so zeta = lambda(f) is only C^2
     # across its knots and its spectral derivatives converge at the knot
-    # spacing (checked below) instead of spectrally
-    tol, tol_small = (1e-8, 1e-5) if kind == "tabulated" else (1e-9, 1e-6)
+    # spacing (checked below) instead of spectrally.  The other kinds' worst
+    # gaps are 1.4e-11 to 4.0e-11 at 32x64 and 4.5e-10 to 6.5e-10 at 64x128.
+    if kind == "tabulated":
+        tol, tol_small = 1e-8, 1e-5
+    else:
+        tol, tol_small = (1e-10 if shape == (32, 64) else 1e-9), 1e-6
     for formula in FORMULAS:
         geom, ref = _geometries(profile, s0, grid, formula)
         for name in FIELDS:

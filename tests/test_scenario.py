@@ -6,7 +6,6 @@ import math
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

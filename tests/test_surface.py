@@ -9,14 +9,13 @@ from imcf_lab.sphere_grid import get_grid
 from imcf_lab.surface import (
     euler_characteristic,
     geometry,
-    grad_pairing,
     integrate,
     intrinsic_diameter,
     make_graph,
     make_round,
 )
 
-from .oracles import embedding_mean_curvature
+from .oracles import embedding_mean_curvature, grad_pairing
 
 RBAR = float(np.arcsinh(1.0))
 
