@@ -1,9 +1,12 @@
 """Command line entry point.
 
-    imcf-lab run <scenario-file> [--out DIR] [--format csv,json,plot]
-                 [--workers N] [--seed-grid NTHETAxNPHI] [--dt X] [--quiet]
+    imcf-lab run <scenario-file> [--out DIR] [--workers N]
+                 [--seed-grid NTHETAxNPHI] [--dt X] [--quiet]
     imcf-lab verify <scenario-file>
     imcf-lab oracle
+
+``run`` always writes all three reports to the output directory: <id>.csv,
+<id>.json and the gnuplot script <id>.gp.
 
 Exit codes: 0 success, 1 scenario error (one line: the file does not parse,
 breaks the schema, or its profiles or initial surfaces cannot be built),
@@ -33,9 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario and emit reports")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument(
-        "--format", default="csv,json,plot", help="comma list of csv,json,plot"
-    )
     run_p.add_argument("--workers", type=int, default=1, help="row worker budget")
     run_p.add_argument(
         "--seed-grid", default=None, metavar="NxM", help="override grid, e.g. 64x128"
@@ -51,13 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    # checked first: a bad format would otherwise be found only after the sweep
-    formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-    bad = set(formats) - {"csv", "json", "plot"}
-    if bad or not formats:
-        print(f"unknown format(s): {sorted(bad)}" if bad else "--format lists no format",
-              file=sys.stderr)
-        return 1
     scn = load_scenario(args.scenario)
     if args.seed_grid:
         try:
@@ -80,7 +73,7 @@ def _cmd_run(args) -> int:
 
     out_dir = args.out if args.out is not None else scn.out
     try:
-        written = emit(report, formats=formats, out_dir=out_dir)
+        written = emit(report, out_dir=out_dir)
     except OSError as exc:
         print(f"IO failure: {exc}", file=sys.stderr)
         return 3

@@ -330,7 +330,8 @@ class SampleAccumulator(SnapshotAccumulator):
 
 
 def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
-    """Flow one scenario row, streaming every enabled check through the flow.
+    """Flow one scenario row, streaming every check through the flow; the
+    scenario's ``checks`` can turn off only compatibility and pinching.
 
     Each check's accumulator sees the flow's own geometry at the stored
     snapshots, so no geometry is rebuilt after the flow and the row keeps no
@@ -346,26 +347,22 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
         times, snap_indices = time_grid(scn.T, scn.dt, scn.snap_every)
         snap_times = times[snap_indices]
         # each t-sample's record reads every column at its nearest snapshot
-        snap_of = {
-            t: int(np.argmin(np.abs(snap_times - t))) for t in scn.resolved_t_samples()
-        }
+        snap_of = {t: int(np.argmin(np.abs(snap_times - t))) for t in scn.t_samples}
         result.sample_steps = {t: int(snap_indices[j]) for t, j in snap_of.items()}
-        compat = pinch = chain = samples = None
+        compat = pinch = None
         diameters = {}
         if scn.checks["compat"]:
-            a, b = scn.resolved_compat_window()
+            a, b = scn.compat_window
             compat = CompatAccumulator(grid, snap_times, scn.T, a, b, diameters=diameters)
         if scn.checks["pinch"]:
             pinch = mass.PinchAccumulator(snap_times, grid.shape)
-        if scn.checks["distances"]:
-            chain = comparison.ChainAccumulator(snap_times, mode=scn.mode, m=scn.m)
-            samples = SampleAccumulator(snap_of, diameters)
+        chain = comparison.ChainAccumulator(snap_times, mode=scn.mode, m=scn.m)
+        samples = SampleAccumulator(snap_of, diameters)
         track = run(
             row.profile,
             row.surface0,
             T=scn.T,
             dt=scn.dt,
-            cfl=scn.cfl,
             snap_every=scn.snap_every,
             observers=[
                 acc.observe for acc in (compat, pinch, chain, samples) if acc is not None
@@ -374,22 +371,18 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
         result.diag = mass.diagnostics(track)
         result.mH_T = float(track.series.m_H[-1])
 
-        if scn.checks["class"]:
-            result.class_report = check_class_membership(
-                track, scalar_floor_ok=profile_report.passed
-            )
+        result.class_report = check_class_membership(track, scalar_floor_ok=profile_report.passed)
         if compat is not None:
             result.compat_report = compat.result(track.series)
         if pinch is not None:
             result.pinch_pass = pinch.result().n_violations == 0
-        if scn.checks["mass_at_infinity"] and scn.T >= 2.0:
+        if scn.T >= 2.0:
             try:
                 result.mH_inf = mass.mass_at_infinity(track.times, track.series.m_H)
             except FitError:
                 result.mH_inf = None
-        if chain is not None:
-            result.distances = chain.result()
-            result.c_alpha, result.gauss_dev, result.diam = samples.result()
+        result.distances = chain.result()
+        result.c_alpha, result.gauss_dev, result.diam = samples.result()
     except Exception as exc:
         result.ok = False
         result.error = f"{type(exc).__name__}: {exc}"
@@ -433,7 +426,7 @@ def table_rows(report: ReportTable) -> list[dict]:
             "pinch_pass": rr.pinch_pass,
             "row_ok": rr.ok,
         }
-        for t in scn.resolved_t_samples():
+        for t in scn.t_samples:
             rec = {name: None for name in CSV_COLUMNS}
             rec["scenario_id"] = scn.id
             rec["eps"] = rr.eps
@@ -457,65 +450,51 @@ def table_rows(report: ReportTable) -> list[dict]:
     return out
 
 
-def emit(report: ReportTable, formats=("csv", "json", "plot"), out_dir="out") -> list[Path]:
-    """Write the report in the requested formats; returns written paths."""
+def emit(report: ReportTable, out_dir="out") -> list[Path]:
+    """Write ``<id>.csv``, ``<id>.json`` and the gnuplot script ``<id>.gp``;
+    returns their paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     base = report.scenario.id
     recs = table_rows(report)
+    csv_path, json_path, plot_path = (out_dir / f"{base}.{ext}" for ext in ("csv", "json", "gp"))
 
-    if "csv" in formats:
-        path = out_dir / f"{base}.csv"
-        lines = [",".join(CSV_COLUMNS)]
-        for rec in recs:
-            lines.append(",".join(_fmt(rec[c]) for c in CSV_COLUMNS))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+    lines = [",".join(CSV_COLUMNS)]
+    for rec in recs:
+        lines.append(",".join(_fmt(rec[c]) for c in CSV_COLUMNS))
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    if "json" in formats:
-        path = out_dir / f"{base}.json"
-        doc = {
-            "schema": JSON_SCHEMA,
-            "scenario": _scenario_echo(report.scenario),
-            "rows": [
-                {
-                    "label": rr.label,
-                    "eps": rr.eps,
-                    "ok": rr.ok,
-                    "error": rr.error,
-                    "mH_T": rr.mH_T,
-                    "mH_inf": rr.mH_inf,
-                    "c_alpha": rr.c_alpha,
-                    "distances": rr.distances,
-                    "gauss_dev": {str(k): v for k, v in rr.gauss_dev.items()},
-                    "diam": {str(k): v for k, v in rr.diam.items()},
-                    "class_report": _dataclass_echo(rr.class_report),
-                    "compat_report": _dataclass_echo(rr.compat_report),
-                    "pinch_pass": rr.pinch_pass,
-                }
-                for rr in report.rows
-            ],
-            "table": recs,
-        }
-        path.write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        written.append(path)
+    doc = {
+        "schema": JSON_SCHEMA,
+        "scenario": _scenario_echo(report.scenario),
+        "rows": [
+            {
+                "label": rr.label,
+                "eps": rr.eps,
+                "ok": rr.ok,
+                "error": rr.error,
+                "mH_T": rr.mH_T,
+                "mH_inf": rr.mH_inf,
+                "c_alpha": rr.c_alpha,
+                "distances": rr.distances,
+                "gauss_dev": {str(k): v for k, v in rr.gauss_dev.items()},
+                "diam": {str(k): v for k, v in rr.diam.items()},
+                "class_report": _dataclass_echo(rr.class_report),
+                "compat_report": _dataclass_echo(rr.compat_report),
+                "pinch_pass": rr.pinch_pass,
+            }
+            for rr in report.rows
+        ],
+        "table": recs,
+    }
+    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    if "plot" in formats:
-        path = out_dir / f"{base}.gp"
-        path.write_text(_plot_script(base), encoding="utf-8")
-        written.append(path)
-    return written
+    plot_path.write_text(_plot_script(base), encoding="utf-8")
+    return [csv_path, json_path, plot_path]
 
 
 def _scenario_echo(scn: Scenario) -> dict:
-    echo = dict(scn.__dict__)
-    echo["t_samples"] = scn.resolved_t_samples()
-    echo["compat_window"] = list(scn.resolved_compat_window())
-    return echo
+    return dict(scn.__dict__)
 
 
 def _dataclass_echo(obj):

@@ -33,7 +33,7 @@ the snapshots is one more observer, ``SnapshotRecorder``: ``record`` is
 snapshot's geometry from its stored zeta).
 
 Stability: each recorded step of size dt is internally split into substeps
-obeying the parabolic guard dt <= cfl * h_theta^2 * min(H)^2 * min(lambda)^2
+obeying the parabolic guard dt <= CFL * h_theta^2 * min(H)^2 * min(lambda)^2
 (the linearized flow diffuses with coefficient 1/(H lambda)^2; a guard that is
 not finite and positive raises ``StabilityError``), and the grid's
 polar azimuthal filter removes the sub-grid polar modes that an explicit
@@ -42,6 +42,7 @@ scheme cannot propagate.  Recorded times stay on the uniform grid t_k = k dt.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
@@ -64,6 +65,9 @@ Observer = Callable[[int, float, SurfaceGeometry, np.ndarray, np.ndarray], None]
 
 # a recorded step that needs more substeps than this raises StabilityError
 MAX_SUBSTEPS = 500_000
+
+# parabolic CFL factor of the substep guard
+CFL = 0.2
 
 
 @dataclass
@@ -194,13 +198,20 @@ def snap_interval(n_steps: int, snap_every: int | None) -> int:
     return max(1, n_steps // 400) if snap_every is None else snap_every
 
 
+def step_count(T: float, dt: float) -> int | None:
+    """N = T/dt, or None unless T/dt is finite and whole (to 1e-9 relative)."""
+    n = T / dt
+    if not np.isfinite(n) or abs(n - round(n)) > 1e-9 * max(1.0, n):
+        return None
+    return round(n)
+
+
 def time_grid(T: float, dt: float, snap_every: int | None = None):
     """Recorded times t_k = k dt on [0, T] and the indices k stored as snapshots."""
     if T <= 0:
         raise ValueError("T must be positive")
-    n_float = T / dt
-    N = int(round(n_float))
-    if N < 1 or abs(n_float - N) > 1e-9 * max(1.0, n_float):
+    N = step_count(T, dt)
+    if N is None or N < 1:
         raise ValueError(f"dt = {dt} does not divide T = {T}")
     times = dt * np.arange(N + 1)
     snap_set = set(range(0, N + 1, snap_interval(N, snap_every)))
@@ -224,7 +235,6 @@ def run(
     surface0: GraphSurface,
     T: float,
     dt: float,
-    cfl: float = 0.2,
     snap_every: int | None = None,
     observers: Sequence[Observer] = (),
 ) -> FlowTrack:
@@ -247,7 +257,8 @@ def run(
     P2 = np.zeros(grid.shape)
     rate1_prev = rate2_prev = None
 
-    geom = geometry(profile, GraphSurface(grid, grid.polar_filter(surface0.zeta), profile))
+    with _at_time(0.0):
+        geom = geometry(profile, GraphSurface(grid, grid.polar_filter(surface0.zeta), profile))
     r0 = area_radius(geom)
     for k in range(N + 1):
         t_k = times[k]
@@ -265,10 +276,8 @@ def run(
                 observe(snap_pos[k], float(t_k), geom, P1, P2)
 
         if k < N:
-            try:
-                geom = _advance(geom, t_k, dt, cfl)
-            except ImcfLabError as exc:
-                raise type(exc)(f"at t = {t_k + dt:.6g}: {exc}") from exc
+            with _at_time(t_k + dt):
+                geom = _advance(geom, t_k, dt)
 
     # one inversion of the per-step extremes of zeta, since r is monotone in s
     series.r_min, series.r_max = profile.radius_from_area_radius(
@@ -312,7 +321,6 @@ def record(
     surface0: GraphSurface,
     T: float,
     dt: float,
-    cfl: float = 0.2,
     snap_every: int | None = None,
     observers: Sequence[Observer] = (),
 ) -> FlowTrack:
@@ -322,7 +330,7 @@ def record(
     n_snap = len(time_grid(T, dt, snap_every)[1])
     rec = SnapshotRecorder(n_snap, surface0.grid.shape)
     track = run(
-        profile, surface0, T, dt, cfl=cfl, snap_every=snap_every,
+        profile, surface0, T, dt, snap_every=snap_every,
         observers=[rec.observe, *observers],
     )
     return replace(track, snap_zeta=rec.zeta, snap_P1=rec.P1, snap_P2=rec.P2)
@@ -331,17 +339,26 @@ def record(
 # -- internals -----------------------------------------------------------------
 
 
+@contextmanager
+def _at_time(t: float):
+    """Prefix the message of a breakdown inside the block with the flow time t."""
+    try:
+        yield
+    except ImcfLabError as exc:
+        raise type(exc)(f"at t = {t:.6g}: {exc}") from exc
+
+
 def _rhs(geom: SpeedGeometry, tau: float) -> np.ndarray:
     # d zeta / d tau along IMCF in the exponential time variable
     return (2.0 / tau) * geom.dlam * geom.v / geom.H
 
 
-def _guard(grid: SphereGrid, geom: SurfaceGeometry, cfl: float) -> float:
+def _guard(grid: SphereGrid, geom: SurfaceGeometry) -> float:
     scale = float(np.min(geom.H) ** 2 * np.min(geom.lam) ** 2)
-    return cfl * grid.h_theta**2 * scale
+    return CFL * grid.h_theta**2 * scale
 
 
-def _advance(geom, t, dt, cfl):
+def _advance(geom, t, dt):
     """Substep geom's surface from t to t + dt; returns the geometry at t + dt."""
     grid, profile, zeta = geom.grid, geom.surface.profile, geom.surface.zeta
     t_end = t + dt
@@ -349,7 +366,7 @@ def _advance(geom, t, dt, cfl):
     n_sub = 0
     while True:
         remaining = t_end - t_cur
-        guard = _guard(grid, geom, cfl)
+        guard = _guard(grid, geom)
         # tested before the min: min(remaining, nan) is remaining
         if not (guard > 0 and np.isfinite(guard)):
             raise StabilityError(f"degenerate CFL guard ({guard}) at t = {t_cur:.6g}")

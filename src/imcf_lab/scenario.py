@@ -39,7 +39,7 @@ from .ambient import (
     horizon_radius,
 )
 from .errors import ParseError, ValidationError
-from .imcf import FlowSeries, snap_interval
+from .imcf import FlowSeries, snap_interval, step_count
 from .sphere_grid import get_grid
 from .surface import GraphSurface, make_graph
 
@@ -83,11 +83,8 @@ _SURFACE = (
     Field("amplitude", "number", 0.0, "graph amplitude (sweeps derive it from eps)"),
 )
 _CHECKS = (
-    Field("class", "boolean", True, "flow-class membership"),
     Field("compat", "boolean", True, "coordinate compatibility over `compat_window`"),
     Field("pinch", "boolean", True, "pinching bounds"),
-    Field("distances", "boolean", True, "L^2 distance chain, Holder and Gauss deviations, diameters"),
-    Field("mass_at_infinity", "boolean", True, "tail fit of m_H (runs only when T >= 2)"),
 )
 _PROFILES = {
     "hyperbolic": (
@@ -128,7 +125,6 @@ FIELDS = (
           "(default: [T/2, T])"),
     Field("checks", "object", {}, "check toggles", fields=_CHECKS),
     Field("amplitude_factor", "number", 0.5, "combined family: surface amplitude = factor * eps", ">= 0"),
-    Field("cfl", "number", 0.2, "parabolic CFL factor of the substeps", "> 0"),
     Field("snap_every", "integer", None, "snapshot interval in steps (default: about 400 snapshots)",
           ">= 1"),
     Field("out", "string", "out", "output directory when `--out` is not given"),
@@ -200,24 +196,19 @@ class ScenarioRow:
 
 class Scenario:
     """A checked scenario: one attribute per key of ``FIELDS``, with ``grid``
-    spread into ``n_theta`` and ``n_phi``.  ``profile`` and ``surface`` keep
-    the form they were written in (reports echo them); their defaults are
-    filled where the rows are built."""
+    spread into ``n_theta`` and ``n_phi`` and the defaults of ``t_samples`` and
+    ``compat_window`` filled in from T.  ``profile`` and ``surface`` keep the
+    form they were written in (reports echo them); ``rows`` fills their defaults."""
 
     def __init__(self, **values):
         self.__dict__.update(values)
+        T = self.T
+        if self.t_samples is None:
+            self.t_samples = [0.0, 0.25 * T, 0.5 * T, 0.75 * T, T]
+        window = self.compat_window if self.compat_window is not None else (0.5 * T, T)
+        self.compat_window = [float(x) for x in window]
 
     # -- derived -------------------------------------------------------------
-
-    def resolved_t_samples(self) -> list:
-        if self.t_samples is not None:
-            return list(self.t_samples)
-        return [0.0, 0.25 * self.T, 0.5 * self.T, 0.75 * self.T, self.T]
-
-    def resolved_compat_window(self) -> tuple[float, float]:
-        if self.compat_window is not None:
-            return (float(self.compat_window[0]), float(self.compat_window[1]))
-        return (0.5 * self.T, self.T)
 
     @property
     def resolved_family(self) -> str:
@@ -319,9 +310,9 @@ class Scenario:
 
 
 def _whole_steps(s: Scenario) -> bool:
-    n = s.T / s.dt
+    n = step_count(s.T, s.dt)
     # the mass derivative's one-sided difference needs three samples
-    return math.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, n) and round(n) >= 2
+    return n is not None and n >= 2
 
 
 def _s_domain_tabulable(s: Scenario) -> bool:
@@ -341,10 +332,9 @@ _WORK_ARRAYS = 64
 def _fits_in_memory(s: Scenario) -> bool:
     """A row's bytes, estimated from the inputs before anything is allocated,
     fit in the machine's physical memory."""
-    steps = s.T / s.dt
-    if not math.isfinite(steps):
+    n = step_count(s.T, s.dt)
+    if n is None:
         return True  # _whole_steps reports it
-    n = round(steps)
     n_snap = n // snap_interval(n, s.snap_every) + 2
     nodes = s.n_theta * s.n_phi
     n_series = len(dataclass_fields(FlowSeries)) - 1  # the arrays ``run`` allocates
@@ -362,10 +352,10 @@ def _in_flow(s: Scenario, ts) -> bool:
 def _compat_window_filled(s: Scenario) -> bool:
     """The compat window holds the 3 stored times its time derivative needs,
     counted as ``harness._window`` selects them, without building the grid."""
-    w = s.compat_window or (0.5 * s.T, s.T)
+    w = s.compat_window
     if not (s.checks["compat"] and _whole_steps(s) and len(w) == 2 and w[0] < w[1]):
         return True  # off, or another rule reports it
-    n = round(s.T / s.dt)
+    n = step_count(s.T, s.dt)
     every = snap_interval(n, s.snap_every)
     lo, hi = w[0] - 1e-12, w[1] + 1e-12
     # stored steps: the multiples of snap_every in [0, n], and n itself
@@ -386,9 +376,9 @@ RULES = (
     ("T = {s.T!r} carries the flow's area radius 1.3 s0 (1 + |amplitude|) e^(T/2) past "
      f"{S_TABULATED_MAX:g}, the largest a profile is tabulated to", _s_domain_tabulable),
     ("t_samples must be a nonempty list of times in [0, T], got {s.t_samples!r}",
-     lambda s: s.t_samples is None or _in_flow(s, s.t_samples)),
+     lambda s: _in_flow(s, s.t_samples)),
     ("compat_window must be [a, b] with 0 <= a < b <= T, got {s.compat_window!r}",
-     lambda s: (w := s.compat_window) is None or len(w) == 2 and w[0] < w[1] and _in_flow(s, w)),
+     lambda s: len(w := s.compat_window) == 2 and w[0] < w[1] and _in_flow(s, w)),
     ("grid, T/dt and snap_every ask for more memory per row than this machine has", _fits_in_memory),
     ("compat_window (default [T/2, T]) holds fewer than 3 stored times; lower snap_every or "
      "widen the window", _compat_window_filled),

@@ -61,11 +61,6 @@ class GraphSurface:
         if np.any(self.zeta <= 0.0) or not np.all(np.isfinite(self.zeta)):
             raise GeometryError("graph area radii must be finite and positive")
 
-    @property
-    def f(self) -> np.ndarray:
-        """The graph's radii r = lambda^{-1}(zeta)."""
-        return self.profile.radius_from_area_radius(self.zeta)
-
 
 @dataclass
 class SpeedGeometry:

@@ -368,8 +368,8 @@ def test_coordinate_compatibility(hyp_track, hyp_track_refined, hyp_track_T10):
 def test_determinism_cli(tmp_path):
     scenario = "scenarios/hyperbolic_round.json"
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli_main(["run", scenario, "--out", str(out_a), "--quiet", "--format", "csv"]) == 0
-    assert cli_main(["run", scenario, "--out", str(out_b), "--quiet", "--format", "csv"]) == 0
+    assert cli_main(["run", scenario, "--out", str(out_a), "--quiet"]) == 0
+    assert cli_main(["run", scenario, "--out", str(out_b), "--quiet"]) == 0
     same = (out_a / "hyperbolic-round.csv").read_bytes() == (
         out_b / "hyperbolic-round.csv"
     ).read_bytes()

@@ -1,5 +1,8 @@
+import argparse
 import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,7 @@ FAST_DOC = {
     "T": 0.25,
     "dt": 2.5e-3,
     "grid": {"n_theta": 16, "n_phi": 32},
-    "checks": {"mass_at_infinity": False, "compat": False},
+    "checks": {"compat": False},
 }
 
 
@@ -58,20 +61,12 @@ def test_run_writes_outputs(tmp_path):
     assert (out / "cli-fast.gp").exists()
 
 
-def test_run_format_selection(tmp_path):
-    p = _write(tmp_path, FAST_DOC)
-    out = tmp_path / "только_csv"
-    assert main(["run", str(p), "--out", str(out), "--format", "csv", "--quiet"]) == 0
-    assert (out / "cli-fast.csv").exists()
-    assert not (out / "cli-fast.json").exists()
-
-
 def test_run_grid_and_dt_overrides(tmp_path):
     p = _write(tmp_path, FAST_DOC)
     out = tmp_path / "out2"
     code = main([
         "run", str(p), "--out", str(out), "--seed-grid", "8x16",
-        "--dt", "0.00625", "--quiet", "--format", "csv",
+        "--dt", "0.00625", "--quiet",
     ])
     assert code == 0
 
@@ -99,8 +94,8 @@ def test_run_solver_failure_exit_code(tmp_path):
 def test_run_deterministic_csv(tmp_path):
     p = _write(tmp_path, FAST_DOC)
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", str(p), "--out", str(a), "--quiet", "--format", "csv"]) == 0
-    assert main(["run", str(p), "--out", str(b), "--quiet", "--format", "csv"]) == 0
+    assert main(["run", str(p), "--out", str(a), "--quiet"]) == 0
+    assert main(["run", str(p), "--out", str(b), "--quiet"]) == 0
     assert (a / "cli-fast.csv").read_bytes() == (b / "cli-fast.csv").read_bytes()
 
 
@@ -123,7 +118,7 @@ def _doc_with(field, value):
 @pytest.mark.parametrize(
     "field, value",
     [("T", float("nan")), ("dt", float("nan")), ("snap_every", 2.5),
-     ("cfl", float("nan")), ("cfl", float("inf")),
+     ("cfl", 0.2), ("cfl", 0.05),  # the CFL factor is the constant imcf.CFL
      ("grid.n_theta", float("nan")), ("grid.n_theta", 16.5), ("checks.pinch", "no"),
      ("surface.area_radius", "1"), ("surface.amplitude", "0.1"),
      ("m", "1"), ("profile", {"kind": "adss"}),
@@ -233,30 +228,6 @@ def test_a_dipping_tabulated_spline_is_a_scenario_error(tmp_path, capsys, comman
     assert not (tmp_path / "o").exists()
 
 
-def test_bad_format_is_rejected_before_the_sweep(tmp_path, capsys, monkeypatch):
-    def run_sequence(*args, **kwargs):
-        raise RuntimeError("the sweep ran")
-
-    monkeypatch.setattr(cli, "run_sequence", run_sequence)
-    p = _write(tmp_path, FAST_DOC)
-    out = tmp_path / "o"
-    assert main(["run", str(p), "--out", str(out), "--format", "csv,pdf"]) == 1
-    assert "'pdf'" in _one_line(capsys, "unknown format(s): ")
-    assert not out.exists()
-
-
-def test_an_empty_format_list_is_rejected_before_the_sweep(tmp_path, capsys, monkeypatch):
-    def run_sequence(*args, **kwargs):
-        raise RuntimeError("the sweep ran")
-
-    monkeypatch.setattr(cli, "run_sequence", run_sequence)
-    p = _write(tmp_path, FAST_DOC)
-    out = tmp_path / "o"
-    assert main(["run", str(p), "--out", str(out), "--format", ","]) == 1
-    _one_line(capsys, "--format lists no format")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("bad_id", ["../escaped", "it's", ".hidden", "a/b", ""])
 def test_an_id_that_is_not_a_plain_file_name_is_a_scenario_error(tmp_path, capsys, bad_id):
     """The id names the report files: one that leaves --out or needs quoting
@@ -266,3 +237,20 @@ def test_an_id_that_is_not_a_plain_file_name_is_a_scenario_error(tmp_path, capsy
     assert main(["run", str(p), "--out", str(out), "--quiet"]) == 1
     assert "not starting with ." in _one_line(capsys, "scenario error: id must be ")
     assert not (tmp_path / "o").exists()
+
+
+def _run_options(text):
+    """The options in the ``imcf-lab run`` synopsis of ``text``."""
+    synopsis = text.split("imcf-lab run ")[1].split("imcf-lab verify")[0]
+    return sorted(set(re.findall(r"--[a-z-]+", synopsis)))
+
+
+def test_run_synopsis_lists_the_parser_options():
+    """The README and the cli docstring show exactly the options ``run`` takes."""
+    (sub,) = (a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = sorted(
+        o for a in sub.choices["run"]._actions for o in a.option_strings if o not in ("-h", "--help")
+    )
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    assert _run_options(readme.split("## Command line")[1]) == options
+    assert _run_options(cli.__doc__) == options

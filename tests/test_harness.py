@@ -24,7 +24,7 @@ from .oracles import snap_index_of_time
 RBAR = float(np.arcsinh(1.0))
 
 FAST = {"T": 0.25, "dt": 2.5e-3, "grid": {"n_theta": 16, "n_phi": 32},
-        "checks": {"mass_at_infinity": False, "compat": False}}
+        "checks": {"compat": False}}
 
 
 def _fast_scenario(**over):
@@ -89,7 +89,7 @@ def test_compat_window_error(hyp_round_track):
 def test_row_computes_each_snapshot_diameter_once(monkeypatch):
     """The t-samples {0, T/4, T/2, 3T/4, T} and the compat picks over
     [T/2, T] share T/2, 3T/4 and T: 7 distinct snapshots, 7 diameters."""
-    scn = _fast_scenario(epsilons=[0.0], checks={"mass_at_infinity": False})
+    scn = _fast_scenario(epsilons=[0.0], checks={})
     real = harness.intrinsic_diameter
     measured, tracks = [], []
 
@@ -119,7 +119,7 @@ def test_run_sequence_rows_and_columns(tmp_path):
     assert [r.eps for r in report.rows] == [0.1, 0.0]
     assert all(r.ok for r in report.rows)
     recs = table_rows(report)
-    assert len(recs) == 2 * len(scn.resolved_t_samples())
+    assert len(recs) == 2 * len(scn.t_samples)
     assert list(recs[0]) == list(CSV_COLUMNS)
 
 
@@ -142,7 +142,7 @@ def test_emit_csv_json_plot(tmp_path):
     csv_text = (tmp_path / "fast.csv").read_text()
     lines = csv_text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 1 + 2 * len(scn.resolved_t_samples())
+    assert len(lines) == 1 + 2 * len(scn.t_samples)
     doc = json.loads((tmp_path / "fast.json").read_text())
     assert doc["schema"] == "imcf-lab-report/1"
     assert len(doc["rows"]) == 2
@@ -208,7 +208,7 @@ def test_record_reads_every_column_at_one_snapshot():
     doc = {"id": "x", "profile": {"kind": "hyperbolic"},
            "surface": {"type": "p2", "amplitude": 0.05}, "T": 0.2, "dt": 0.001,
            "snap_every": 5, "t_samples": [0, 0.0123, 0.2],
-           "grid": {"n_theta": 16, "n_phi": 32}, "checks": {"mass_at_infinity": False}}
+           "grid": {"n_theta": 16, "n_phi": 32}}
     scn = scenario_from_dict(doc)
     rec = next(r for r in table_rows(run_sequence(scn)) if r["t"] == 0.0123)
     row = scn.rows()[0]

@@ -60,8 +60,12 @@ def test_run_area_law_round(hyp_round_track):
 
 def test_run_rejects_nondividing_dt(hyperbolic, grid32):
     surf = make_round(hyperbolic, RBAR, grid32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not divide"):
         run(hyperbolic, surf, T=1.0, dt=3e-4)
+    # an overflowing or NaN T/dt, and a whole T/dt below one step
+    for T, dt in [(1e308, 1e-308), (2.0, float("nan")), (1e-12, 1.0)]:
+        with pytest.raises(ValueError, match="does not divide"):
+            imcf.time_grid(T, dt)
 
 
 def test_monotone_expansion(hyp_round_track):

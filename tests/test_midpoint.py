@@ -71,8 +71,16 @@ def test_midpoint_leaving_the_domain_fails_the_flow_with_its_time(monkeypatch):
     assert [type(e) for e in raised] == [DomainError]
 
 
+def test_a_breakdown_on_the_initial_surface_says_t_0(hyperbolic):
+    """A bumpy graph of amplitude 0.5 has H < 0 before the flow takes a step."""
+    surf0 = make_graph(hyperbolic, get_grid(16, 32), float(np.arcsinh(1.0)), "bumpy", 0.5)
+    with pytest.raises(CurvatureError, match=r"^at t = 0: mean curvature nonpositive"):
+        imcf.run(hyperbolic, surf0, T=0.04, dt=0.01)
+
+
 @pytest.mark.parametrize("cfl", [float("nan"), float("inf"), -0.2])
-def test_unusable_cfl_guard_raises(hyperbolic, cfl):
+def test_unusable_cfl_guard_raises(hyperbolic, monkeypatch, cfl):
+    monkeypatch.setattr(imcf, "CFL", cfl)
     surf0 = make_graph(hyperbolic, get_grid(16, 32), float(np.arcsinh(1.0)))
     with pytest.raises(StabilityError, match=r"^at t = 0\.01: degenerate CFL guard"):
-        imcf.run(hyperbolic, surf0, T=0.01, dt=0.01, cfl=cfl)
+        imcf.run(hyperbolic, surf0, T=0.01, dt=0.01)

@@ -25,7 +25,8 @@ def test_minimal_scenario_defaults():
     assert scn.n_theta == 64 and scn.n_phi == 128
     assert scn.dt == 1e-3
     assert scn.T == 2.0
-    assert scn.resolved_t_samples() == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert scn.t_samples == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert scn.compat_window == [1.0, 2.0]
     rows = scn.rows()
     assert len(rows) == 1 and rows[0].eps is None
 

@@ -23,7 +23,7 @@ from imcf_lab.sphere_grid import get_grid
 from imcf_lab.surface import intrinsic_diameter
 
 GRID32 = {"n_theta": 32, "n_phi": 64}
-BASE = {"T": 0.2, "dt": 1e-3, "grid": GRID32, "checks": {"mass_at_infinity": False}}
+BASE = {"T": 0.2, "dt": 1e-3, "grid": GRID32}
 DOCS = {
     "hyperbolic-round": {
         "mode": "PMT",
@@ -102,7 +102,7 @@ def test_row_makes_only_the_flows_geometry_calls(streamed_row):
 
 def test_streamed_checks_match_replay(streamed_row):
     scn, result, track, _ = streamed_row
-    a, b = scn.resolved_compat_window()
+    a, b = scn.compat_window
     replayed = harness.check_coordinate_compatibility(track, a, b)
     streamed = result.compat_report
     assert _close(streamed.w12_ricci, replayed.w12_ricci)
@@ -114,8 +114,8 @@ def test_streamed_checks_match_replay(streamed_row):
 
     geom0 = track.snapshot_geometry(0)
     assert _close(result.c_alpha, c_alpha_distance_to_round(geom0, r0=track.r0))
-    assert list(result.gauss_dev) == scn.resolved_t_samples()
-    for t in scn.resolved_t_samples():
+    assert list(result.gauss_dev) == scn.t_samples
+    for t in scn.t_samples:
         j = int(np.argmin(np.abs(track.snap_times - t)))
         geom = track.snapshot_geometry(j)
         ref = gauss_deviation(geom, track.r0, float(track.snap_times[j]))
@@ -194,7 +194,7 @@ FAST_DOC = {
     "T": 0.25,
     "dt": 2.5e-3,
     "grid": {"n_theta": 16, "n_phi": 32},
-    "checks": {"mass_at_infinity": False, "compat": False},
+    "checks": {"compat": False},
 }
 
 
@@ -227,7 +227,7 @@ def test_check_error_is_raised_after_the_flow_in_check_order():
     earlier checks keep their results and later ones are not reported.  The
     scenario rules reject this window up front, so it is set after the row
     is built, to reach the compatibility check's own guard."""
-    scn = scenario_from_dict(dict(FAST_DOC, epsilons=[0.0], checks={"mass_at_infinity": False}))
+    scn = scenario_from_dict(dict(FAST_DOC, epsilons=[0.0], checks={}))
     (built,) = scn.rows()
     scn.compat_window = [0.1, 0.1001]
     with pytest.raises(ValidationError, match="fewer than 3 stored times"):
@@ -246,7 +246,7 @@ def test_cli_exits_2_when_a_check_raises(monkeypatch, tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(FAST_DOC), encoding="utf-8")
     out = tmp_path / "out"
-    assert cli_main(["run", str(path), "--out", str(out), "--quiet", "--format", "csv"]) == 2
+    assert cli_main(["run", str(path), "--out", str(out), "--quiet"]) == 2
     lines = (out / "raising-check.csv").read_text().strip().split("\n")
     # both rows are reported; the failed one carries no numbers
     assert len(lines) == 1 + 2 * 5
