@@ -1,7 +1,6 @@
 """Command line entry point.
 
-    imcf-lab run <scenario-file> [--out DIR] [--workers N]
-                 [--seed-grid NTHETAxNPHI] [--dt X] [--quiet]
+    imcf-lab run <scenario-file> [--out DIR] [--workers N] [--quiet]
     imcf-lab verify <scenario-file>
     imcf-lab oracle
 
@@ -37,10 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--out", default=None, help="output directory")
     run_p.add_argument("--workers", type=int, default=1, help="row worker budget")
-    run_p.add_argument(
-        "--seed-grid", default=None, metavar="NxM", help="override grid, e.g. 64x128"
-    )
-    run_p.add_argument("--dt", type=float, default=None, help="override time step")
     run_p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     ver_p = sub.add_parser("verify", help="validate a scenario and its profiles")
@@ -52,16 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     scn = load_scenario(args.scenario)
-    if args.seed_grid:
-        try:
-            nt, nph = (int(x) for x in args.seed_grid.lower().split("x"))
-        except ValueError:
-            raise ValidationError(f"bad --seed-grid {args.seed_grid!r}, want NxM")
-        scn.n_theta, scn.n_phi = nt, nph
-    if args.dt is not None:
-        scn.dt = args.dt
-    scn.validate()
-
     if not args.quiet:
         print(f"running scenario {scn.id!r} "
               f"(grid {scn.n_theta}x{scn.n_phi}, dt {scn.dt:g}, T {scn.T:g})")

@@ -195,10 +195,10 @@ class ScenarioRow:
 
 
 class Scenario:
-    """A checked scenario: one attribute per key of ``FIELDS``, with ``grid``
-    spread into ``n_theta`` and ``n_phi`` and the defaults of ``t_samples`` and
-    ``compat_window`` filled in from T.  ``profile`` and ``surface`` keep the
-    form they were written in (reports echo them); ``rows`` fills their defaults."""
+    """A checked scenario: one attribute per key of ``FIELDS``, every default
+    filled in, with ``grid`` spread into ``n_theta`` and ``n_phi`` and the
+    defaults of ``t_samples`` and ``compat_window`` derived from T.  Built only
+    by ``scenario_from_dict`` and never changed after."""
 
     def __init__(self, **values):
         self.__dict__.update(values)
@@ -215,35 +215,18 @@ class Scenario:
         return self.family or ("combined" if self.mode == "PMT" else "mass_aspect")
 
     @property
-    def surface_spec(self) -> dict:
-        return _walk(_SURFACE, self.surface, "surface")
-
-    @property
     def area_radius(self) -> float:
-        return float(self.surface_spec["area_radius"])
-
-    def validate(self) -> None:
-        """Check the scenario against ``FIELDS`` and ``RULES`` (again after
-        the command line's grid and dt overrides)."""
-        doc = {f.name: getattr(self, f.name) for f in FIELDS if f.name != "grid"}
-        _walk(FIELDS, {**doc, "grid": {f.name: getattr(self, f.name) for f in _GRID}}, "scenario")
-        problems = [problem.format(s=self) for problem, holds in RULES if not holds(self)]
-        if problems:
-            raise ValidationError("; ".join(problems))
+        return float(self.surface["area_radius"])
 
     # -- row construction ------------------------------------------------------
 
     def rows(self) -> list[ScenarioRow]:
         """Build each row's profile and initial surface; a profile or graph
         that cannot be built raises ``ProfileError`` or ``DomainError``."""
-        self.validate()
         if self.epsilons is None:
-            profile = (
-                build_profile(_walk(_PROFILES, self.profile, "profile"), self)
-                if self.profile is not None
-                else self._family_profile(0.0)
-            )
-            surf = self._build_surface(profile, float(self.surface_spec["amplitude"]))
+            profile = (build_profile(self.profile, self) if self.profile is not None
+                       else self._family_profile(0.0))
+            surf = self._build_surface(profile, float(self.surface["amplitude"]))
             return [ScenarioRow(eps=None, profile=profile, surface0=surf, label=self.id)]
         family = self.resolved_family
         rows = []
@@ -295,7 +278,7 @@ class Scenario:
 
     def _build_surface(self, profile: AmbientProfile, amplitude: float) -> GraphSurface:
         rbar = float(profile.radius_from_area_radius(self.area_radius))
-        kind = self.surface_spec["type"]
+        kind = self.surface["type"]
         if amplitude == 0.0:
             kind = "round"
         elif kind == "round":
@@ -403,14 +386,24 @@ def build_profile(spec: dict, scn: Scenario) -> AmbientProfile:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Check a scenario document against ``FIELDS`` and ``RULES``."""
+    """The one reader of a scenario: check a document against ``FIELDS`` and
+    ``RULES``, in one pass each, and fill every default."""
     values = _walk(FIELDS, doc, "scenario")
-    for name in ("profile", "surface"):
-        if name in doc:
-            values[name] = doc[name]
     scn = Scenario(**values.pop("grid"), **values)
-    scn.validate()
+    problems = [problem.format(s=scn) for problem, holds in RULES if not holds(scn)]
+    if problems:
+        raise ValidationError("; ".join(problems))
     return scn
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object; a key given twice is an error (``json`` keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
 
 
 def load_scenario(path) -> Scenario:
@@ -418,10 +411,12 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(doc)

@@ -61,25 +61,20 @@ def test_run_writes_outputs(tmp_path):
     assert (out / "cli-fast.gp").exists()
 
 
-def test_run_grid_and_dt_overrides(tmp_path):
+def test_grid_and_dt_are_not_run_options(tmp_path, capsys):
+    """The grid and the time step are set only in the scenario file."""
     p = _write(tmp_path, FAST_DOC)
-    out = tmp_path / "out2"
-    code = main([
-        "run", str(p), "--out", str(out), "--seed-grid", "8x16",
-        "--dt", "0.00625", "--quiet",
-    ])
-    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(p), "--out", str(tmp_path / "o"), "--seed-grid", "8x16", "--quiet"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed-grid 8x16" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_rejects_bad_scenario(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{", encoding="utf-8")
     assert main(["run", str(p)]) == 1
-
-
-def test_run_rejects_bad_grid_override(tmp_path):
-    p = _write(tmp_path, FAST_DOC)
-    assert main(["run", str(p), "--seed-grid", "banana", "--quiet"]) == 1
 
 
 def test_run_solver_failure_exit_code(tmp_path):
@@ -161,6 +156,26 @@ def _one_line(capsys, prefix):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
     return err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("text, says", [
+    (b'{"id": "\xff\xfe"}', "can't decode byte 0xff"),
+    (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth"),
+    (json.dumps(FAST_DOC).replace('"T": 0.25', '"T": 0.25, "T": 0.02').encode(),
+     "key 'T' is given twice"),
+], ids=["not-utf-8", "nested-too-deep", "key-given-twice"])
+def test_a_file_that_is_not_one_json_document_is_a_scenario_error(
+    tmp_path, capsys, monkeypatch, command, text, says
+):
+    """A file that is not UTF-8, JSON nested past the decoder's depth and an
+    object with a repeated key exit 1 in one line and write nothing."""
+    p = tmp_path / "scn.json"
+    p.write_bytes(text)
+    monkeypatch.chdir(tmp_path)  # no --out: the scenario's own "out" is used
+    assert main([command, str(p), *(["--quiet"] if command == "run" else [])]) == 1
+    assert says in _one_line(capsys, "scenario error: ")
+    assert list(tmp_path.iterdir()) == [p]
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,8 @@ def test_minimal_scenario_defaults():
     assert scn.T == 2.0
     assert scn.t_samples == [0.0, 0.5, 1.0, 1.5, 2.0]
     assert scn.compat_window == [1.0, 2.0]
+    assert scn.surface == {"type": "round", "area_radius": 1.0, "amplitude": 0.0}
+    assert scn.profile == {"kind": "hyperbolic", "r_min": 1e-6, "r_max": None}
     rows = scn.rows()
     assert len(rows) == 1 and rows[0].eps is None
 
@@ -91,7 +94,6 @@ def test_shipped_scenarios_parse_and_validate():
     for name in ("pmt_sweep", "rpi_sweep", "hyperbolic_round", "adss_round",
                  "ellipsoid_hyperbolic"):
         scn = load_scenario(f"scenarios/{name}.json")
-        scn.validate()
         assert _reparse_echo(scn) == _scenario_echo(scn), name
 
 
@@ -144,6 +146,33 @@ def test_scenario_json_roundtrip(tmp_path):
     scn = load_scenario(p)
     assert scn.id == "rt"
     assert len(scn.rows()) == 2
+
+
+def test_a_sweep_is_read_once(monkeypatch):
+    """Reading a 2-row sweep and building its rows walks the schema and the
+    surface table once each and applies every rule once."""
+    walks, applied = Counter(), Counter()
+    walk = scenario._walk
+
+    def counted_walk(fields, obj, where):
+        walks[where] += 1
+        return walk(fields, obj, where)
+
+    def counted(i, holds):
+        def test(s):
+            applied[i] += 1
+            return holds(s)
+        return test
+
+    monkeypatch.setattr(scenario, "_walk", counted_walk)
+    monkeypatch.setattr(
+        scenario, "RULES", tuple((p, counted(i, h)) for i, (p, h) in enumerate(scenario.RULES))
+    )
+    scn = scenario_from_dict({"id": "two", "epsilons": [0.1, 0.0], "T": 0.25, "dt": 2.5e-3,
+                              "grid": {"n_theta": 16, "n_phi": 32}})
+    assert len(scn.rows()) == 2
+    assert walks["scenario"] == 1 and walks["surface"] == 1
+    assert applied == {i: 1 for i in range(len(scenario.RULES))}
 
 
 def test_memory_estimate_rejects_huge_rows_before_allocating():
