@@ -9,7 +9,8 @@ surface, or an epsilon-family sweep.  Shipped families:
                  with round initial data; RPI: m_eps(s) = m - eps * rho(s) with
                  rho a smooth nonincreasing ramp from ~1 to ~0 (both keep
                  m_eps nondecreasing, so the scalar-curvature floor holds).
-    ellipsoid    exact model ambient with initial graph f = rbar (1 + eps cos theta).
+    ellipsoid    exact model ambient with the ``surface.type`` graph at amplitude
+                 eps (the default ``round`` gives p2, f = rbar (1 + eps P2(cos theta))).
     combined     mass_aspect ambient plus ellipsoid amplitude amplitude_factor * eps
                  (default for PMT sweeps: every stability column is then
                  strictly positive and strictly decreasing in eps).
@@ -87,10 +88,7 @@ _CHECKS = (
     Field("pinch", "boolean", True, "pinching bounds"),
 )
 _PROFILES = {
-    "hyperbolic": (
-        Field("r_min", "number", 1e-6, "smallest radius", "> 0"),
-        Field("r_max", "number", None, "largest radius (default: beyond the flow's reach)", "> 0"),
-    ),
+    "hyperbolic": (),
     "adss": (
         Field("m", "number", REQUIRED, "mass", "> 0"),
         Field("s_min", "number", None, "smallest area radius (default: outside the horizon)", "> 0"),
@@ -111,7 +109,7 @@ _PROFILES = {
 FIELDS = (
     Field("id", "string", REQUIRED, "report name", _FILE_NAME),
     Field("mode", "string", "PMT", "positive-mass or Penrose experiment", allowed=("PMT", "RPI")),
-    Field("m", "number", None, "target mass (RPI needs it)", "> 0"),
+    Field("m", "number", None, "RPI target mass (RPI needs it, PMT takes none)", "> 0"),
     Field("epsilons", "numbers", None, "strictly decreasing sweep values (may end in 0)", ">= 0"),
     Field("family", "string", None, "sweep family (default: combined for PMT, mass_aspect for RPI)",
           allowed=("mass_aspect", "ellipsoid", "combined")),
@@ -124,7 +122,8 @@ FIELDS = (
     Field("compat_window", "numbers", None, "[a, b], 0 <= a < b <= T, of the compatibility check "
           "(default: [T/2, T])"),
     Field("checks", "object", {}, "check toggles", fields=_CHECKS),
-    Field("amplitude_factor", "number", 0.5, "combined family: surface amplitude = factor * eps", ">= 0"),
+    Field("amplitude_factor", "number", None, "combined family: surface amplitude = factor * eps "
+          "(default: 0.5)", ">= 0"),
     Field("snap_every", "integer", None, "snapshot interval in steps (default: about 400 snapshots)",
           ">= 1"),
     Field("out", "string", "out", "output directory when `--out` is not given"),
@@ -221,24 +220,28 @@ class Scenario:
     # -- row construction ------------------------------------------------------
 
     def rows(self) -> list[ScenarioRow]:
-        """Build each row's profile and initial surface; a profile or graph
-        that cannot be built raises ``ProfileError`` or ``DomainError``."""
-        if self.epsilons is None:
-            profile = (build_profile(self.profile, self) if self.profile is not None
-                       else self._family_profile(0.0))
-            surf = self._build_surface(profile, float(self.surface["amplitude"]))
-            return [ScenarioRow(eps=None, profile=profile, surface0=surf, label=self.id)]
-        family = self.resolved_family
+        """Build each eps row (without ``epsilons``, one row of eps None); a profile
+        or graph that cannot be built raises ``ProfileError`` or ``DomainError``."""
         rows = []
-        for eps in self.epsilons:
-            profile = self._family_profile(eps, family)
-            amp = self._family_amplitude(eps, family)
-            surf = self._build_surface(profile, amp)
-            rows.append(
-                ScenarioRow(eps=float(eps), profile=profile, surface0=surf,
-                            label=f"{self.id}[eps={eps:g}]")
-            )
+        for eps in self.epsilons or [None]:
+            amp = self._amplitude(eps)
+            profile = (build_profile(self.profile, self) if self.profile is not None
+                       else self._family_profile(eps, amp))
+            label = self.id if eps is None else f"{self.id}[eps={eps:g}]"
+            rows.append(ScenarioRow(eps=None if eps is None else float(eps), profile=profile,
+                                    surface0=self._build_surface(profile, amp), label=label))
         return rows
+
+    def _amplitude(self, eps: float | None) -> float:
+        """The initial graph's amplitude on the row of ``eps`` (None: the one row)."""
+        if eps is None:
+            return float(self.surface["amplitude"])
+        family = self.resolved_family
+        if family == "mass_aspect":
+            return 0.0
+        if family == "ellipsoid":
+            return eps
+        return (0.5 if self.amplitude_factor is None else self.amplitude_factor) * eps
 
     def _s_bounds(self, amp: float) -> tuple[float, float]:
         s0 = self.area_radius
@@ -246,11 +249,10 @@ class Scenario:
         hi = 1.3 * s0 * (1.0 + abs(amp)) * np.exp(0.5 * self.T) + 1e-3
         return lo, hi
 
-    def _family_profile(self, eps: float, family: str = "mass_aspect") -> AmbientProfile:
-        amp = self._family_amplitude(eps, family)
+    def _family_profile(self, eps: float | None, amp: float) -> AmbientProfile:
         s_lo, s_hi = self._s_bounds(amp)
         if self.mode == "PMT":
-            if family == "ellipsoid" or eps == 0.0:
+            if self.resolved_family == "ellipsoid" or not eps:  # eps 0, or None: the one row
                 return HyperbolicProfile()
             ell = max(0.5, 0.25 * (s_hi - s_lo))
             m_f = lambda s: eps * np.tanh((s - s_lo) / ell)
@@ -259,7 +261,7 @@ class Scenario:
         # RPI
         m_star = float(self.m)
         s_lo = max(s_lo, 1.05 * horizon_radius(m_star))
-        if eps == 0.0:
+        if not eps:
             return AdSSProfile(m_star, s_domain=(s_lo, s_hi))
         s_mid = self.area_radius * np.exp(0.25 * self.T)
         w = max(0.2, 0.2 * (s_hi - s_lo))
@@ -269,19 +271,10 @@ class Scenario:
         dm_f = lambda s: -eps * drho(s)
         return MassAspectProfile(m_f, dm_f, (s_lo, s_hi))
 
-    def _family_amplitude(self, eps: float, family: str) -> float:
-        if self.mode == "RPI" or family == "mass_aspect":
-            return 0.0
-        if family == "ellipsoid":
-            return eps
-        return self.amplitude_factor * eps
-
     def _build_surface(self, profile: AmbientProfile, amplitude: float) -> GraphSurface:
         rbar = float(profile.radius_from_area_radius(self.area_radius))
         kind = self.surface["type"]
-        if amplitude == 0.0:
-            kind = "round"
-        elif kind == "round":
+        if kind == "round" and amplitude:
             # family sweeps perturb with the quadrupole mode: its curvature
             # deviation is first order in the amplitude, so the stability
             # columns stay strictly ordered all the way down the sweep
@@ -300,12 +293,15 @@ def _whole_steps(s: Scenario) -> bool:
 
 def _s_domain_tabulable(s: Scenario) -> bool:
     """Every row's derived s-domain (``_s_bounds``) ends at or below S_TABULATED_MAX."""
-    if s.epsilons is None:
-        amplitudes = [0.0]
-    else:
-        amplitudes = [s._family_amplitude(eps, s.resolved_family) for eps in s.epsilons]
     with np.errstate(over="ignore"):  # e^{T/2} may overflow to inf, which fails
-        return all(s._s_bounds(amp)[1] <= S_TABULATED_MAX for amp in amplitudes)
+        return all(s._s_bounds(s._amplitude(eps))[1] <= S_TABULATED_MAX
+                   for eps in s.epsilons or [None])
+
+
+def _surface_type_read(s: Scenario) -> bool:
+    """Some row has a nonzero amplitude, so that ``surface.type`` shapes its
+    graph (at amplitude 0 every type gives the round graph)."""
+    return s.surface["type"] == "round" or any(s._amplitude(eps) for eps in s.epsilons or [None])
 
 
 # per-node work arrays a row holds at once (geometry fields, RK2 stages, checks)
@@ -355,6 +351,18 @@ RULES = (
      lambda s: (e := s.epsilons) is None or bool(e) and all(b < a for a, b in zip(e, e[1:]))),
     ("RPI sweeps use the mass_aspect family",
      lambda s: s.mode != "RPI" or s.family in (None, "mass_aspect")),
+    ("family and amplitude_factor shape a sweep; give them only with epsilons",
+     lambda s: s.epsilons is not None or s.family is None and s.amplitude_factor is None),
+    ("amplitude_factor is read only by the combined family",
+     lambda s: s.amplitude_factor is None or s.resolved_family == "combined"),
+    ("m is the RPI target mass; PMT mode reads none", lambda s: s.mode == "RPI" or s.m is None),
+    ("an RPI profile is the model it is measured against: adss with profile.m = m = {s.m!r}",
+     lambda s: s.mode != "RPI" or s.profile is None
+     or s.profile["kind"] == "adss" and s.profile["m"] == s.m),
+    ("a sweep derives each row's surface.amplitude from eps; leave it out",
+     lambda s: s.epsilons is None or s.surface["amplitude"] == 0.0),
+    ("surface.type {s.surface[type]!r} shapes no graph: every row's amplitude is 0",
+     _surface_type_read),
     ("dt = {s.dt!r} must divide T = {s.T!r} into at least 2 steps", _whole_steps),
     ("T = {s.T!r} carries the flow's area radius 1.3 s0 (1 + |amplitude|) e^(T/2) past "
      f"{S_TABULATED_MAX:g}, the largest a profile is tabulated to", _s_domain_tabulable),
@@ -371,12 +379,11 @@ RULES = (
 def build_profile(spec: dict, scn: Scenario) -> AmbientProfile:
     """Instantiate an explicit (non-family) profile from its filled spec."""
     kind = spec["kind"]
-    default_lo, default_hi = scn._s_bounds(0.0)
     if kind == "hyperbolic":
-        r_max = spec["r_max"] if spec["r_max"] is not None else max(25.0, np.arcsinh(default_hi) + 1.0)
-        return HyperbolicProfile((spec["r_min"], r_max))
+        return HyperbolicProfile()
     if kind == "adss":
         m = spec["m"]
+        default_lo, default_hi = scn._s_bounds(0.0)
         s_min = spec["s_min"] if spec["s_min"] is not None else max(default_lo, 1.02 * horizon_radius(m))
         s_max = spec["s_max"] if spec["s_max"] is not None else max(default_hi, 1.5 * s_min)
         return AdSSProfile(m, (s_min, s_max))

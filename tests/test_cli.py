@@ -243,6 +243,31 @@ def test_a_dipping_tabulated_spline_is_a_scenario_error(tmp_path, capsys, comman
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("doc, key", [
+    ({"mode": "RPI", "m": 0.5, "profile": {"kind": "adss", "m": 1.0},
+      "surface": {"area_radius": 2.0}}, "profile.m"),
+    ({"mode": "RPI", "m": 1.0, "profile": {"kind": "hyperbolic"}}, "profile"),
+    ({"family": "ellipsoid"}, "family"),
+    ({"m": 3.0}, "m is"),
+    ({"epsilons": [0.1, 0.0], "surface": {"amplitude": 0.3}}, "surface.amplitude"),
+    ({"mode": "RPI", "m": 0.5, "epsilons": [0.1], "surface": {"type": "bumpy"}}, "surface.type"),
+    ({"profile": {"kind": "hyperbolic"}, "surface": {"type": "bumpy"}}, "surface.type"),
+    ({"family": "ellipsoid", "epsilons": [0.1], "amplitude_factor": 3.0}, "amplitude_factor"),
+], ids=["rpi-adss-other-m", "rpi-hyperbolic", "family-without-sweep", "pmt-m",
+        "sweep-amplitude", "rpi-sweep-type", "round-row-type", "ellipsoid-factor"])
+def test_a_key_no_row_reads_is_a_scenario_error(tmp_path, capsys, monkeypatch, command, doc, key):
+    """Every key changes some run: a key that no row would read (or an RPI
+    profile that is not the model the row is measured against) exits 1 in
+    one line and writes nothing."""
+    p = _write(tmp_path, {"id": "inert", "T": 0.25, "dt": 2.5e-3,
+                          "grid": {"n_theta": 16, "n_phi": 32}, **doc})
+    monkeypatch.chdir(tmp_path)  # no --out: the scenario's own "out" is used
+    assert main([command, str(p), *(["--quiet"] if command == "run" else [])]) == 1
+    assert key in _one_line(capsys, "scenario error: ")
+    assert list(tmp_path.iterdir()) == [p]
+
+
 @pytest.mark.parametrize("bad_id", ["../escaped", "it's", ".hidden", "a/b", ""])
 def test_an_id_that_is_not_a_plain_file_name_is_a_scenario_error(tmp_path, capsys, bad_id):
     """The id names the report files: one that leaves --out or needs quoting

@@ -29,7 +29,7 @@ def test_minimal_scenario_defaults():
     assert scn.t_samples == [0.0, 0.5, 1.0, 1.5, 2.0]
     assert scn.compat_window == [1.0, 2.0]
     assert scn.surface == {"type": "round", "area_radius": 1.0, "amplitude": 0.0}
-    assert scn.profile == {"kind": "hyperbolic", "r_min": 1e-6, "r_max": None}
+    assert scn.profile == {"kind": "hyperbolic"}
     rows = scn.rows()
     assert len(rows) == 1 and rows[0].eps is None
 
@@ -76,6 +76,25 @@ def test_profile_and_family_exclusive():
         scenario_from_dict(
             {"id": "x", "profile": {"kind": "hyperbolic"}, "epsilons": [0.1, 0.05]}
         )
+
+
+def test_domain_rule_reads_the_one_row_amplitude():
+    """1.3 (1 + 0.1) e^13.5 > 1e6 > 1.3 e^13.5: the one row's own amplitude counts."""
+    doc = {"id": "x", "profile": {"kind": "hyperbolic"}, "T": 27.0, "dt": 0.5}
+    with pytest.raises(ValidationError, match=r"1e\+06"):
+        scenario_from_dict({**doc, "surface": {"type": "p2", "amplitude": 0.1}})
+    scenario_from_dict({**doc, "surface": {"type": "round", "amplitude": 0.0}})
+
+
+def test_an_explicit_hyperbolic_profile_is_the_pmt_model_row():
+    """The hyperbolic kind has no keys: its row gets the family's eps = 0 profile."""
+    grid = {"n_theta": 8, "n_phi": 8}
+    (explicit,) = scenario_from_dict({"id": "h", "profile": {"kind": "hyperbolic"},
+                                      "grid": grid}).rows()
+    model = scenario_from_dict({"id": "f", "epsilons": [0.1, 0.0], "grid": grid}).rows()[1]
+    assert explicit.profile.kind == model.profile.kind == "hyperbolic"
+    assert explicit.profile.r_domain == model.profile.r_domain == (1e-6, 25.0)
+    assert explicit.profile.s_domain == model.profile.s_domain
 
 
 def test_load_scenario_bad_json(tmp_path):

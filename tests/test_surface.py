@@ -56,6 +56,14 @@ def test_umbilic_consistency_any_radius(rbar):
     assert np.max(np.abs(geom.K - 1.0 / lam**2)) < 1e-10
 
 
+@pytest.mark.parametrize("formula", ["ellipsoid", "p2", "bumpy"])
+@pytest.mark.parametrize("rbar", [0.3, RBAR, 2.5])
+def test_every_formula_at_amplitude_0_is_the_round_graph(hyperbolic, grid64, formula, rbar):
+    """Bit for bit, so a row of amplitude 0 needs no round branch."""
+    graph = make_graph(hyperbolic, grid64, rbar, formula, 0.0)
+    assert graph.zeta.tobytes() == make_round(hyperbolic, rbar, grid64).zeta.tobytes()
+
+
 def test_curvature_identities_pointwise(hyperbolic, grid32):
     """|A|^2 = H^2/2 + (l1-l2)^2/2 and the Gauss equation hold by construction."""
     surf = make_graph(hyperbolic, grid32, RBAR, "bumpy", 0.08)
