@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario and emit reports")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
-    run_p.add_argument("--out", default=None, help="output directory")
+    run_p.add_argument("--out", default="out", help="output directory (default: out)")
     run_p.add_argument("--workers", type=int, default=1, help="row worker budget")
     run_p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -56,9 +56,8 @@ def _cmd_run(args) -> int:
             status = "ok" if rr.ok else f"FAILED ({rr.error})"
             print(f"  row {rr.label}: {status}")
 
-    out_dir = args.out if args.out is not None else scn.out
     try:
-        written = emit(report, out_dir=out_dir)
+        written = emit(report, out_dir=args.out)
     except OSError as exc:
         print(f"IO failure: {exc}", file=sys.stderr)
         return 3

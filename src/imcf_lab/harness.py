@@ -77,13 +77,10 @@ class CompatReport:
     only the window checks enter ``passed``.
     """
 
-    window: tuple[float, float]
-    t_star: float
-    C1: float | None           # min r_min(t)/t over t >= t_star
-    C2: float | None           # max r_max(t)/t over t >= t_star
+    C1: float | None           # min r_min(t)/t over t >= T_STAR
+    C2: float | None           # max r_max(t)/t over t >= T_STAR
     C3: float                  # max |grad_sigma f| over the window
-    ratio_band: tuple[float, float]
-    ratios_ok: bool | None     # None when the window never reaches t_star
+    ratios_ok: bool | None     # C1, C2 in RATIO_BAND; None before T_STAR
     w12_ricci: float           # W^{1,2} norm of Rc(nu,nu) over Sigma x [a,b]
     k12_min0: float            # min tangent sectional curvature on Sigma_0
     k12_floor_ok: bool         # K12 >= -1 (up to round-off) on Sigma_0
@@ -106,7 +103,7 @@ class RowResult:
     sample_steps: dict = field(default_factory=dict)  # t-sample -> step of its snapshot
     class_report: ClassReport | None = None
     compat_report: CompatReport | None = None
-    pinch_pass: bool | None = None
+    pinch_pass: bool | None = None   # no pinching violation at any node and stored time
     distances: dict = field(default_factory=dict)
     c_alpha: float | None = None
     gauss_dev: dict = field(default_factory=dict)   # t -> value
@@ -151,8 +148,8 @@ class W12Accumulator(SnapshotAccumulator):
     """Streaming ``w12_normal_ricci``: holds at most three Rc(nu,nu) slices.
 
     The time derivative at each stored time uses the neighbouring slices with
-    the weights ``np.gradient`` gives for the window's (possibly nonuniform)
-    spacing: second-order central inside, one-sided first order at the ends.
+    the weights ``np.gradient`` gives for the window's spacing: second-order
+    three-point inside, one-sided first order at the ends.
     """
 
     def __init__(self, grid: SphereGrid, snap_times: np.ndarray, a: float, b: float):
@@ -165,9 +162,7 @@ class W12Accumulator(SnapshotAccumulator):
         self.density = np.empty(len(sel))
         self._u = {}
         if self.enough:
-            dx = np.diff(self.t)
-            self._uniform = bool((dx == dx[0]).all())
-            self._dx = dx[0] if self._uniform else dx
+            self._dx = dx = np.diff(self.t)
             dx1, dx2 = dx[:-1], dx[1:]
             self._a = -dx2 / (dx1 * (dx1 + dx2))
             self._b = (dx2 - dx1) / (dx1 * dx2)
@@ -184,11 +179,9 @@ class W12Accumulator(SnapshotAccumulator):
     def _density_at(self, i: int) -> None:
         u, n = self._u, len(self.t)
         if i == 0:
-            u_t = (u[1] - u[0]) / (self._dx if self._uniform else self._dx[0])
+            u_t = (u[1] - u[0]) / self._dx[0]
         elif i == n - 1:
-            u_t = (u[i] - u[i - 1]) / (self._dx if self._uniform else self._dx[-1])
-        elif self._uniform:
-            u_t = (u[i + 1] - u[i - 1]) / (2.0 * self._dx)
+            u_t = (u[i] - u[i - 1]) / self._dx[-1]
         else:
             u_t = self._a[i - 1] * u[i - 1] + self._b[i - 1] * u[i] + self._c[i - 1] * u[i + 1]
         grid = self.grid
@@ -276,12 +269,9 @@ class CompatAccumulator(SnapshotAccumulator):
         self._require_complete()
         diam_vals = np.array([self._diam[int(j)] for j in self.picks])
         return CompatReport(
-            window=(a, b),
-            t_star=T_STAR,
             C1=C1,
             C2=C2,
             C3=C3,
-            ratio_band=RATIO_BAND,
             ratios_ok=ratios_ok,
             w12_ricci=w12,
             k12_min0=self.k12_min0,
@@ -330,12 +320,12 @@ class SampleAccumulator(SnapshotAccumulator):
 
 
 def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
-    """Flow one scenario row, streaming every check through the flow; the
-    scenario's ``checks`` can turn off only compatibility and pinching.
+    """Flow one scenario row, streaming every check through the flow.
 
     Each check's accumulator sees the flow's own geometry at the stored
     snapshots, so no geometry is rebuilt after the flow and the row keeps no
-    per-node snapshots (the flow goes through ``run``, not ``record``).
+    per-node history: no snapshots (the flow goes through ``run``, not
+    ``record``) and no per-node verdicts.
     Check errors are raised once the flow has ended, in the order the checks
     are listed here.
     Any exception marks the row failed and is recorded as ``Type: message``.
@@ -349,13 +339,10 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
         # each t-sample's record reads every column at its nearest snapshot
         snap_of = {t: int(np.argmin(np.abs(snap_times - t))) for t in scn.t_samples}
         result.sample_steps = {t: int(snap_indices[j]) for t, j in snap_of.items()}
-        compat = pinch = None
         diameters = {}
-        if scn.checks["compat"]:
-            a, b = scn.compat_window
-            compat = CompatAccumulator(grid, snap_times, scn.T, a, b, diameters=diameters)
-        if scn.checks["pinch"]:
-            pinch = mass.PinchAccumulator(snap_times, grid.shape)
+        a, b = scn.compat_window
+        compat = CompatAccumulator(grid, snap_times, scn.T, a, b, diameters=diameters)
+        pinch = mass.PinchAccumulator(snap_times)
         chain = comparison.ChainAccumulator(snap_times, mode=scn.mode, m=scn.m)
         samples = SampleAccumulator(snap_of, diameters)
         track = run(
@@ -364,18 +351,14 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
             T=scn.T,
             dt=scn.dt,
             snap_every=scn.snap_every,
-            observers=[
-                acc.observe for acc in (compat, pinch, chain, samples) if acc is not None
-            ],
+            observers=[acc.observe for acc in (compat, pinch, chain, samples)],
         )
         result.diag = mass.diagnostics(track)
         result.mH_T = float(track.series.m_H[-1])
 
         result.class_report = check_class_membership(track, scalar_floor_ok=profile_report.passed)
-        if compat is not None:
-            result.compat_report = compat.result(track.series)
-        if pinch is not None:
-            result.pinch_pass = pinch.result().n_violations == 0
+        result.compat_report = compat.result(track.series)
+        result.pinch_pass = pinch.result().n_violations == 0
         if scn.T >= 2.0:
             try:
                 result.mH_inf = mass.mass_at_infinity(track.times, track.series.m_H)

@@ -53,17 +53,18 @@ class GerochResiduals:
 
 @dataclass
 class PinchReport:
-    """Node-wise verdicts for the metric pinching bounds."""
+    """Violation counts for the metric pinching bounds, over all nodes and
+    stored times."""
 
     times: np.ndarray
-    lower_ok: np.ndarray   # g(t) >= exp(int 2 lambda_1/H) g(0), per node
-    upper_ok: np.ndarray   # g(t) <= exp(int 2 lambda_2/H) g(0), per node
+    n_lower: int           # (node, time) pairs failing g(t) >= exp(int 2 lambda_1/H) g(0)
+    n_upper: int           # (node, time) pairs failing g(t) <= exp(int 2 lambda_2/H) g(0)
     worst_lower: float     # most negative normalized eigenvalue seen (lower bound)
     worst_upper: float
 
     @property
     def n_violations(self) -> int:
-        return int(np.sum(~self.lower_ok) + np.sum(~self.upper_ok))
+        return self.n_lower + self.n_upper
 
 
 def hawking_mass(geom: SurfaceGeometry) -> float:
@@ -105,13 +106,13 @@ def geroch_identity_residual(track: FlowTrack) -> GerochResiduals:
 
 
 class PinchAccumulator(SnapshotAccumulator):
-    """Streaming form of ``pinch_bounds_check``; reads every stored snapshot."""
+    """Streaming form of ``pinch_bounds_check``; reads every stored snapshot
+    and keeps only counts and extremes, no per-node history."""
 
-    def __init__(self, snap_times: np.ndarray, shape: tuple):
+    def __init__(self, snap_times: np.ndarray):
         super().__init__(np.arange(len(snap_times)))
         self.times = snap_times
-        self.lower_ok = np.empty((len(snap_times), *shape), dtype=bool)
-        self.upper_ok = np.empty_like(self.lower_ok)
+        self.n_lower = self.n_upper = 0
         self.worst_low = self.worst_up = 0.0
         self._g0 = None
 
@@ -130,8 +131,9 @@ class PinchAccumulator(SnapshotAccumulator):
 
         low = min_eig(geom.g11 - e1 * g0_11, geom.g12 - e1 * g0_12, geom.g22 - e1 * g0_22)
         up = min_eig(e2 * g0_11 - geom.g11, e2 * g0_12 - geom.g12, e2 * g0_22 - geom.g22)
-        self.lower_ok[j] = low >= -PINCH_TOL * scale
-        self.upper_ok[j] = up >= -PINCH_TOL * scale
+        # ~(x >= tol), not x < tol: a NaN margin counts as a violation
+        self.n_lower += int(np.count_nonzero(~(low >= -PINCH_TOL * scale)))
+        self.n_upper += int(np.count_nonzero(~(up >= -PINCH_TOL * scale)))
         self.worst_low = min(self.worst_low, float(np.min(low / scale)))
         self.worst_up = min(self.worst_up, float(np.min(up / scale)))
 
@@ -139,8 +141,8 @@ class PinchAccumulator(SnapshotAccumulator):
         self._require_complete()
         return PinchReport(
             times=self.times,
-            lower_ok=self.lower_ok,
-            upper_ok=self.upper_ok,
+            n_lower=self.n_lower,
+            n_upper=self.n_upper,
             worst_lower=self.worst_low,
             worst_upper=self.worst_up,
         )
@@ -157,7 +159,7 @@ def pinch_bounds_check(track: FlowTrack) -> PinchReport:
     metric scale with tolerance ``PINCH_TOL``.  Replays a track from
     ``imcf.record`` through ``PinchAccumulator``.
     """
-    acc = PinchAccumulator(track.snap_times, track.grid.shape)
+    acc = PinchAccumulator(track.snap_times)
     track.replay(acc)
     return acc.result()
 

@@ -83,10 +83,6 @@ _SURFACE = (
     Field("area_radius", "number", 1.0, "area radius s0 of the unperturbed sphere", "> 0"),
     Field("amplitude", "number", 0.0, "graph amplitude (sweeps derive it from eps)"),
 )
-_CHECKS = (
-    Field("compat", "boolean", True, "coordinate compatibility over `compat_window`"),
-    Field("pinch", "boolean", True, "pinching bounds"),
-)
 _PROFILES = {
     "hyperbolic": (),
     "adss": (
@@ -121,12 +117,10 @@ FIELDS = (
     Field("t_samples", "numbers", None, "report times in [0, T] (default: 0, T/4, T/2, 3T/4, T)"),
     Field("compat_window", "numbers", None, "[a, b], 0 <= a < b <= T, of the compatibility check "
           "(default: [T/2, T])"),
-    Field("checks", "object", {}, "check toggles", fields=_CHECKS),
     Field("amplitude_factor", "number", None, "combined family: surface amplitude = factor * eps "
           "(default: 0.5)", ">= 0"),
     Field("snap_every", "integer", None, "snapshot interval in steps (default: about 400 snapshots)",
           ">= 1"),
-    Field("out", "string", "out", "output directory when `--out` is not given"),
 )
 
 
@@ -140,7 +134,6 @@ _TYPES = {
     "string": ("a string", lambda v: isinstance(v, str)),
     "number": ("a finite number", _number),
     "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    "boolean": ("true or false", lambda v: isinstance(v, bool)),
     "numbers": ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_number, v))),
 }
 
@@ -314,13 +307,9 @@ def _fits_in_memory(s: Scenario) -> bool:
     n = step_count(s.T, s.dt)
     if n is None:
         return True  # _whole_steps reports it
-    n_snap = n // snap_interval(n, s.snap_every) + 2
-    nodes = s.n_theta * s.n_phi
     n_series = len(dataclass_fields(FlowSeries)) - 1  # the arrays ``run`` allocates
-    need = 8 * (_WORK_ARRAYS * nodes + s.n_theta**2 + n_series * (n + 1))
-    # the flow stores no snapshots; the pinch check keeps two boolean verdicts
-    # per node and snapshot
-    need += 2 * n_snap * nodes
+    # the flow stores no snapshots and no check keeps per-node history
+    need = 8 * (_WORK_ARRAYS * s.n_theta * s.n_phi + s.n_theta**2 + n_series * (n + 1))
     return need <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -332,8 +321,8 @@ def _compat_window_filled(s: Scenario) -> bool:
     """The compat window holds the 3 stored times its time derivative needs,
     counted as ``harness._window`` selects them, without building the grid."""
     w = s.compat_window
-    if not (s.checks["compat"] and _whole_steps(s) and len(w) == 2 and w[0] < w[1]):
-        return True  # off, or another rule reports it
+    if not (_whole_steps(s) and len(w) == 2 and w[0] < w[1]):
+        return True  # another rule reports it
     n = step_count(s.T, s.dt)
     every = snap_interval(n, s.snap_every)
     lo, hi = w[0] - 1e-12, w[1] + 1e-12

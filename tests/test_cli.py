@@ -18,7 +18,6 @@ FAST_DOC = {
     "T": 0.25,
     "dt": 2.5e-3,
     "grid": {"n_theta": 16, "n_phi": 32},
-    "checks": {"compat": False},
 }
 
 
@@ -114,7 +113,8 @@ def _doc_with(field, value):
     "field, value",
     [("T", float("nan")), ("dt", float("nan")), ("snap_every", 2.5),
      ("cfl", 0.2), ("cfl", 0.05),  # the CFL factor is the constant imcf.CFL
-     ("grid.n_theta", float("nan")), ("grid.n_theta", 16.5), ("checks.pinch", "no"),
+     ("grid.n_theta", float("nan")), ("grid.n_theta", 16.5),
+     ("checks", {"pinch": False}),  # every check always runs
      ("surface.area_radius", "1"), ("surface.amplitude", "0.1"),
      ("m", "1"), ("profile", {"kind": "adss"}),
      ("compat_window", [0.05, 0.1, 0.2]), ("epsilons", ["a"]), ("t_samples", "abc"),
@@ -129,7 +129,7 @@ def _doc_with(field, value):
 )
 def test_run_rejects_bad_time_grid_value_in_one_line(tmp_path, capsys, monkeypatch, field, value):
     p = _write(tmp_path, _doc_with(field, value))
-    monkeypatch.chdir(tmp_path)  # no --out: the scenario's own "out" is used
+    monkeypatch.chdir(tmp_path)  # no --out: reports would go to ./out
     assert main(["run", str(p), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and err.count("\n") == 1
@@ -172,7 +172,7 @@ def test_a_file_that_is_not_one_json_document_is_a_scenario_error(
     object with a repeated key exit 1 in one line and write nothing."""
     p = tmp_path / "scn.json"
     p.write_bytes(text)
-    monkeypatch.chdir(tmp_path)  # no --out: the scenario's own "out" is used
+    monkeypatch.chdir(tmp_path)  # no --out: reports would go to ./out
     assert main([command, str(p), *(["--quiet"] if command == "run" else [])]) == 1
     assert says in _one_line(capsys, "scenario error: ")
     assert list(tmp_path.iterdir()) == [p]
@@ -262,7 +262,7 @@ def test_a_key_no_row_reads_is_a_scenario_error(tmp_path, capsys, monkeypatch, c
     one line and writes nothing."""
     p = _write(tmp_path, {"id": "inert", "T": 0.25, "dt": 2.5e-3,
                           "grid": {"n_theta": 16, "n_phi": 32}, **doc})
-    monkeypatch.chdir(tmp_path)  # no --out: the scenario's own "out" is used
+    monkeypatch.chdir(tmp_path)  # no --out: reports would go to ./out
     assert main([command, str(p), *(["--quiet"] if command == "run" else [])]) == 1
     assert key in _one_line(capsys, "scenario error: ")
     assert list(tmp_path.iterdir()) == [p]

@@ -23,8 +23,7 @@ from .oracles import snap_index_of_time
 
 RBAR = float(np.arcsinh(1.0))
 
-FAST = {"T": 0.25, "dt": 2.5e-3, "grid": {"n_theta": 16, "n_phi": 32},
-        "checks": {"compat": False}}
+FAST = {"T": 0.25, "dt": 2.5e-3, "grid": {"n_theta": 16, "n_phi": 32}}
 
 
 def _fast_scenario(**over):
@@ -89,7 +88,7 @@ def test_compat_window_error(hyp_round_track):
 def test_row_computes_each_snapshot_diameter_once(monkeypatch):
     """The t-samples {0, T/4, T/2, 3T/4, T} and the compat picks over
     [T/2, T] share T/2, 3T/4 and T: 7 distinct snapshots, 7 diameters."""
-    scn = _fast_scenario(epsilons=[0.0], checks={})
+    scn = _fast_scenario(epsilons=[0.0])
     real = harness.intrinsic_diameter
     measured, tracks = [], []
 

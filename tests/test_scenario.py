@@ -1,8 +1,10 @@
 import contextlib
 import copy
+import importlib.util
 import io
 import json
 import math
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -43,7 +45,7 @@ def test_unknown_nested_keys_rejected():
     with pytest.raises(ParseError, match="extra"):
         scenario_from_dict({"id": "x", "surface": {"type": "round", "extra": 1}})
     with pytest.raises(ParseError, match="whatever"):
-        scenario_from_dict({"id": "x", "checks": {"whatever": True}})
+        scenario_from_dict({"id": "x", "grid": {"n_theta": 16, "whatever": True}})
 
 
 def test_unknown_profile_kind_named():
@@ -204,7 +206,7 @@ def test_memory_estimate_rejects_huge_rows_before_allocating():
 
 def test_memory_estimate_counts_no_snapshot_track(monkeypatch):
     """The default 64x128 row (T = 2, dt = 1e-3, 402 snapshots) needs about
-    11 MB; storing zeta, P1 and P2 per snapshot would make it 84 MB.  Only
+    4.5 MB; storing zeta, P1 and P2 per snapshot would make it 84 MB.  Only
     the estimate runs, under a 32 MB machine."""
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 32 * 2**20 // 4096}
     monkeypatch.setattr(scenario.os, "sysconf", pages.__getitem__)
@@ -241,7 +243,6 @@ def test_compat_window_rule_counts_the_times_the_check_selects(T, dt, snap_every
     else:
         with pytest.raises(ValidationError, match="fewer than 3 stored times"):
             scenario_from_dict(doc)
-    scenario_from_dict({**doc, "checks": {"compat": False}})
 
 
 def _allowed(allowed) -> str:
@@ -275,6 +276,28 @@ def test_readme_key_tables_match_the_field_table():
     assert listed == _schema_rows(FIELDS)
 
 
+def _module_or_file(name: str) -> bool:
+    head = name.split(".")[0]
+    return (head == "imcf_lab" or importlib.util.find_spec(f"imcf_lab.{head}") is not None
+            or Path(name).suffix in (".json", ".py"))
+
+
+def test_readme_prose_names_only_keys_that_exist():
+    """Every backticked dotted name in README whose head is an object key of
+    ``FIELDS``, or that names no module and no file (``imcf.CFL`` and
+    ``pmt_sweep.json`` do), is the path of a key of ``FIELDS``: a deleted
+    key, or a deleted object with its keys, cannot survive in the prose."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    objects = {f.name for f in FIELDS if f.type == "object"}
+    paths = {".".join(path) for path, _ in _key_paths(FIELDS)} | {"profile.kind"}
+    named = {
+        name for name in re.findall(r"`([A-Za-z_]+(?:\.[A-Za-z_]+)+)`", readme)
+        if name.split(".")[0] in objects or not _module_or_file(name)
+    }
+    assert {"surface.amplitude", "surface.type"} <= named
+    assert named <= paths, sorted(named - paths)
+
+
 # -- fuzzing the parser: only scenario_from_dict runs, never rows() ---------------
 
 _JSON = st.recursive(
@@ -295,7 +318,6 @@ def _typed(field):
     return {
         "number": _NUMBER,
         "integer": st.sampled_from([8, 16, 32]) | st.integers(-4, 2**12),
-        "boolean": st.booleans(),
         "string": (st.sampled_from(field.allowed) if isinstance(field.allowed, tuple) and field.allowed
                    else st.text(max_size=6)),
         "numbers": st.lists(_NUMBER, max_size=4) | st.sampled_from([[0.1, 0.0], [0.0, 0.25]]),
@@ -305,7 +327,7 @@ def _typed(field):
 
 _BASES = (
     {"id": "sweep", "epsilons": [0.1, 0.0], "T": 0.25, "dt": 2.5e-3,
-     "grid": {"n_theta": 16, "n_phi": 32}, "checks": {"compat": False}},
+     "grid": {"n_theta": 16, "n_phi": 32}},
     {"id": "explicit", "profile": {"kind": "adss", "m": 1.0, "s_min": 1.6},
      "surface": {"type": "p2", "area_radius": 2.0, "amplitude": 0.05}, "T": 0.5},
     {"id": "rpi", "mode": "RPI", "m": 0.5, "epsilons": [0.1], "t_samples": [0.0, 1.0],

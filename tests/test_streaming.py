@@ -149,15 +149,27 @@ def test_streamed_pinch_report_matches_replay():
     scn = _scenario("p2-mass-aspect")
     row = scn.rows()[0]
     times, snap = imcf.time_grid(scn.T, scn.dt)
-    acc = PinchAccumulator(times[snap], row.surface0.grid.shape)
+    acc = PinchAccumulator(times[snap])
     track = imcf.record(row.profile, row.surface0, T=scn.T, dt=scn.dt, observers=[acc.observe])
     streamed, replayed = acc.result(), pinch_bounds_check(track)
-    assert np.array_equal(streamed.lower_ok, replayed.lower_ok)
-    assert np.array_equal(streamed.upper_ok, replayed.upper_ok)
+    assert (streamed.n_lower, streamed.n_upper) == (replayed.n_lower, replayed.n_upper)
     assert _close(streamed.worst_lower, replayed.worst_lower)
     assert _close(streamed.worst_upper, replayed.worst_upper)
     # the anisotropic data makes the margins genuinely nonzero
     assert min(streamed.worst_lower, streamed.worst_upper) < 0.0
+
+
+def test_a_nan_pinch_margin_is_a_violation():
+    """A node whose metric is NaN fails the pinching bounds: it is not skipped."""
+    shape = (4, 8)
+    g11, g12, g22 = np.ones(shape), np.zeros(shape), np.ones(shape)
+    bad = g11.copy()
+    bad[1, 2] = np.nan
+    zero = np.zeros(shape)
+    acc = PinchAccumulator(np.array([0.0, 0.1]))
+    acc.observe(0, 0.0, SimpleNamespace(g11=g11, g12=g12, g22=g22), zero, zero)
+    acc.observe(1, 0.1, SimpleNamespace(g11=bad, g12=g12, g22=g22), zero, zero)
+    assert acc.result().n_violations >= 1
 
 
 @pytest.mark.parametrize(
@@ -194,7 +206,6 @@ FAST_DOC = {
     "T": 0.25,
     "dt": 2.5e-3,
     "grid": {"n_theta": 16, "n_phi": 32},
-    "checks": {"compat": False},
 }
 
 
@@ -227,7 +238,7 @@ def test_check_error_is_raised_after_the_flow_in_check_order():
     earlier checks keep their results and later ones are not reported.  The
     scenario rules reject this window up front, so it is set after the
     scenario is read, to reach the compatibility check's own guard."""
-    doc = dict(FAST_DOC, epsilons=[0.0], checks={})
+    doc = dict(FAST_DOC, epsilons=[0.0])
     with pytest.raises(ValidationError, match="fewer than 3 stored times"):
         scenario_from_dict(dict(doc, compat_window=[0.1, 0.1001]))
     scn = scenario_from_dict(doc)
