@@ -244,12 +244,10 @@ class AdSSProfile(_OdeWarpProfile):
 
     kind = "adss"
 
-    def __init__(self, m: float, s_domain: tuple[float, float] | None = None):
+    def __init__(self, m: float, s_domain: tuple[float, float]):
         if m <= 0.0:
             raise ProfileError("AdSS mass must be positive")
         self.m = float(m)
-        if s_domain is None:
-            s_domain = (1.02 * horizon_radius(m), max(20.0, 10.0 * horizon_radius(m)))
         m_arr = lambda s: np.full_like(np.asarray(s, dtype=float), self.m)
         dm_arr = lambda s: np.zeros_like(np.asarray(s, dtype=float))
         super().__init__(m_arr, dm_arr, s_domain)

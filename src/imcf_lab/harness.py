@@ -334,7 +334,7 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
     try:
         profile_report = validate_profile(row.profile)
         grid = row.surface0.grid
-        times, snap_indices = time_grid(scn.T, scn.dt, scn.snap_every)
+        times, snap_indices = time_grid(scn.T, scn.dt)
         snap_times = times[snap_indices]
         # each t-sample's record reads every column at its nearest snapshot
         snap_of = {t: int(np.argmin(np.abs(snap_times - t))) for t in scn.t_samples}
@@ -350,7 +350,6 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
             row.surface0,
             T=scn.T,
             dt=scn.dt,
-            snap_every=scn.snap_every,
             observers=[acc.observe for acc in (compat, pinch, chain, samples)],
         )
         result.diag = mass.diagnostics(track)

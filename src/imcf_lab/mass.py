@@ -134,8 +134,9 @@ class PinchAccumulator(SnapshotAccumulator):
         # ~(x >= tol), not x < tol: a NaN margin counts as a violation
         self.n_lower += int(np.count_nonzero(~(low >= -PINCH_TOL * scale)))
         self.n_upper += int(np.count_nonzero(~(up >= -PINCH_TOL * scale)))
-        self.worst_low = min(self.worst_low, float(np.min(low / scale)))
-        self.worst_up = min(self.worst_up, float(np.min(up / scale)))
+        # np.minimum, not min: min(0.0, nan) is 0.0, and a NaN margin must show
+        self.worst_low = float(np.minimum(self.worst_low, np.min(low / scale)))
+        self.worst_up = float(np.minimum(self.worst_up, np.min(up / scale)))
 
     def result(self) -> PinchReport:
         self._require_complete()

@@ -21,7 +21,6 @@ eps = 0 rows degrade to the exact model ambient with round data.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import sys
@@ -40,7 +39,7 @@ from .ambient import (
     horizon_radius,
 )
 from .errors import ParseError, ValidationError
-from .imcf import FlowSeries, snap_interval, step_count
+from .imcf import FlowSeries, step_count
 from .sphere_grid import get_grid
 from .surface import GraphSurface, make_graph
 
@@ -67,7 +66,6 @@ _FILE_NAME = "ASCII letters, digits, ., _ or -, not starting with ."
 RANGES = {
     "> 0": lambda x: x > 0,
     ">= 0": lambda x: x >= 0,
-    ">= 1": lambda x: x >= 1,
     # a report's file name, so it names no other directory and needs no quoting
     _FILE_NAME: lambda x: re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9._-]*", x) is not None,
     "a power of two >= 8": lambda n: n >= 8 and n & (n - 1) == 0,
@@ -112,15 +110,10 @@ FIELDS = (
     Field("profile", "object", None, "explicit ambient in place of a family", fields=_PROFILES),
     Field("surface", "object", {}, "initial surface", fields=_SURFACE),
     Field("T", "number", 2.0, "flow horizon", "> 0"),
-    Field("dt", "number", 1e-3, "recorded step; T holds at least 2 of them", "> 0"),
+    Field("dt", "number", 1e-3, "recorded step; T holds at least 4 of them", "> 0"),
     Field("grid", "object", {}, "quadrature grid", fields=_GRID),
-    Field("t_samples", "numbers", None, "report times in [0, T] (default: 0, T/4, T/2, 3T/4, T)"),
-    Field("compat_window", "numbers", None, "[a, b], 0 <= a < b <= T, of the compatibility check "
-          "(default: [T/2, T])"),
     Field("amplitude_factor", "number", None, "combined family: surface amplitude = factor * eps "
           "(default: 0.5)", ">= 0"),
-    Field("snap_every", "integer", None, "snapshot interval in steps (default: about 400 snapshots)",
-          ">= 1"),
 )
 
 
@@ -188,19 +181,24 @@ class ScenarioRow:
 
 class Scenario:
     """A checked scenario: one attribute per key of ``FIELDS``, every default
-    filled in, with ``grid`` spread into ``n_theta`` and ``n_phi`` and the
-    defaults of ``t_samples`` and ``compat_window`` derived from T.  Built only
+    filled in, with ``grid`` spread into ``n_theta`` and ``n_phi``.  Built only
     by ``scenario_from_dict`` and never changed after."""
 
     def __init__(self, **values):
         self.__dict__.update(values)
-        T = self.T
-        if self.t_samples is None:
-            self.t_samples = [0.0, 0.25 * T, 0.5 * T, 0.75 * T, T]
-        window = self.compat_window if self.compat_window is not None else (0.5 * T, T)
-        self.compat_window = [float(x) for x in window]
 
     # -- derived -------------------------------------------------------------
+
+    @property
+    def t_samples(self) -> list:
+        """The report times 0, T/4, T/2, 3T/4 and T."""
+        T = self.T
+        return [0.0, 0.25 * T, 0.5 * T, 0.75 * T, T]
+
+    @property
+    def compat_window(self) -> list[float]:
+        """The compatibility check's window [T/2, T]."""
+        return [float(0.5 * self.T), float(self.T)]
 
     @property
     def resolved_family(self) -> str:
@@ -280,8 +278,9 @@ class Scenario:
 
 def _whole_steps(s: Scenario) -> bool:
     n = step_count(s.T, s.dt)
-    # the mass derivative's one-sided difference needs three samples
-    return n is not None and n >= 2
+    # the compatibility window [T/2, T] needs 3 stored times for its time
+    # derivative, and holds them exactly from 4 steps on
+    return n is not None and n >= 4
 
 
 def _s_domain_tabulable(s: Scenario) -> bool:
@@ -313,25 +312,6 @@ def _fits_in_memory(s: Scenario) -> bool:
     return need <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _in_flow(s: Scenario, ts) -> bool:
-    return bool(ts) and 0 <= min(ts) and max(ts) <= s.T + 1e-12
-
-
-def _compat_window_filled(s: Scenario) -> bool:
-    """The compat window holds the 3 stored times its time derivative needs,
-    counted as ``harness._window`` selects them, without building the grid."""
-    w = s.compat_window
-    if not (_whole_steps(s) and len(w) == 2 and w[0] < w[1]):
-        return True  # another rule reports it
-    n = step_count(s.T, s.dt)
-    every = snap_interval(n, s.snap_every)
-    lo, hi = w[0] - 1e-12, w[1] + 1e-12
-    # stored steps: the multiples of snap_every in [0, n], and n itself
-    first = max(0, math.ceil(lo / (every * s.dt)))
-    last = min(n // every, math.floor(hi / (every * s.dt)))
-    return max(0, last - first + 1) + (n % every != 0 and lo <= n * s.dt <= hi) >= 3
-
-
 RULES = (
     ("RPI mode needs a positive target mass m", lambda s: s.mode != "RPI" or s.m is not None),
     ("give either a profile or an epsilon family (epsilons), not both",
@@ -352,16 +332,10 @@ RULES = (
      lambda s: s.epsilons is None or s.surface["amplitude"] == 0.0),
     ("surface.type {s.surface[type]!r} shapes no graph: every row's amplitude is 0",
      _surface_type_read),
-    ("dt = {s.dt!r} must divide T = {s.T!r} into at least 2 steps", _whole_steps),
+    ("dt = {s.dt!r} must divide T = {s.T!r} into at least 4 steps", _whole_steps),
     ("T = {s.T!r} carries the flow's area radius 1.3 s0 (1 + |amplitude|) e^(T/2) past "
      f"{S_TABULATED_MAX:g}, the largest a profile is tabulated to", _s_domain_tabulable),
-    ("t_samples must be a nonempty list of times in [0, T], got {s.t_samples!r}",
-     lambda s: _in_flow(s, s.t_samples)),
-    ("compat_window must be [a, b] with 0 <= a < b <= T, got {s.compat_window!r}",
-     lambda s: len(w := s.compat_window) == 2 and w[0] < w[1] and _in_flow(s, w)),
-    ("grid, T/dt and snap_every ask for more memory per row than this machine has", _fits_in_memory),
-    ("compat_window (default [T/2, T]) holds fewer than 3 stored times; lower snap_every or "
-     "widen the window", _compat_window_filled),
+    ("grid and T/dt ask for more memory per row than this machine has", _fits_in_memory),
 )
 
 

@@ -113,16 +113,6 @@ class SphereGrid:
         """Expand a per-ring array to the full (n_theta, n_phi) node set."""
         return np.repeat(np.asarray(values)[:, None], self.n_phi, axis=1)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SphereGrid)
-            and other.n_theta == self.n_theta
-            and other.n_phi == self.n_phi
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_theta, self.n_phi))
-
     def __repr__(self) -> str:
         return f"SphereGrid({self.n_theta}x{self.n_phi})"
 

@@ -199,7 +199,7 @@ def test_horizon_radius_cubic():
 
 def test_adss_requires_positive_mass():
     with pytest.raises(ProfileError):
-        AdSSProfile(-0.5)
+        AdSSProfile(-0.5, s_domain=(1.05, 16.0))
 
 
 def test_domain_crossing_horizon_rejected():
@@ -211,7 +211,7 @@ def test_domain_crossing_horizon_rejected():
     "make",
     [
         HyperbolicProfile,
-        lambda: AdSSProfile(1.0),
+        lambda: AdSSProfile(1.0, s_domain=(1.02, 20.0)),
         lambda: MassAspectProfile.from_points([0.8, 1.5, 3.0], [0.0, 0.05, 0.1]),
         lambda: TabulatedProfile(np.linspace(0.3, 3.0, 8), np.sinh(np.linspace(0.3, 3.0, 8))),
     ],

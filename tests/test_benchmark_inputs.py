@@ -1,17 +1,20 @@
 """The benchmark runs the scenario documents that ``perfbench/workloads.py``
-generates: each must stay a valid scenario, or ``perfbench/run.py`` breaks
-on a new scenario rule that no other test notices."""
+generates: each must stay a valid scenario whose rows build, or
+``perfbench/run.py`` breaks on a new scenario rule that no other test
+notices.  With the shipped scenarios, they also set every scenario key."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from imcf_lab.scenario import scenario_from_dict
+from imcf_lab.scenario import FIELDS, scenario_from_dict
 
+ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
 )
 workloads = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = workloads  # its dataclass looks its module up there
@@ -21,5 +24,15 @@ _spec.loader.exec_module(workloads)
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 123])
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_every_workload_document_is_a_valid_scenario(name, seed):
-    doc = workloads.WORKLOADS[name].scenario(seed)
-    assert scenario_from_dict(doc).id == name
+    scn = scenario_from_dict(workloads.WORKLOADS[name].scenario(seed))
+    assert scn.id == name
+    assert len(scn.rows()) == len(scn.epsilons or [None])
+
+
+def test_every_top_level_key_is_set_by_a_shipped_document():
+    """A key that no shipped scenario and no seed-0 benchmark document sets is
+    a value no one changes, and belongs in the code, not the schema."""
+    docs = [json.loads(p.read_text(encoding="utf-8")) for p in (ROOT / "scenarios").glob("*.json")]
+    docs += [w.scenario(0) for w in workloads.WORKLOADS.values()]
+    unset = {f.name for f in FIELDS} - {key for doc in docs for key in doc}
+    assert not unset, sorted(unset)

@@ -215,18 +215,33 @@ def test_a_foreign_exception_exits_2_in_one_line(tmp_path, capsys, monkeypatch, 
 def test_a_compat_window_without_3_stored_times_is_a_scenario_error(
     tmp_path, capsys, monkeypatch, command
 ):
-    """Stored every 0.1, [T/2, T] = [0.1, 0.2] holds 2 times: one line, exit 1,
-    and no sweep (before, the row flowed and then failed with a WindowError)."""
+    """Three steps store every step, and [T/2, T] = [0.0015, 0.003] holds 2 of
+    them: one line, exit 1, and no sweep (before, the row flowed and then
+    failed with a WindowError)."""
 
     def run_sequence(*args, **kwargs):
         raise RuntimeError("the sweep ran")
 
     monkeypatch.setattr(cli, "run_sequence", run_sequence)
-    doc = {"id": "snap", "profile": {"kind": "hyperbolic"}, "T": 0.2, "dt": 0.001,
-           "snap_every": 100, "grid": {"n_theta": 16, "n_phi": 32}}
+    doc = {"id": "snap", "profile": {"kind": "hyperbolic"}, "T": 0.003, "dt": 0.001,
+           "grid": {"n_theta": 16, "n_phi": 32}}
     p = _write(tmp_path, doc)
     assert main([command, str(p), *(["--out", str(tmp_path / "o")] if command == "run" else [])]) == 1
-    assert "fewer than 3 stored times" in _one_line(capsys, "scenario error: compat_window")
+    assert "at least 4 steps" in _one_line(capsys, "scenario error: dt = 0.001")
+
+
+@pytest.mark.parametrize("key, value", [("t_samples", [0.0, 0.125, 0.25]),
+                                        ("compat_window", [0.125, 0.25]), ("snap_every", 1)])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_scenario_sets_no_sampling_schedule(tmp_path, capsys, monkeypatch, command, key, value):
+    """The report times, the compatibility window and the snapshot interval
+    follow from T and dt alone: a document that sets one exits 1 in one line
+    naming it, and writes nothing."""
+    p = _write(tmp_path, dict(FAST_DOC, **{key: value}))
+    monkeypatch.chdir(tmp_path)  # no --out: reports would go to ./out
+    assert main([command, str(p), "--quiet"] if command == "run" else [command, str(p)]) == 1
+    assert key in _one_line(capsys, "scenario error: ")
+    assert list(tmp_path.iterdir()) == [p]
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

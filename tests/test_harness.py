@@ -203,15 +203,17 @@ def test_monotone_stability_columns_fast():
 
 
 def test_record_reads_every_column_at_one_snapshot():
-    """A t-sample between snapshots: m_H and gauss_dev come from the same surface."""
+    """A t-sample between snapshots: m_H and gauss_dev come from the same
+    surface.  802 steps store every second one, and T/4 falls on step 200.5."""
     doc = {"id": "x", "profile": {"kind": "hyperbolic"},
-           "surface": {"type": "p2", "amplitude": 0.05}, "T": 0.2, "dt": 0.001,
-           "snap_every": 5, "t_samples": [0, 0.0123, 0.2],
+           "surface": {"type": "p2", "amplitude": 0.05}, "T": 0.401, "dt": 0.0005,
            "grid": {"n_theta": 16, "n_phi": 32}}
     scn = scenario_from_dict(doc)
-    rec = next(r for r in table_rows(run_sequence(scn)) if r["t"] == 0.0123)
+    t_sample = scn.t_samples[1]
+    rec = next(r for r in table_rows(run_sequence(scn)) if r["t"] == t_sample)
     row = scn.rows()[0]
-    tr = record(row.profile, row.surface0, T=scn.T, dt=scn.dt, snap_every=scn.snap_every)
+    tr = record(row.profile, row.surface0, T=scn.T, dt=scn.dt)
+    assert t_sample not in tr.snap_times
     gauss = [comparison.gauss_deviation(tr.snapshot_geometry(j), tr.r0, float(t))
              for j, t in enumerate(tr.snap_times)]
     j = gauss.index(rec["gauss_dev"])

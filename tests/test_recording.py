@@ -25,9 +25,9 @@ def p2_row():
     return scn, scn.rows()[0]
 
 
-def _p2_row(**over):
+def _p2_row():
     """The p2 row at 32x64 flowed to T = 0.4 (400 steps)."""
-    scn = scenario_from_dict({"id": "p2", **BASE, **DOCS["p2-mass-aspect"], "T": 0.4, **over})
+    scn = scenario_from_dict({"id": "p2", **BASE, **DOCS["p2-mass-aspect"], "T": 0.4})
     return scn, scn.rows()[0]
 
 
@@ -47,21 +47,23 @@ def test_sweep_row_holds_less_than_one_snapshot_track():
     """A row running every check, 401 snapshots at 32x64, peaks below the
     bytes that the flow's zeta, P1 and P2 snapshots alone would take."""
     scn, row = _p2_row()
-    n_snap = len(imcf.time_grid(scn.T, scn.dt, scn.snap_every)[1])
+    n_snap = len(imcf.time_grid(scn.T, scn.dt)[1])
     assert n_snap == 401
     track_bytes = 3 * n_snap * row.surface0.zeta.size * 8
     peak = _row_peak(scn, row)
     assert peak < track_bytes, (peak, track_bytes)
 
 
-def test_sweep_row_memory_does_not_grow_with_its_snapshots():
+def test_sweep_row_memory_does_not_grow_with_its_snapshots(monkeypatch):
     """401 and 51 snapshots of the same row peak within a quarter of the
     2 x 350 x 2048 bytes that two boolean verdicts per node and extra snapshot
-    would add: no check keeps per-node history."""
+    would add: no check keeps per-node history.  No scenario sets the
+    snapshot interval, so the test sets the flow's own."""
     peaks = {}
     for every, n_snap in ((1, 401), (8, 51)):
-        scn, row = _p2_row(snap_every=every)
-        assert len(imcf.time_grid(scn.T, scn.dt, scn.snap_every)[1]) == n_snap
+        scn, row = _p2_row()
+        monkeypatch.setattr(imcf, "snap_interval", lambda n_steps, snap_every: every)
+        assert len(imcf.time_grid(scn.T, scn.dt)[1]) == n_snap
         peaks[n_snap] = _row_peak(scn, row)
     verdict_bytes = 2 * (401 - 51) * row.surface0.zeta.size
     assert abs(peaks[401] - peaks[51]) < verdict_bytes / 4, (peaks, verdict_bytes)

@@ -216,32 +216,20 @@ def test_memory_estimate_counts_no_snapshot_track(monkeypatch):
         scenario_from_dict({"id": "x", "grid": {"n_theta": 2**40, "n_phi": 128}})
 
 
-@pytest.mark.parametrize(
-    "T, dt, snap_every, window",
-    [
-        (0.2, 1e-3, 100, None),     # stores 0.1 and 0.2 in [0.1, 0.2]
-        (0.2, 1e-3, 50, None),      # 0.1, 0.15, 0.2
-        (0.2, 1e-3, 67, None),      # 0.134 and the last step
-        (0.2, 1e-3, 51, None),      # 0.102, 0.153 and the last step
-        (0.2, 1e-3, None, [0.0, 0.002]),
-        (0.2, 1e-3, None, [0.0, 0.001]),
-        (0.3, 0.1, None, [0.1, 0.3]),
-        (0.3, 0.1, None, [0.15, 0.3]),
-        (2.0, 2.5e-3, 7, [0.5, 0.55]),
-        (2.0, 2.5e-3, 7, [0.5, 0.6]),
-    ],
-)
-def test_compat_window_rule_counts_the_times_the_check_selects(T, dt, snap_every, window):
-    """The rule counts the stored times in the window as ``harness._window``
-    selects them from the flow's own time grid."""
-    doc = {"id": "w", "profile": {"kind": "hyperbolic"}, "T": T, "dt": dt,
-           "snap_every": snap_every, "compat_window": window}
-    times, snaps = time_grid(T, dt, snap_every)
-    a, b = window or (0.5 * T, T)
-    if len(_window(times[snaps], a, b)) >= 3:
+@pytest.mark.parametrize("dt", [1e-3, 2.5e-3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 799, 800, 801, 1004, 6000])
+def test_a_scenario_holds_the_stored_times_its_compat_window_needs(n, dt):
+    """The rules accept T = n dt exactly when [T/2, T] holds the 3 stored
+    times that ``harness._window`` selects from the flow's own time grid."""
+    T = n * dt
+    times, snaps = time_grid(T, dt)
+    filled = len(_window(times[snaps], 0.5 * T, T)) >= 3
+    assert filled == (n >= 4)
+    doc = {"id": "w", "profile": {"kind": "hyperbolic"}, "T": T, "dt": dt}
+    if filled:
         scenario_from_dict(doc)
     else:
-        with pytest.raises(ValidationError, match="fewer than 3 stored times"):
+        with pytest.raises(ValidationError, match="at least 4 steps"):
             scenario_from_dict(doc)
 
 
@@ -330,8 +318,7 @@ _BASES = (
      "grid": {"n_theta": 16, "n_phi": 32}},
     {"id": "explicit", "profile": {"kind": "adss", "m": 1.0, "s_min": 1.6},
      "surface": {"type": "p2", "area_radius": 2.0, "amplitude": 0.05}, "T": 0.5},
-    {"id": "rpi", "mode": "RPI", "m": 0.5, "epsilons": [0.1], "t_samples": [0.0, 1.0],
-     "compat_window": [1.0, 2.0], "snap_every": 10},
+    {"id": "rpi", "mode": "RPI", "m": 0.5, "epsilons": [0.1]},
 )
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imcf_lab.sphere_grid import SphereGrid, get_grid
+from imcf_lab.sphere_grid import get_grid
 
 
 def test_weights_sum_to_sphere_area(grid64):
@@ -97,4 +97,3 @@ def test_integrate_sigma_is_linear(a, b):
 
 def test_grid_cache_shares_instances():
     assert get_grid(16, 32) is get_grid(16, 32)
-    assert SphereGrid(16, 32) == get_grid(16, 32)
