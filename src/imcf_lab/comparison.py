@@ -21,7 +21,10 @@ matching how the convergence statements are quantified).
 
 ``ChainAccumulator`` computes the hat -> g1 -> g2 -> g3 -> model chain while
 the flow runs: one spatial integral per sampled time, a trapezoid in t at
-the end, and nothing but the first sample's fiber held in between.
+the end, and nothing but the first sample's fiber held in between.  The
+chain reads one parameter, the model's mass m: g3 and the model take the
+g3_rpi/adss_model lapse with that m, which at m = 0 is the g3_pmt/
+hyperbolic_model lapse.
 ``distance_chain`` replays a recorded track (from ``imcf.record``) through
 it.  ``assemble`` and ``l2_distance`` build the full (time, node) grids of a
 recorded track instead; they are the reference the streamed chain is tested
@@ -223,24 +226,15 @@ class ChainAccumulator(SnapshotAccumulator):
     Per sampled time it integrates the five squared distances over Sigma
     (weighted by dmu / H, as in ``l2_distance``) and keeps only those scalars
     and the first sample's fiber, which g2 and g3 rescale by e^t.  r0 is the
-    area radius of the first sample, Sigma_0.
+    area radius of the first sample, Sigma_0, and m the model's mass: 0 gives
+    the PMT labels (g3_pmt, hyperbolic_model), m > 0 the RPI ones.
     """
 
-    def __init__(
-        self,
-        snap_times: np.ndarray,
-        mode: str = "PMT",
-        m: float | None = None,
-    ):
-        mode = mode.upper()
-        if mode not in ("PMT", "RPI"):
-            raise ValueError("mode must be PMT or RPI")
+    def __init__(self, snap_times: np.ndarray, m: float = 0.0):
         super().__init__(sample_indices(len(snap_times)))
-        self.mode = mode
         self.times = snap_times[self.indices]
         self._growth = np.exp(self.times)
-        self._m = m
-        self._model_m = 0.0 if mode == "PMT" or m is None else float(m)
+        self.m = float(m)
         self.spatial = {key: np.empty(len(self.indices)) for key in CHAIN_KEYS}
         self._error = None
 
@@ -249,7 +243,7 @@ class ChainAccumulator(SnapshotAccumulator):
             self.r0 = area_radius(geom)
             self._fiber0 = (geom.g11, geom.g12, geom.g22)
             try:
-                self._model_lapse = _model_lapse2(self.times, self.r0, self._model_m)
+                self._model_lapse = _model_lapse2(self.times, self.r0, self.m)
             except LapseError as exc:
                 self._error = exc
         if self._error is not None:
@@ -274,8 +268,6 @@ class ChainAccumulator(SnapshotAccumulator):
             self.spatial[key][i] = np.sum(norm2 * geom.dmu / geom.H * grid.weights)
 
     def result(self) -> dict:
-        if self.mode == "RPI" and (self._m is None or self._m <= 0.0):
-            raise ParamError("label 'g3_rpi' needs a positive mass m")
         if self._error is not None:
             raise self._error
         self._require_complete()
@@ -284,14 +276,15 @@ class ChainAccumulator(SnapshotAccumulator):
         }
 
 
-def distance_chain(track: FlowTrack, mode: str = "PMT", m: float | None = None) -> dict:
+def distance_chain(track: FlowTrack, m: float = 0.0) -> dict:
     """All pairwise distances along the hat -> g1 -> g2 -> g3 -> model chain.
 
-    Every distance is measured against the model metric of the chosen mode, so
-    the square roots obey the plain triangle inequality.  Replays a track from
-    ``imcf.record`` through ``ChainAccumulator``.
+    Every distance is measured against the model metric of mass m (0: the
+    hyperbolic model), so the square roots obey the plain triangle
+    inequality.  Replays a track from ``imcf.record`` through
+    ``ChainAccumulator``.
     """
-    acc = ChainAccumulator(track.snap_times, mode=mode, m=m)
+    acc = ChainAccumulator(track.snap_times, m=m)
     track.replay(acc)
     return acc.result()
 

@@ -343,7 +343,7 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
         a, b = scn.compat_window
         compat = CompatAccumulator(grid, snap_times, scn.T, a, b, diameters=diameters)
         pinch = mass.PinchAccumulator(snap_times)
-        chain = comparison.ChainAccumulator(snap_times, mode=scn.mode, m=scn.m)
+        chain = comparison.ChainAccumulator(snap_times, m=scn.m or 0.0)
         samples = SampleAccumulator(snap_of, diameters)
         track = run(
             row.profile,

@@ -15,7 +15,11 @@ surface, or an epsilon-family sweep.  Shipped families:
                  (default for PMT sweeps: every stability column is then
                  strictly positive and strictly decreasing in eps).
 
-eps = 0 rows degrade to the exact model ambient with round data.
+eps = 0 rows degrade to the exact model ambient with round data.  The exact
+model of a mode (``Scenario.model_profile``) is hyperbolic space for PMT and,
+for RPI, AdS-Schwarzschild of the scenario's mass m on the row's s-domain,
+kept outside 1.05 horizon radii.  An explicit ``hyperbolic`` or ``adss``
+profile is that model and takes no key.
 """
 
 from __future__ import annotations
@@ -83,11 +87,7 @@ _SURFACE = (
 )
 _PROFILES = {
     "hyperbolic": (),
-    "adss": (
-        Field("m", "number", REQUIRED, "mass", "> 0"),
-        Field("s_min", "number", None, "smallest area radius (default: outside the horizon)", "> 0"),
-        Field("s_max", "number", None, "largest area radius (default: beyond the flow's reach)", "> 0"),
-    ),
+    "adss": (),
     "mass_aspect": (
         Field("points", "object", REQUIRED, "samples of m(s), joined by a PCHIP spline", fields=(
             Field("s", "numbers", REQUIRED, "strictly increasing area radii"),
@@ -216,7 +216,7 @@ class Scenario:
         rows = []
         for eps in self.epsilons or [None]:
             amp = self._amplitude(eps)
-            profile = (build_profile(self.profile, self) if self.profile is not None
+            profile = (build_profile(self.profile, self, amp) if self.profile is not None
                        else self._family_profile(eps, amp))
             label = self.id if eps is None else f"{self.id}[eps={eps:g}]"
             rows.append(ScenarioRow(eps=None if eps is None else float(eps), profile=profile,
@@ -240,20 +240,32 @@ class Scenario:
         hi = 1.3 * s0 * (1.0 + abs(amp)) * np.exp(0.5 * self.T) + 1e-3
         return lo, hi
 
-    def _family_profile(self, eps: float | None, amp: float) -> AmbientProfile:
-        s_lo, s_hi = self._s_bounds(amp)
+    def _rpi_s_domain(self, amp: float) -> tuple[float, float]:
+        """An RPI row's s-domain: ``_s_bounds``, kept outside 1.05 horizon
+        radii of the model mass m."""
+        lo, hi = self._s_bounds(amp)
+        return max(lo, 1.05 * horizon_radius(self.m)), hi
+
+    def model_profile(self, amp: float) -> AmbientProfile:
+        """The mode's exact model for a row of amplitude ``amp``: hyperbolic
+        space (PMT), or AdS-Schwarzschild of mass m (RPI)."""
         if self.mode == "PMT":
-            if self.resolved_family == "ellipsoid" or not eps:  # eps 0, or None: the one row
-                return HyperbolicProfile()
+            return HyperbolicProfile()
+        return AdSSProfile(self.m, self._rpi_s_domain(amp))
+
+    def _family_profile(self, eps: float | None, amp: float) -> AmbientProfile:
+        # the model rows: eps 0, the one row (eps None) and the ellipsoid family
+        if not eps or self.resolved_family == "ellipsoid":
+            return self.model_profile(amp)
+        if self.mode == "PMT":
+            s_lo, s_hi = self._s_bounds(amp)
             ell = max(0.5, 0.25 * (s_hi - s_lo))
             m_f = lambda s: eps * np.tanh((s - s_lo) / ell)
             dm_f = lambda s: (eps / ell) / np.cosh((s - s_lo) / ell) ** 2
             return MassAspectProfile(m_f, dm_f, (s_lo, s_hi))
         # RPI
         m_star = float(self.m)
-        s_lo = max(s_lo, 1.05 * horizon_radius(m_star))
-        if not eps:
-            return AdSSProfile(m_star, s_domain=(s_lo, s_hi))
+        s_lo, s_hi = self._rpi_s_domain(amp)
         s_mid = self.area_radius * np.exp(0.25 * self.T)
         w = max(0.2, 0.2 * (s_hi - s_lo))
         rho = lambda s: 0.5 * (1.0 + np.tanh((s_mid - s) / w))
@@ -325,9 +337,8 @@ RULES = (
     ("amplitude_factor is read only by the combined family",
      lambda s: s.amplitude_factor is None or s.resolved_family == "combined"),
     ("m is the RPI target mass; PMT mode reads none", lambda s: s.mode == "RPI" or s.m is None),
-    ("an RPI profile is the model it is measured against: adss with profile.m = m = {s.m!r}",
-     lambda s: s.mode != "RPI" or s.profile is None
-     or s.profile["kind"] == "adss" and s.profile["m"] == s.m),
+    ("an adss profile is the RPI model: give profile kind adss exactly when mode is RPI",
+     lambda s: s.profile is None or (s.profile["kind"] == "adss") == (s.mode == "RPI")),
     ("a sweep derives each row's surface.amplitude from eps; leave it out",
      lambda s: s.epsilons is None or s.surface["amplitude"] == 0.0),
     ("surface.type {s.surface[type]!r} shapes no graph: every row's amplitude is 0",
@@ -339,17 +350,12 @@ RULES = (
 )
 
 
-def build_profile(spec: dict, scn: Scenario) -> AmbientProfile:
-    """Instantiate an explicit (non-family) profile from its filled spec."""
+def build_profile(spec: dict, scn: Scenario, amp: float) -> AmbientProfile:
+    """Instantiate an explicit (non-family) profile from its filled spec, for
+    a row of amplitude ``amp``."""
     kind = spec["kind"]
-    if kind == "hyperbolic":
-        return HyperbolicProfile()
-    if kind == "adss":
-        m = spec["m"]
-        default_lo, default_hi = scn._s_bounds(0.0)
-        s_min = spec["s_min"] if spec["s_min"] is not None else max(default_lo, 1.02 * horizon_radius(m))
-        s_max = spec["s_max"] if spec["s_max"] is not None else max(default_hi, 1.5 * s_min)
-        return AdSSProfile(m, (s_min, s_max))
+    if kind in ("hyperbolic", "adss"):
+        return scn.model_profile(amp)
     if kind == "mass_aspect":
         return MassAspectProfile.from_points(spec["points"]["s"], spec["points"]["m"])
     return TabulatedProfile(spec["r"], spec["lam"])

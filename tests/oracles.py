@@ -9,6 +9,9 @@ the implementation it checks.
 
 The weak normal-Ricci pairing integrates the flow's weak identity for
 Rc(nu, nu) against a probe field over the snapshots of a recorded track.
+
+The round-row reference gives a round row's report columns in closed form
+from the ambient's mass aspect m(s) alone.
 """
 
 from dataclasses import dataclass
@@ -17,6 +20,8 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from imcf_lab.comparison import sample_indices
+from imcf_lab.imcf import time_grid
 from imcf_lab.surface import integrate
 
 
@@ -262,3 +267,45 @@ def weak_ricci_pairing(
     lhs = float(np.trapezoid(lhs_t, t_nodes))
     rhs = surf_a - surf_b + float(np.trapezoid(bulk_t, t_nodes))
     return lhs, rhs
+
+
+def round_row(m, dm, s0, T, dt, model_m=0.0) -> dict:
+    """Exact report columns of a round row: the flow s(t) = s0 e^{t/2} in
+    the mass aspect m(s), whose derivative is dm(s).
+
+    The sphere of area radius s has area 4 pi s^2, Hawking mass m(s) and
+    H = 2 lambda'/s with lambda'^2 = 1 + s^2 - 2 m/s; both principal
+    curvatures are H/2, K12 = 2m/s^3 - 1 and R = -6 + 4 m'/s^2.  The series
+    columns (and ``times``) are given at every step time t = k dt.
+
+    ``l2_hat_model`` is the hat -> model distance against the model of mass
+    ``model_m``.  Their fibers agree, and H^2 L = lambda'^2 / lambda'^2_model
+    with L the model's lapse^2, so the distance is
+    int 4 pi s^2 (1/(H^2 L) - 1)^2 / H dt, here by the trapezoid over the
+    chain's own times, as the report takes it.
+    """
+    times, snaps = time_grid(T, dt)
+    s = s0 * np.exp(0.5 * times)
+    ms, dms = m(s), dm(s)
+    q = 1.0 - 2.0 * ms / s  # s^2 (H^2 - 4) / 4
+    cols = {
+        "times": times,
+        "area": 4.0 * np.pi * s**2,
+        "m_H": ms,
+        "Hbar2": 4.0 * (1.0 + s**2 - 2.0 * ms / s) / s**2,
+        "I_H2": 16.0 * np.pi * q,
+        "I_A2": 8.0 * np.pi * q,
+        "I_prod": 4.0 * np.pi * q,
+        "I_Rc": 8.0 * np.pi * (dms - ms / s),
+        "I_K12": 8.0 * np.pi * ms / s,
+        "I_R": 16.0 * np.pi * dms,
+        "chi": np.full_like(s, 2.0),
+        "mH_T": float(ms[-1]),
+    }
+    tc = times[snaps][sample_indices(len(snaps))]
+    sc = s0 * np.exp(0.5 * tc)
+    dlam2 = 1.0 + sc**2 - 2.0 * m(sc) / sc
+    ratio = dlam2 / (1.0 + sc**2 - 2.0 * model_m / sc)  # H^2 L
+    H = 2.0 * np.sqrt(dlam2) / sc
+    cols["l2_hat_model"] = float(np.trapezoid(4.0 * np.pi * sc**2 * (1.0 / ratio - 1.0) ** 2 / H, tc))
+    return cols

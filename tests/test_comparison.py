@@ -81,8 +81,8 @@ def test_l2_distance_shape_error(hyp_round_track):
 
 
 def test_chain_vanishes_on_exact_models(hyp_round_track, adss_round_track):
-    for track, mode, m in ((hyp_round_track, "PMT", None), (adss_round_track, "RPI", 1.0)):
-        chain = distance_chain(track, mode=mode, m=m)
+    for track, m in ((hyp_round_track, 0.0), (adss_round_track, 1.0)):
+        chain = distance_chain(track, m=m)
         for key, value in chain.items():
             assert value < 1e-20, (key, value)
 
@@ -90,7 +90,7 @@ def test_chain_vanishes_on_exact_models(hyp_round_track, adss_round_track):
 def test_triangle_chain_inequality(hyperbolic, grid32):
     surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
     track = record(hyperbolic, surf, T=0.3, dt=1e-3)
-    chain = distance_chain(track, mode="PMT")
+    chain = distance_chain(track)
     lhs = np.sqrt(chain["hat_model"])
     rhs = (
         np.sqrt(chain["hat_g1"])

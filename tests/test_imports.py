@@ -1,19 +1,24 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and every script imports.
 
 No linter ships with the project, so this scans each module's syntax tree:
 every name an ``import`` binds must be read somewhere in the same file.
-``__init__`` is skipped because its imports would be re-exports.
+``__init__`` is skipped because its imports would be re-exports.  The
+scripts under ``scripts/`` are also imported as modules (which leaves their
+``__main__`` blocks unrun), so a renamed name they use fails here.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 MODULES = sorted(
     [p for p in (ROOT / "src" / "imcf_lab").glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
+    + SCRIPTS
 )
 
 
@@ -39,3 +44,9 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_every_script_imports(path):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))

@@ -127,10 +127,10 @@ def test_flow_inverts_the_warp_at_most_once(name, monkeypatch):
 
 LEAVING_DOC = {
     "id": "leaves-s-max",
-    "mode": "RPI",
-    "m": 1.0,
-    # zeta = 2 e^{t/2} crosses s_max = 2.1 at t = 2 ln 1.05 ~ 0.098
-    "profile": {"kind": "adss", "m": 1.0, "s_min": 1.6, "s_max": 2.1},
+    "mode": "PMT",
+    # AdSS of mass 1 on [1.6, 2.1]: zeta = 2 e^{t/2} crosses s = 2.1 at
+    # t = 2 ln 1.05 ~ 0.098
+    "profile": {"kind": "mass_aspect", "points": {"s": [1.6, 2.1], "m": [1.0, 1.0]}},
     "surface": {"type": "round", "area_radius": 2.0},
     "T": 0.25,
     "dt": 2.5e-3,
