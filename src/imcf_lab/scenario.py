@@ -18,8 +18,8 @@ surface, or an epsilon-family sweep.  Shipped families:
 eps = 0 rows degrade to the exact model ambient with round data.  The exact
 model of a mode (``Scenario.model_profile``) is hyperbolic space for PMT and,
 for RPI, AdS-Schwarzschild of the scenario's mass m on the row's s-domain,
-kept outside 1.05 horizon radii.  An explicit ``hyperbolic`` or ``adss``
-profile is that model and takes no key.
+kept outside 1.05 horizon radii.  An explicit ``hyperbolic`` profile is the
+PMT model and takes no key; an RPI row reads no profile.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ _SURFACE = (
 )
 _PROFILES = {
     "hyperbolic": (),
-    "adss": (),
     "mass_aspect": (
         Field("points", "object", REQUIRED, "samples of m(s), joined by a PCHIP spline", fields=(
             Field("s", "numbers", REQUIRED, "strictly increasing area radii"),
@@ -216,7 +215,7 @@ class Scenario:
         rows = []
         for eps in self.epsilons or [None]:
             amp = self._amplitude(eps)
-            profile = (build_profile(self.profile, self, amp) if self.profile is not None
+            profile = (build_profile(self.profile) if self.profile is not None
                        else self._family_profile(eps, amp))
             label = self.id if eps is None else f"{self.id}[eps={eps:g}]"
             rows.append(ScenarioRow(eps=None if eps is None else float(eps), profile=profile,
@@ -337,8 +336,8 @@ RULES = (
     ("amplitude_factor is read only by the combined family",
      lambda s: s.amplitude_factor is None or s.resolved_family == "combined"),
     ("m is the RPI target mass; PMT mode reads none", lambda s: s.mode == "RPI" or s.m is None),
-    ("an adss profile is the RPI model: give profile kind adss exactly when mode is RPI",
-     lambda s: s.profile is None or (s.profile["kind"] == "adss") == (s.mode == "RPI")),
+    ("an RPI row is measured against its model, AdS-Schwarzschild of mass m: "
+     "RPI reads no profile", lambda s: s.mode != "RPI" or s.profile is None),
     ("a sweep derives each row's surface.amplitude from eps; leave it out",
      lambda s: s.epsilons is None or s.surface["amplitude"] == 0.0),
     ("surface.type {s.surface[type]!r} shapes no graph: every row's amplitude is 0",
@@ -350,12 +349,11 @@ RULES = (
 )
 
 
-def build_profile(spec: dict, scn: Scenario, amp: float) -> AmbientProfile:
-    """Instantiate an explicit (non-family) profile from its filled spec, for
-    a row of amplitude ``amp``."""
+def build_profile(spec: dict) -> AmbientProfile:
+    """Instantiate an explicit (non-family) profile from its filled spec."""
     kind = spec["kind"]
-    if kind in ("hyperbolic", "adss"):
-        return scn.model_profile(amp)
+    if kind == "hyperbolic":
+        return HyperbolicProfile()
     if kind == "mass_aspect":
         return MassAspectProfile.from_points(spec["points"]["s"], spec["points"]["m"])
     return TabulatedProfile(spec["r"], spec["lam"])

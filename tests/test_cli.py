@@ -141,7 +141,7 @@ def test_run_rejects_bad_time_grid_value_in_one_line(tmp_path, capsys, monkeypat
 def test_row_building_errors_are_scenario_errors(tmp_path, capsys, command):
     """A row that cannot be built (its area radius below the AdSS model's
     domain floor, 1.05 horizon radii = 1.05 at m = 1) exits 1 in one line."""
-    doc = {"id": "below-horizon", "mode": "RPI", "m": 1.0, "profile": {"kind": "adss"},
+    doc = {"id": "below-horizon", "mode": "RPI", "m": 1.0,
            "surface": {"area_radius": 0.9}, "T": 0.25, "dt": 2.5e-3,
            "grid": {"n_theta": 16, "n_phi": 32}}
     p = _write(tmp_path, doc)
@@ -261,24 +261,24 @@ def test_a_dipping_tabulated_spline_is_a_scenario_error(tmp_path, capsys, comman
 @pytest.mark.parametrize("command", ["run", "verify"])
 @pytest.mark.parametrize("doc, key", [
     ({"mode": "RPI", "m": 0.5, "profile": {"kind": "adss", "m": 1.0},
-      "surface": {"area_radius": 2.0}}, "unknown key(s) ['m'] in profile"),
-    ({"mode": "RPI", "m": 1.0, "profile": {"kind": "adss", "s_min": 1.6}}, "['s_min'] in profile"),
-    ({"mode": "RPI", "m": 1.0, "profile": {"kind": "adss", "s_max": 16.0}}, "['s_max'] in profile"),
-    ({"mode": "RPI", "m": 1.0, "profile": {"kind": "hyperbolic"}}, "profile"),
-    ({"profile": {"kind": "adss"}}, "profile"),
+      "surface": {"area_radius": 2.0}}, "unknown profile kind 'adss'"),
+    ({"mode": "RPI", "m": 1.0, "profile": {"kind": "hyperbolic"}}, "RPI reads no profile"),
+    ({"mode": "RPI", "m": 1.0, "profile": {"kind": "mass_aspect",
+      "points": {"s": [1.6, 2.1], "m": [1.0, 1.0]}}}, "RPI reads no profile"),
+    ({"profile": {"kind": "adss"}}, "unknown profile kind 'adss'"),
     ({"family": "ellipsoid"}, "family"),
     ({"m": 3.0}, "m is"),
     ({"epsilons": [0.1, 0.0], "surface": {"amplitude": 0.3}}, "surface.amplitude"),
     ({"mode": "RPI", "m": 0.5, "epsilons": [0.1], "surface": {"type": "bumpy"}}, "surface.type"),
     ({"profile": {"kind": "hyperbolic"}, "surface": {"type": "bumpy"}}, "surface.type"),
     ({"family": "ellipsoid", "epsilons": [0.1], "amplitude_factor": 3.0}, "amplitude_factor"),
-], ids=["rpi-adss-other-m", "rpi-adss-s-min", "rpi-adss-s-max", "rpi-hyperbolic", "pmt-adss",
+], ids=["rpi-adss-other-m", "rpi-hyperbolic", "rpi-mass-aspect", "pmt-adss",
         "family-without-sweep", "pmt-m",
         "sweep-amplitude", "rpi-sweep-type", "round-row-type", "ellipsoid-factor"])
 def test_a_key_no_row_reads_is_a_scenario_error(tmp_path, capsys, monkeypatch, command, doc, key):
-    """Every key changes some run: a key that no row would read (or an
-    explicit profile that is not the mode's model, although the row is
-    measured against that model) exits 1 in one line and writes nothing."""
+    """Every key changes some run: a key that no row would read (or a profile
+    in RPI mode, whose rows are measured against AdS-Schwarzschild of mass m)
+    exits 1 in one line and writes nothing."""
     p = _write(tmp_path, {"id": "inert", "T": 0.25, "dt": 2.5e-3,
                           "grid": {"n_theta": 16, "n_phi": 32}, **doc})
     monkeypatch.chdir(tmp_path)  # no --out: reports would go to ./out

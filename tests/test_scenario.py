@@ -148,17 +148,18 @@ def test_rpi_family_rows():
     assert 0.35 < m0 < 0.5  # m - eps * rho(s0) with rho(s0) ~ 1
 
 
-def test_explicit_adss_row_is_the_rpi_family_model_row():
-    """``profile.kind: adss`` and the family's eps = 0 row build one model:
-    the same domains and the same initial surface."""
+def test_the_rpi_one_row_is_the_family_model_row():
+    """An RPI document without epsilons (``scenarios/adss_round.json``) and the
+    family's eps = 0 row build one model: the same domains and the same
+    initial surface."""
     base = {"id": "model", "mode": "RPI", "m": 1.0, "surface": {"area_radius": 1.25},
             "T": 0.25, "dt": 2.5e-3, "grid": {"n_theta": 16, "n_phi": 32}}
-    (explicit,) = scenario_from_dict({**base, "profile": {"kind": "adss"}}).rows()
+    (one,) = scenario_from_dict(base).rows()
     (family,) = scenario_from_dict({**base, "epsilons": [0.0]}).rows()
-    assert explicit.profile.kind == family.profile.kind == "adss"
-    assert explicit.profile.s_domain == family.profile.s_domain
-    assert explicit.profile.r_domain == family.profile.r_domain
-    assert explicit.surface0.zeta.tobytes() == family.surface0.zeta.tobytes()
+    assert one.profile.kind == family.profile.kind == "adss"
+    assert one.profile.s_domain == family.profile.s_domain
+    assert one.profile.r_domain == family.profile.r_domain
+    assert one.surface0.zeta.tobytes() == family.surface0.zeta.tobytes()
 
 
 def test_explicit_mass_aspect_points_profile():
@@ -307,7 +308,7 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 _OBJECTS = st.sampled_from([
-    {}, {"kind": "hyperbolic"}, {"kind": "adss"}, {"type": "bumpy", "amplitude": 0.1},
+    {}, {"kind": "hyperbolic"}, {"type": "bumpy", "amplitude": 0.1},
     {"kind": "mass_aspect", "points": {"s": [0.8, 1.5, 3.0], "m": [0.0, 0.1, 0.2]}},
 ])
 _NUMBER = (st.sampled_from([0.0, 2.5e-3, 0.05, 0.25, 0.5, 1.0, 2.0]) | st.floats(-10, 10)
@@ -329,7 +330,7 @@ def _typed(field):
 _BASES = (
     {"id": "sweep", "epsilons": [0.1, 0.0], "T": 0.25, "dt": 2.5e-3,
      "grid": {"n_theta": 16, "n_phi": 32}},
-    {"id": "explicit", "mode": "RPI", "m": 1.0, "profile": {"kind": "adss"},
+    {"id": "one-row", "mode": "RPI", "m": 1.0,
      "surface": {"type": "p2", "area_radius": 2.0, "amplitude": 0.05}, "T": 0.5},
     {"id": "rpi", "mode": "RPI", "m": 0.5, "epsilons": [0.1]},
 )
@@ -351,7 +352,6 @@ _PATHS = [*_key_paths(FIELDS), (("profile", "kind"), _KIND), (("bogus",), _KIND)
 _KIND_TABLES = next(f.fields for f in FIELDS if f.name == "profile")
 _PROFILE_DOCS = {
     "hyperbolic": {"kind": "hyperbolic"},
-    "adss": {"kind": "adss"},
     "mass_aspect": {"kind": "mass_aspect", "points": {"s": [1.0, 2.0], "m": [0.0, 0.1]}},
     "tabulated": {"kind": "tabulated", "r": [1.0, 2.0, 3.0, 4.0], "lam": [1.0, 2.0, 3.0, 4.0]},
 }

@@ -32,7 +32,6 @@ DOCS = {
     "adss-round": {
         "mode": "RPI",
         "m": 1.0,
-        "profile": {"kind": "adss"},
         "surface": {"type": "round", "area_radius": 2.0},
     },
     # the combined family at eps = 0.1: mass-aspect ambient, p2 graph of amplitude 0.05
