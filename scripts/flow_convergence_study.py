@@ -16,7 +16,7 @@ from imcf_lab.ambient import AdSSProfile
 from imcf_lab.imcf import run
 from imcf_lab.mass import geroch_identity_residual
 from imcf_lab.sphere_grid import get_grid
-from imcf_lab.surface import make_round
+from imcf_lab.surface import make_graph
 
 CONFIGS = [
     (32, 64, 2e-3),
@@ -30,7 +30,7 @@ if __name__ == "__main__":
     r0 = float(profile.radius_from_area_radius(2.0))
     print(f"{'grid':>9} {'dt':>8} {'area drift':>12} {'identity res':>13} {'wall s':>7}")
     for nt, nph, dt in CONFIGS:
-        surf = make_round(profile, r0, get_grid(nt, nph))
+        surf = make_graph(profile, get_grid(nt, nph), r0)
         t0 = time.perf_counter()
         track = run(profile, surf, T=1.0, dt=dt)
         wall = time.perf_counter() - t0

@@ -14,12 +14,13 @@ so the floor R >= -6 is exactly monotonicity of m.  The r-API
 (``warp_curvature``) is the forward map followed by this s-form.  Kinds:
 
 * ``hyperbolic``  -- lambda = sinh(r), m = 0 (closed forms).
-* ``adss``        -- anti-de Sitter Schwarzschild, constant mass m.
 * ``mass_aspect`` -- a radially varying mass m(s).
 * ``tabulated``   -- cubic spline (not-a-knot) through sampled lambda values,
                      read once as m(s) = (s/2)(1 + s^2 - lambda'^2).
 
-Every kind but ``hyperbolic`` is a mass aspect whose r <-> s map is built
+``AdSSProfile``, anti-de Sitter Schwarzschild of constant mass m, is no kind
+of its own: it is the RPI model, which a scenario builds from its ``m``.
+Every profile but ``hyperbolic`` is a mass aspect whose r <-> s map is built
 once by integrating dr/ds = 1 / sqrt(1 + s^2 - 2 m(s)/s).
 """
 
@@ -145,8 +146,8 @@ class HyperbolicProfile(AmbientProfile):
 
     kind = "hyperbolic"
 
-    def __init__(self, r_domain: tuple[float, float] = (1e-6, 25.0)):
-        super().__init__(r_domain)
+    def __init__(self):
+        super().__init__((1e-6, 25.0))
 
     def _s_of_r(self, r):
         return np.sinh(r)

@@ -3,16 +3,15 @@
 Every metric handled here is block diagonal: a lapse^2 dt^2 part plus a
 time-dependent fiber 2-metric on the sphere grid.  Labels:
 
-    hat                1/H(x,t)^2 dt^2 + g(x,t)
-    g1                 1/Hbar(t)^2 dt^2 + g(x,t)
-    g2                 1/Hbar(t)^2 dt^2 + e^t g(x,0)
-    g3_pmt             (1/4)(1 + e^{-t}/r0^2)^{-1} dt^2 + e^t g(x,0)
-    g3_rpi             (1/4)(e^{-t}/r0^2 - 2m e^{-3t/2}/r0^3 + 1)^{-1} dt^2 + e^t g(x,0)
-    hyperbolic_model   PMT lapse with round fiber r0^2 e^t sigma
-    adss_model         RPI lapse with round fiber r0^2 e^t sigma
+    hat     1/H(x,t)^2 dt^2 + g(x,t)
+    g1      1/Hbar(t)^2 dt^2 + g(x,t)
+    g2      1/Hbar(t)^2 dt^2 + e^t g(x,0)
+    g3      (1/4)(e^{-t}/r0^2 - 2m e^{-3t/2}/r0^3 + 1)^{-1} dt^2 + e^t g(x,0)
+    model   g3's lapse with round fiber r0^2 e^t sigma
 
-Hbar(t) is the area average of H.  The squared L^2 distance over the flow
-region uses its volume form, dV = dmu dt / H:
+m is the model's mass: 0 gives the hyperbolic model (PMT), m > 0 the
+AdS-Schwarzschild one (RPI).  Hbar(t) is the area average of H.  The squared
+L^2 distance over the flow region uses its volume form, dV = dmu dt / H:
 
     dist(A, B; ref) = int_0^T int_Sigma |A - B|_ref^2 / H dmu dt
 
@@ -22,9 +21,7 @@ matching how the convergence statements are quantified).
 ``ChainAccumulator`` computes the hat -> g1 -> g2 -> g3 -> model chain while
 the flow runs: one spatial integral per sampled time, a trapezoid in t at
 the end, and nothing but the first sample's fiber held in between.  The
-chain reads one parameter, the model's mass m: g3 and the model take the
-g3_rpi/adss_model lapse with that m, which at m = 0 is the g3_pmt/
-hyperbolic_model lapse.
+chain reads one parameter, the model's mass m.
 ``distance_chain`` replays a recorded track (from ``imcf.record``) through
 it.  ``assemble`` and ``l2_distance`` build the full (time, node) grids of a
 recorded track instead; they are the reference the streamed chain is tested
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LapseError, ParamError, ShapeError
+from .errors import LapseError, ShapeError
 from .imcf import FlowTrack, SnapshotAccumulator, area_radius, mean_curvature_average
 from .surface import SurfaceGeometry, integrate
 
@@ -47,15 +44,7 @@ MAX_PAIRS = 1_000_000
 # stored times the distance chain integrates over
 N_CHAIN_TIMES = 101
 
-LABELS = (
-    "hat",
-    "g1",
-    "g2",
-    "g3_pmt",
-    "g3_rpi",
-    "hyperbolic_model",
-    "adss_model",
-)
+LABELS = ("hat", "g1", "g2", "g3", "model")
 
 _FIBER_FIELDS = ("H", "g11", "g12", "g22", "dmu", "hbar")
 CHAIN_KEYS = ("hat_g1", "g1_g2", "g2_g3", "g3_model", "hat_model")
@@ -100,14 +89,8 @@ def sample_indices(n_snap: int) -> np.ndarray:
     return np.unique(np.linspace(0, n_snap - 1, N_CHAIN_TIMES).round().astype(int))
 
 
-def model_mean_curvature_sq(t, r0: float, m: float = 0.0):
-    """Mean curvature squared of the model round flow, (4/r0^2)(1 - 2m e^{-t/2}/r0) e^{-t} + 4."""
-    t = np.asarray(t, dtype=float)
-    return (4.0 / r0**2) * (1.0 - (2.0 / r0) * m * np.exp(-0.5 * t)) * np.exp(-t) + 4.0
-
-
 def _model_lapse2(t, r0: float, m: float):
-    # reciprocal of the model H^2: (1/4)(e^{-t}/r0^2 - 2m e^{-3t/2}/r0^3 + 1)^{-1}
+    # reciprocal of the model round flow's H^2 = 4 (e^{-t}/r0^2 - 2m e^{-3t/2}/r0^3 + 1)
     den = np.exp(-t) / r0**2 - 2.0 * m * np.exp(-1.5 * t) / r0**3 + 1.0
     if np.any(den <= 0.0):
         raise LapseError(
@@ -120,18 +103,15 @@ def assemble(
     track: FlowTrack,
     label: str,
     r0: float | None = None,
-    m: float | None = None,
+    m: float = 0.0,
     time_indices: np.ndarray | None = None,
 ) -> ProductMetricGrid:
-    """Sample one of the product metrics over a recorded track's snapshot times."""
+    """Sample one of the product metrics over a recorded track's snapshot times;
+    g3 and the model take the lapse of the model of mass m."""
     if label not in LABELS:
         raise ValueError(f"unknown metric label {label!r}; choose from {LABELS}")
     if r0 is None:
         r0 = track.r0
-    if label in ("g3_rpi", "adss_model"):
-        if m is None or m <= 0.0:
-            raise ParamError(f"label {label!r} needs a positive mass m")
-    mm = 0.0 if m is None else float(m)
 
     if time_indices is None:
         time_indices = sample_indices(len(track.snap_times))
@@ -146,14 +126,12 @@ def assemble(
         lapse2 = 1.0 / samples["H"] ** 2
     elif label in ("g1", "g2"):
         lapse2 = 1.0 / samples["hbar"] ** 2
-    elif label in ("g3_pmt", "hyperbolic_model"):
-        lapse2 = _model_lapse2(tcol, r0, 0.0) * ones
-    elif label in ("g3_rpi", "adss_model"):
-        lapse2 = _model_lapse2(tcol, r0, mm) * ones
+    else:
+        lapse2 = _model_lapse2(tcol, r0, float(m)) * ones
 
     if label in ("hat", "g1"):
         fib = (samples["g11"], samples["g12"], samples["g22"])
-    elif label in ("g2", "g3_pmt", "g3_rpi"):
+    elif label in ("g2", "g3"):
         scale = np.exp(tcol)
         fib = (
             scale * samples["g11"][0][None, :, :],
@@ -226,8 +204,8 @@ class ChainAccumulator(SnapshotAccumulator):
     Per sampled time it integrates the five squared distances over Sigma
     (weighted by dmu / H, as in ``l2_distance``) and keeps only those scalars
     and the first sample's fiber, which g2 and g3 rescale by e^t.  r0 is the
-    area radius of the first sample, Sigma_0, and m the model's mass: 0 gives
-    the PMT labels (g3_pmt, hyperbolic_model), m > 0 the RPI ones.
+    area radius of the first sample, Sigma_0, and m the model's mass, as for
+    ``assemble``'s g3 and model labels.
     """
 
     def __init__(self, snap_times: np.ndarray, m: float = 0.0):

@@ -33,10 +33,6 @@ class ShapeError(ImcfLabError):
     """Product-metric grids have incompatible shapes."""
 
 
-class ParamError(ImcfLabError):
-    """Invalid parameter for a model metric (e.g. m <= 0 for an RPI label)."""
-
-
 class LapseError(ImcfLabError):
     """Non-positive lapse coefficient in an assembled product metric."""
 

@@ -207,13 +207,16 @@ def step_count(T: float, dt: float) -> int | None:
 
 
 def time_grid(T: float, dt: float, snap_every: int | None = None):
-    """Recorded times t_k = k dt on [0, T] and the indices k stored as snapshots."""
+    """Recorded times t_k = k dt on [0, T], the last exactly T, and the
+    indices k stored as snapshots."""
     if T <= 0:
         raise ValueError("T must be positive")
     N = step_count(T, dt)
     if N is None or N < 1:
         raise ValueError(f"dt = {dt} does not divide T = {T}")
     times = dt * np.arange(N + 1)
+    # dt * N may round an ulp short of T; the last recorded time is T itself
+    times[-1] = T
     snap_set = set(range(0, N + 1, snap_interval(N, snap_every)))
     snap_set.add(N)
     return times, np.array(sorted(snap_set))

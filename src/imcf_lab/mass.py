@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import FitError
 from .imcf import FlowSeries, FlowTrack, SnapshotAccumulator
-from .surface import SurfaceGeometry, integrate
 
 SIXTEEN_PI = 16.0 * np.pi
 # pinch bounds: a node fails when its normalized eigenvalue is below -PINCH_TOL
@@ -65,12 +64,6 @@ class PinchReport:
     @property
     def n_violations(self) -> int:
         return self.n_lower + self.n_upper
-
-
-def hawking_mass(geom: SurfaceGeometry) -> float:
-    """Quasi-local mass of a surface in the hyperbolic-background convention."""
-    defect = SIXTEEN_PI - integrate(geom, geom.H**2 - 4.0)
-    return float(np.sqrt(geom.area / SIXTEEN_PI**3) * defect)
 
 
 def _ddt(series: np.ndarray, dt: float) -> np.ndarray:

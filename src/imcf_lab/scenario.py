@@ -10,7 +10,7 @@ surface, or an epsilon-family sweep.  Shipped families:
                  rho a smooth nonincreasing ramp from ~1 to ~0 (both keep
                  m_eps nondecreasing, so the scalar-curvature floor holds).
     ellipsoid    exact model ambient with the ``surface.type`` graph at amplitude
-                 eps (the default ``round`` gives p2, f = rbar (1 + eps P2(cos theta))).
+                 eps (the default ``round`` is f = rbar (1 + eps P2(cos theta))).
     combined     mass_aspect ambient plus ellipsoid amplitude amplitude_factor * eps
                  (default for PMT sweeps: every stability column is then
                  strictly positive and strictly decreasing in eps).
@@ -80,8 +80,8 @@ _GRID = (
     Field("n_phi", "integer", 128, "uniform longitude nodes", "a power of two >= 8"),
 )
 _SURFACE = (
-    Field("type", "string", "round", "initial graph; round with an amplitude is p2",
-          allowed=("round", "ellipsoid", "p2", "bumpy")),
+    Field("type", "string", "round", "initial graph; round with an amplitude is "
+          "f = rbar (1 + amplitude P2(cos theta))", allowed=("round", "ellipsoid", "bumpy")),
     Field("area_radius", "number", 1.0, "area radius s0 of the unperturbed sphere", "> 0"),
     Field("amplitude", "number", 0.0, "graph amplitude (sweeps derive it from eps)"),
 )
@@ -275,13 +275,8 @@ class Scenario:
 
     def _build_surface(self, profile: AmbientProfile, amplitude: float) -> GraphSurface:
         rbar = float(profile.radius_from_area_radius(self.area_radius))
-        kind = self.surface["type"]
-        if kind == "round" and amplitude:
-            # family sweeps perturb with the quadrupole mode: its curvature
-            # deviation is first order in the amplitude, so the stability
-            # columns stay strictly ordered all the way down the sweep
-            kind = "p2"
-        return make_graph(profile, get_grid(self.n_theta, self.n_phi), rbar, kind, amplitude)
+        return make_graph(profile, get_grid(self.n_theta, self.n_phi), rbar,
+                          self.surface["type"], amplitude)
 
 
 # -- cross-field rules: (problem, test a sound scenario passes) -----------------

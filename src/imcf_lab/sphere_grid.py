@@ -113,9 +113,6 @@ class SphereGrid:
         """Expand a per-ring array to the full (n_theta, n_phi) node set."""
         return np.repeat(np.asarray(values)[:, None], self.n_phi, axis=1)
 
-    def __repr__(self) -> str:
-        return f"SphereGrid({self.n_theta}x{self.n_phi})"
-
 
 @lru_cache(maxsize=32)
 def get_grid(n_theta: int, n_phi: int) -> SphereGrid:

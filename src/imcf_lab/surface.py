@@ -104,11 +104,6 @@ class SurfaceGeometry(SpeedGeometry):
     area: float = field(default=0.0)
 
 
-def make_round(profile: AmbientProfile, rbar: float, grid: SphereGrid) -> GraphSurface:
-    """Coordinate sphere f == rbar."""
-    return make_graph(profile, grid, rbar)
-
-
 def make_graph(
     profile: AmbientProfile,
     grid: SphereGrid,
@@ -118,22 +113,20 @@ def make_graph(
 ) -> GraphSurface:
     """Named initial graphs used by the scenario harness.
 
-    ``round``     f = rbar
+    ``round``     f = rbar (1 + a (3 cos^2(theta) - 1)/2), a genuine
+                  quadrupole flattening with first-order curvature content;
+                  the coordinate sphere f == rbar, bit for bit, at a = 0
     ``ellipsoid`` f = rbar (1 + a cos(theta)), a translated-sphere-like mode
                   whose curvature deviation is second order in a
-    ``p2``        f = rbar (1 + a (3 cos^2(theta) - 1)/2), a genuine
-                  quadrupole flattening with first-order curvature content
     ``bumpy``     f = rbar (1 + a sin^2(theta) cos(2 phi)), a non-axisymmetric
                   probe that is polynomial in cos(theta) per azimuthal mode
     """
     th = grid.broadcast_theta(grid.theta)
     ph = np.broadcast_to(grid.phi[None, :], grid.shape)
     if formula == "round":
-        f = np.full(grid.shape, float(rbar))
+        f = rbar * (1.0 + amplitude * 0.5 * (3.0 * np.cos(th) ** 2 - 1.0))
     elif formula == "ellipsoid":
         f = rbar * (1.0 + amplitude * np.cos(th))
-    elif formula == "p2":
-        f = rbar * (1.0 + amplitude * 0.5 * (3.0 * np.cos(th) ** 2 - 1.0))
     elif formula == "bumpy":
         f = rbar * (1.0 + amplitude * np.sin(th) ** 2 * np.cos(2.0 * ph))
     else:
@@ -236,11 +229,6 @@ def geometry(profile: AmbientProfile, surface: GraphSurface) -> SurfaceGeometry:
 def integrate(geom: SurfaceGeometry, field) -> float:
     """Surface integral of a nodal field against the area measure."""
     return float(np.sum(field * geom.dmu * geom.grid.weights))
-
-
-def euler_characteristic(geom: SurfaceGeometry) -> float:
-    """Gauss-Bonnet estimate (1/2pi) * integral of K."""
-    return integrate(geom, geom.K) / (2.0 * np.pi)
 
 
 def intrinsic_diameter(geom: SurfaceGeometry) -> float:

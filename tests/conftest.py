@@ -3,8 +3,9 @@ import pytest
 
 from imcf_lab.ambient import AdSSProfile, HyperbolicProfile
 from imcf_lab.sphere_grid import get_grid
-from imcf_lab.surface import make_round
 from imcf_lab import imcf
+
+from .oracles import make_round
 
 
 @pytest.fixture(scope="session")

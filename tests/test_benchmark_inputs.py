@@ -36,3 +36,19 @@ def test_every_top_level_key_is_set_by_a_shipped_document():
     docs += [w.scenario(0) for w in workloads.WORKLOADS.values()]
     unset = {f.name for f in FIELDS} - {key for doc in docs for key in doc}
     assert not unset, sorted(unset)
+
+
+def test_every_surface_type_builds_its_own_graph():
+    """A ``surface.type`` value whose graph another value also builds is a
+    second name for one object: each allowed type, at a nonzero amplitude,
+    gives initial area radii that no other type gives."""
+    (surface,) = [f for f in FIELDS if f.name == "surface"]
+    (kind,) = [f for f in surface.fields if f.name == "type"]
+    graphs = {}
+    for name in kind.allowed:
+        doc = {"id": "x", "profile": {"kind": "hyperbolic"},
+               "surface": {"type": name, "amplitude": 0.05},
+               "T": 0.1, "dt": 0.025, "grid": {"n_theta": 16, "n_phi": 32}}
+        (row,) = scenario_from_dict(doc).rows()
+        graphs[name] = row.surface0.zeta.tobytes()
+    assert len(set(graphs.values())) == len(graphs), sorted(graphs)

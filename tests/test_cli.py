@@ -125,7 +125,7 @@ def _doc_with(field, value):
      ("profile", {"kind": "hyperbolic", "m": 1.0}),
      ("profile", {"kind": "hyperbolic", "points": {"s": [0.8, 1.5], "m": [0.0, 0.1]}}),
      ("T", 2.5e-3),  # one step of dt
-     ("surface", {"type": "p2", "amplitude": 5.0})],  # negative initial radius
+     ("surface", {"type": "round", "amplitude": 5.0})],  # negative initial radius
 )
 def test_run_rejects_bad_time_grid_value_in_one_line(tmp_path, capsys, monkeypatch, field, value):
     p = _write(tmp_path, _doc_with(field, value))

@@ -3,17 +3,19 @@ import pytest
 
 from imcf_lab.comparison import (
     LABELS,
+    _model_lapse2,
     assemble,
     c_alpha_distance_to_round,
     distance_chain,
     gauss_deviation,
     l2_distance,
-    model_mean_curvature_sq,
     sample_indices,
 )
-from imcf_lab.errors import ParamError, ShapeError
+from imcf_lab.errors import ShapeError
 from imcf_lab.imcf import record
-from imcf_lab.surface import geometry, make_graph, make_round
+from imcf_lab.surface import geometry, make_graph
+
+from .oracles import make_round, model_mean_curvature_sq
 
 RBAR = float(np.arcsinh(1.0))
 
@@ -27,9 +29,15 @@ def test_model_mean_curvature_values():
     assert abs(model_mean_curvature_sq(0.0, 1.0, 0.5) - 4.0) < 1e-14
 
 
+@pytest.mark.parametrize("m", [0.0, 0.3])
+def test_model_lapse_is_the_reciprocal_model_mean_curvature_sq(m):
+    t = np.linspace(0.0, 4.0, 9)
+    assert np.max(np.abs(_model_lapse2(t, 1.0, m) * model_mean_curvature_sq(t, 1.0, m) - 1.0)) < 1e-14
+
+
 def test_hat_equals_model_on_hyperbolic_round(hyp_round_track):
     hat = assemble(hyp_round_track, "hat")
-    model = assemble(hyp_round_track, "hyperbolic_model")
+    model = assemble(hyp_round_track, "model")
     assert np.max(np.abs(hat.lapse2 - model.lapse2)) < 1e-12
     assert np.max(np.abs(hat.g11 - model.g11)) < 1e-11
     assert np.max(np.abs(hat.g22 - model.g22)) < 1e-11
@@ -37,7 +45,7 @@ def test_hat_equals_model_on_hyperbolic_round(hyp_round_track):
 
 def test_hat_equals_model_on_adss_round(adss_round_track):
     hat = assemble(adss_round_track, "hat")
-    model = assemble(adss_round_track, "adss_model", m=1.0)
+    model = assemble(adss_round_track, "model", m=1.0)
     assert np.max(np.abs(hat.lapse2 - model.lapse2)) < 1e-11
     assert np.max(np.abs(hat.g11 - model.g11)) < 1e-10
 
@@ -48,13 +56,6 @@ def test_g1_equals_hat_on_round(hyp_round_track):
     assert np.max(np.abs(hat.lapse2 - g1.lapse2)) < 1e-12
 
 
-def test_rpi_labels_need_positive_mass(hyp_round_track):
-    with pytest.raises(ParamError):
-        assemble(hyp_round_track, "g3_rpi")
-    with pytest.raises(ParamError):
-        assemble(hyp_round_track, "adss_model", m=-1.0)
-
-
 def test_unknown_label_rejected(hyp_round_track):
     with pytest.raises(ValueError):
         assemble(hyp_round_track, "g7")
@@ -62,9 +63,9 @@ def test_unknown_label_rejected(hyp_round_track):
 
 def test_l2_distance_zero_and_symmetry(hyp_round_track):
     hat = assemble(hyp_round_track, "hat")
-    # on round data hat equals g3_pmt at the flow's own r0; another r0 differs
-    other = assemble(hyp_round_track, "g3_pmt", r0=2.0)
-    model = assemble(hyp_round_track, "hyperbolic_model")
+    # on round data hat equals g3 at the flow's own r0; another r0 differs
+    other = assemble(hyp_round_track, "g3", r0=2.0)
+    model = assemble(hyp_round_track, "model")
     assert l2_distance(hat, hat, model, hyp_round_track) == 0.0
     d_ab = l2_distance(hat, other, model, hyp_round_track)
     d_ba = l2_distance(other, hat, model, hyp_round_track)
@@ -88,7 +89,7 @@ def test_chain_vanishes_on_exact_models(hyp_round_track, adss_round_track):
 
 
 def test_triangle_chain_inequality(hyperbolic, grid32):
-    surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
+    surf = make_graph(hyperbolic, grid32, RBAR, "round", 0.05)
     track = record(hyperbolic, surf, T=0.3, dt=1e-3)
     chain = distance_chain(track)
     lhs = np.sqrt(chain["hat_model"])
@@ -103,10 +104,10 @@ def test_triangle_chain_inequality(hyperbolic, grid32):
 
 def test_all_labels_assemble(hyp_round_track):
     for label in LABELS:
-        m = 0.3 if label in ("g3_rpi", "adss_model") else None
-        grid = assemble(hyp_round_track, label, m=m)
-        assert np.all(np.isfinite(grid.lapse2)) and np.all(grid.lapse2 > 0)
-        assert np.all(grid.g11 > 0)
+        for m in (0.0, 0.3):
+            grid = assemble(hyp_round_track, label, m=m)
+            assert np.all(np.isfinite(grid.lapse2)) and np.all(grid.lapse2 > 0)
+            assert np.all(grid.g11 > 0)
 
 
 def test_lapse_degenerates_at_horizon(hyp_round_track):
@@ -114,7 +115,7 @@ def test_lapse_degenerates_at_horizon(hyp_round_track):
     from imcf_lab.errors import LapseError
 
     with pytest.raises(LapseError):
-        assemble(hyp_round_track, "adss_model", m=1.0)
+        assemble(hyp_round_track, "model", m=1.0)
 
 
 def test_c_alpha_zero_for_round(hyp_round_track):
@@ -133,7 +134,7 @@ def test_c_alpha_constant_offset(hyperbolic, grid32):
 def test_c_alpha_decreases_with_amplitude(hyperbolic, grid32):
     vals = []
     for amp in (0.05, 0.025, 0.0125):
-        geom = geometry(hyperbolic, make_graph(hyperbolic, grid32, RBAR, "p2", amp))
+        geom = geometry(hyperbolic, make_graph(hyperbolic, grid32, RBAR, "round", amp))
         vals.append(c_alpha_distance_to_round(geom, r0=1.0))
     assert vals[0] > vals[1] > vals[2] > 0
 
@@ -145,7 +146,7 @@ def test_gauss_deviation_round_is_floor(hyp_round_track):
 
 def test_gauss_deviation_quadratic_in_amplitude(hyperbolic, grid32):
     """Quadrupole data: deviation scales ~quadratically (quarters +-30%)."""
-    g_big = geometry(hyperbolic, make_graph(hyperbolic, grid32, RBAR, "p2", 0.05))
-    g_small = geometry(hyperbolic, make_graph(hyperbolic, grid32, RBAR, "p2", 0.025))
+    g_big = geometry(hyperbolic, make_graph(hyperbolic, grid32, RBAR, "round", 0.05))
+    g_small = geometry(hyperbolic, make_graph(hyperbolic, grid32, RBAR, "round", 0.025))
     ratio = gauss_deviation(g_big, 1.0, 0.0) / gauss_deviation(g_small, 1.0, 0.0)
     assert 2.8 < ratio < 5.2

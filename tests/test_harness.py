@@ -49,7 +49,7 @@ def test_class_membership_adss(adss_round_track):
 
 
 def test_class_membership_flags_negative_mass(hyperbolic, grid32):
-    surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
+    surf = make_graph(hyperbolic, grid32, RBAR, "round", 0.05)
     track = run(hyperbolic, surf, T=0.05, dt=1e-3)
     rep = check_class_membership(track)
     assert rep.mH0 < 0
@@ -206,7 +206,7 @@ def test_record_reads_every_column_at_one_snapshot():
     """A t-sample between snapshots: m_H and gauss_dev come from the same
     surface.  802 steps store every second one, and T/4 falls on step 200.5."""
     doc = {"id": "x", "profile": {"kind": "hyperbolic"},
-           "surface": {"type": "p2", "amplitude": 0.05}, "T": 0.401, "dt": 0.0005,
+           "surface": {"type": "round", "amplitude": 0.05}, "T": 0.401, "dt": 0.0005,
            "grid": {"n_theta": 16, "n_phi": 32}}
     scn = scenario_from_dict(doc)
     t_sample = scn.t_samples[1]
@@ -219,3 +219,24 @@ def test_record_reads_every_column_at_one_snapshot():
     j = gauss.index(rec["gauss_dev"])
     assert rec["m_H"] == tr.series.m_H[tr.snap_indices[j]]
     assert rec["diam"] == intrinsic_diameter(tr.snapshot_geometry(j))
+
+
+# dt * N rounds one ulp below T for these pairs: 2/49 * 49 = 1.9999999999999998
+UNROUNDED = {"id": "u", "profile": {"kind": "hyperbolic"}, "grid": {"n_theta": 8, "n_phi": 8}}
+
+
+def test_a_step_that_rounds_short_of_t_still_fits_m_h_at_infinity():
+    """The fit runs whenever T >= 2, and the flow's last recorded time is T."""
+    scn = scenario_from_dict({**UNROUNDED, "T": 2.0, "dt": 2.0 / 49})
+    (row,) = run_sequence(scn).rows
+    assert row.ok, row.error
+    assert row.mH_inf is not None
+
+
+def test_a_step_that_rounds_short_of_t_star_still_sets_the_ratios():
+    """T = T_STAR reads the compatibility ratios at the last recorded time."""
+    scn = scenario_from_dict({**UNROUNDED, "T": harness.T_STAR, "dt": harness.T_STAR / 49})
+    (row,) = run_sequence(scn).rows
+    assert row.ok, row.error
+    rep = row.compat_report
+    assert rep.C1 is not None and rep.C2 is not None and rep.ratios_ok is not None

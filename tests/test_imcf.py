@@ -6,7 +6,9 @@ from imcf_lab.ambient import AdSSProfile
 from imcf_lab.errors import DomainError, StabilityError
 from imcf_lab.imcf import exact_round_flow, record, run
 from imcf_lab.sphere_grid import get_grid
-from imcf_lab.surface import make_graph, make_round
+from imcf_lab.surface import make_graph
+
+from .oracles import make_round
 
 RBAR = float(np.arcsinh(1.0))
 
@@ -82,14 +84,14 @@ def test_monotone_expansion_ellipsoid(hyperbolic, grid32):
 def test_flow_rounds_out_pinch_integral(hyperbolic, grid32):
     """The pinching integral decays along the flow at both resolutions."""
     for grid in (grid32, get_grid(64, 128)):
-        surf = make_graph(hyperbolic, grid, RBAR, "p2", 0.05)
+        surf = make_graph(hyperbolic, grid, RBAR, "round", 0.05)
         tr = run(hyperbolic, surf, T=0.5, dt=1e-3)
         assert tr.series.I_pinch[-1] < 0.5 * tr.series.I_pinch[0]
 
 
 def test_area_law_order_in_dt(hyperbolic, grid32):
     """On anisotropic data the area-law drift shrinks at order >= 1 in dt."""
-    surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.1)
+    surf = make_graph(hyperbolic, grid32, RBAR, "round", 0.1)
     drifts = []
     for dt in (4e-3, 2e-3):
         tr = run(hyperbolic, surf, T=0.4, dt=dt)

@@ -1,10 +1,15 @@
-"""No module imports a name it never uses, and every script imports.
+"""No module imports a name it never uses, every script imports, and the
+package defines nothing that only the tests read.
 
 No linter ships with the project, so this scans each module's syntax tree:
 every name an ``import`` binds must be read somewhere in the same file.
 ``__init__`` is skipped because its imports would be re-exports.  The
 scripts under ``scripts/`` are also imported as modules (which leaves their
-``__main__`` blocks unrun), so a renamed name they use fails here.
+``__main__`` blocks unrun), so a renamed name they use fails here.  Every
+module-level function and class of the package must be read somewhere in
+``src/`` or ``scripts/``, or be a name the benchmark's tracer patches
+(``perfbench/tracer.py``'s ``TRACED``); a test-only definition belongs in
+``tests/oracles.py``.
 """
 
 import ast
@@ -15,11 +20,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "imcf_lab").glob("*.py"))
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "imcf_lab").glob("*.py") if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
     + SCRIPTS
 )
+# imcf.record is the one way to build a track that stores its snapshots, and
+# the traced replay wrappers (pinch_bounds_check, distance_chain, ...) accept
+# no other track; no program path calls it
+UNREAD_ALLOWED = {"imcf.record"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,3 +60,47 @@ def test_every_import_is_used(path):
 def test_every_script_imports(path):
     spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def unread_definitions(package: dict, readers: list[str], allowed: set[str]) -> list[str]:
+    """``module.name`` of each module-level function or class in ``package``
+    (module name -> source) that no source in ``readers`` reads by name or as
+    an attribute, and that ``allowed`` does not name."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    return [
+        f"{module}.{node.name}"
+        for module, source in package.items()
+        for node in ast.parse(source).body
+        if isinstance(node, defs) and node.name not in read and f"{module}.{node.name}" not in allowed
+    ]
+
+
+def _traced() -> set[str]:
+    """``module.name`` of every definition ``TRACED`` patches (its span name)
+    or patches a method of (its owner, when that is a class)."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]
+    ]
+    return {name for span, owner, _ in traced for name in (span, owner)}
+
+
+def test_scan_finds_an_unread_definition():
+    package = {"a": "def used(): pass\ndef unused(): pass\nclass Kept: pass\n", "b": "class Gone: pass\n"}
+    readers = [*package.values(), "from a import used\nused()\nx = 1\nx.Kept\n"]
+    assert unread_definitions(package, readers, {"b.Gone"}) == ["a.unused"]
+
+
+def test_every_package_definition_is_read_outside_the_tests():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    readers = [*package.values(), *(p.read_text(encoding="utf-8") for p in SCRIPTS)]
+    assert unread_definitions(package, readers, UNREAD_ALLOWED | _traced()) == []

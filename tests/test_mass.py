@@ -9,14 +9,13 @@ from imcf_lab.imcf import mean_curvature_average, record, run
 from imcf_lab.mass import (
     diagnostics,
     geroch_identity_residual,
-    hawking_mass,
     mass_at_infinity,
     pinch_bounds_check,
 )
 from imcf_lab.sphere_grid import get_grid
-from imcf_lab.surface import geometry, make_graph, make_round
+from imcf_lab.surface import geometry, make_graph
 
-from .oracles import ProbeField, weak_ricci_pairing
+from .oracles import ProbeField, hawking_mass, make_round, weak_ricci_pairing
 
 RBAR = float(np.arcsinh(1.0))
 
@@ -46,7 +45,7 @@ def test_hawking_mass_mass_aspect_tracks_profile():
 
 
 def test_hawking_mass_negative_for_nonround_in_hyperbolic(hyperbolic, grid64):
-    geom = geometry(hyperbolic, make_graph(hyperbolic, grid64, RBAR, "p2", 0.05))
+    geom = geometry(hyperbolic, make_graph(hyperbolic, grid64, RBAR, "round", 0.05))
     assert hawking_mass(geom) < 0.0
 
 
@@ -72,7 +71,7 @@ def test_diagnostics_adss_closed_forms(adss_round_track):
 
 def test_diagnostic_algebraic_relations(hyperbolic, grid32):
     """The integral identities relating the diagnostics hold at every step."""
-    surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.08)
+    surf = make_graph(hyperbolic, grid32, RBAR, "round", 0.08)
     tr = run(hyperbolic, surf, T=0.2, dt=2e-3)
     d = diagnostics(tr)
     tol = 1e-9
@@ -103,7 +102,7 @@ def test_geroch_identity_residual_halves_with_dt(adss1, grid32):
 
 def test_geroch_slack_matches_euler_characteristic(hyperbolic, adss_round_track, grid32):
     """slack = 4 pi (2 - chi) identically; ~0 for sphere graphs."""
-    surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
+    surf = make_graph(hyperbolic, grid32, RBAR, "round", 0.05)
     tr = run(hyperbolic, surf, T=0.1, dt=1e-3)
     for track in (tr, adss_round_track):
         res = geroch_identity_residual(track)
@@ -112,14 +111,14 @@ def test_geroch_slack_matches_euler_characteristic(hyperbolic, adss_round_track,
 
 def test_geroch_margin_flags_negative_initial_mass(hyperbolic, grid32):
     # m_H(Sigma_0) < 0 voids the monotonicity hypothesis; margin goes negative
-    surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
+    surf = make_graph(hyperbolic, grid32, RBAR, "round", 0.05)
     tr = run(hyperbolic, surf, T=0.1, dt=1e-3)
     res = geroch_identity_residual(tr)
     assert np.min(res.margin) < 0.0
 
 
 def test_geroch_monotone_mass_never_decreases(hyperbolic, grid32):
-    surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
+    surf = make_graph(hyperbolic, grid32, RBAR, "round", 0.05)
     tr = run(hyperbolic, surf, T=0.3, dt=1e-3)
     assert np.min(np.diff(tr.series.m_H)) > -1e-8
 
@@ -167,7 +166,7 @@ def test_pinch_bounds_graph_gauge_drift_documented(hyperbolic, grid32):
     """Fixed graph coordinates add a tangential drift of first order in the
     graph gradient, so for visibly anisotropic data the node-wise bounds are
     expected to close only at O(amplitude); this pins that behavior."""
-    surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
+    surf = make_graph(hyperbolic, grid32, RBAR, "round", 0.05)
     tr = record(hyperbolic, surf, T=0.3, dt=1e-3)
     rep = pinch_bounds_check(tr)
     worst = min(rep.worst_lower, rep.worst_upper)
@@ -197,7 +196,7 @@ def test_area_parameterization_series_vanish_round(hyp_round_track):
 
 
 def test_area_parameterization_deviation_decreases(hyperbolic, grid32):
-    surf = make_graph(hyperbolic, grid32, RBAR, "p2", 0.05)
+    surf = make_graph(hyperbolic, grid32, RBAR, "round", 0.05)
     tr = record(hyperbolic, surf, T=0.5, dt=1e-3)
     deviation, _ = _area_parameterization(tr, (0, len(tr.snap_times) - 1))
     assert deviation[-1] < deviation[0]

@@ -20,8 +20,8 @@ def test_speed_geometry_is_geometrys_first_part(kind):
     profile, s0 = PROFILES[kind]()
     grid = get_grid(32, 64)
     rbar = float(profile.radius_from_area_radius(s0))
-    for formula in FORMULAS:
-        surf = make_graph(profile, grid, rbar, formula, 0.05)
+    for formula, amp in FORMULAS:
+        surf = make_graph(profile, grid, rbar, formula, amp)
         sp, full = speed_geometry(profile, surf), geometry(profile, surf)
         for f in dataclasses.fields(SpeedGeometry):
             if f.name != "surface":
@@ -31,7 +31,7 @@ def test_speed_geometry_is_geometrys_first_part(kind):
 def test_flow_with_full_midpoint_geometry_is_bitwise_equal(monkeypatch):
     grid = get_grid(32, 64)
     profile = _mass_aspect()
-    surf0 = make_graph(profile, grid, float(profile.radius_from_area_radius(1.0)), "p2", 0.05)
+    surf0 = make_graph(profile, grid, float(profile.radius_from_area_radius(1.0)), "round", 0.05)
     fast = imcf.record(profile, surf0, T=0.05, dt=1e-3, snap_every=10)
     monkeypatch.setattr(imcf, "speed_geometry", surface.geometry)
     full = imcf.record(profile, surf0, T=0.05, dt=1e-3, snap_every=10)

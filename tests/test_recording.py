@@ -20,13 +20,13 @@ from .test_streaming import BASE, DOCS, _scenario
 
 @pytest.fixture(scope="module")
 def p2_row():
-    """The combined family's eps = 0.1 row (mass-aspect ambient, p2 graph) at 32x64."""
+    """The combined family's eps = 0.1 row (mass-aspect ambient, round graph of amplitude 0.05) at 32x64."""
     scn = _scenario("p2-mass-aspect")
     return scn, scn.rows()[0]
 
 
 def _p2_row():
-    """The p2 row at 32x64 flowed to T = 0.4 (400 steps)."""
+    """That row at 32x64 flowed to T = 0.4 (400 steps)."""
     scn = scenario_from_dict({"id": "p2", **BASE, **DOCS["p2-mass-aspect"], "T": 0.4})
     return scn, scn.rows()[0]
 

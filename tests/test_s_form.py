@@ -18,7 +18,8 @@ from .oracles import r_path_geometry
 from .test_streaming import BASE, DOCS
 
 GRIDS = [(32, 64), (64, 128)]
-FORMULAS = ("round", "p2", "ellipsoid", "bumpy")
+# (formula, amplitude): the round graph at amplitude 0 is the coordinate sphere
+FORMULAS = (("round", 0.0), ("round", 0.05), ("ellipsoid", 0.05), ("bumpy", 0.05))
 FIELDS = ("H", "g11", "g12", "g22", "dmu", "K", "Rc_nn", "K12", "absA2")
 
 
@@ -50,9 +51,9 @@ def _worst(geom, ref, name):
     return float(np.max(np.abs(getattr(geom, name) - ref[name]))) / scale
 
 
-def _geometries(profile, s0, grid, formula):
+def _geometries(profile, s0, grid, formula, amp=0.05):
     rbar = float(profile.radius_from_area_radius(s0))
-    surf = make_graph(profile, grid, rbar, formula, 0.05)
+    surf = make_graph(profile, grid, rbar, formula, amp)
     r = profile.radius_from_area_radius(surf.zeta)
     return geometry(profile, surf), r_path_geometry(profile, grid, r)
 
@@ -72,12 +73,12 @@ def test_s_form_geometry_matches_r_path(kind, shape):
         tol, tol_small = 1e-8, 1e-5
     else:
         tol, tol_small = (1e-10 if shape == (32, 64) else 1e-9), 1e-6
-    for formula in FORMULAS:
-        geom, ref = _geometries(profile, s0, grid, formula)
+    for formula, amp in FORMULAS:
+        geom, ref = _geometries(profile, s0, grid, formula, amp)
         for name in FIELDS:
             assert _worst(geom, ref, name) <= tol, (formula, name)
         assert abs(geom.area - ref["area"]) <= tol * ref["area"]
-        if formula == "round":
+        if amp == 0.0:
             # umbilic and constant: both second-order-small fields are round-off
             assert np.max(geom.pinch2) <= 1e-20
             assert np.max(geom.grad_H2) <= 1e-20
@@ -90,7 +91,7 @@ def test_tabulated_gap_shrinks_with_knot_spacing():
     grid = get_grid(32, 64)
     gaps = []
     for n_knots in (400, 1600):
-        geom, ref = _geometries(_tabulated_sinh(n_knots), 1.0, grid, "p2")
+        geom, ref = _geometries(_tabulated_sinh(n_knots), 1.0, grid, "round")
         gaps.append(_worst(geom, ref, "K"))
     assert gaps[1] < gaps[0] / 4.0
 
@@ -101,7 +102,7 @@ FLOW_DOCS = {
     "p2-tabulated": {
         "mode": "PMT",
         "profile": {"kind": "tabulated", "r": _KNOTS.tolist(), "lam": np.sinh(_KNOTS).tolist()},
-        "surface": {"type": "p2", "area_radius": 1.0, "amplitude": 0.05},
+        "surface": {"type": "round", "area_radius": 1.0, "amplitude": 0.05},
     },
 }
 

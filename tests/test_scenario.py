@@ -18,9 +18,10 @@ from imcf_lab.ambient import validate_profile
 from imcf_lab.errors import ParseError, ValidationError
 from imcf_lab.harness import _scenario_echo, _window
 from imcf_lab.imcf import time_grid
-from imcf_lab.mass import hawking_mass
 from imcf_lab.scenario import FIELDS, REQUIRED, Field, load_scenario, scenario_from_dict
 from imcf_lab.surface import geometry
+
+from .oracles import hawking_mass
 
 
 def test_minimal_scenario_defaults():
@@ -84,7 +85,7 @@ def test_domain_rule_reads_the_one_row_amplitude():
     """1.3 (1 + 0.1) e^13.5 > 1e6 > 1.3 e^13.5: the one row's own amplitude counts."""
     doc = {"id": "x", "profile": {"kind": "hyperbolic"}, "T": 27.0, "dt": 0.5}
     with pytest.raises(ValidationError, match=r"1e\+06"):
-        scenario_from_dict({**doc, "surface": {"type": "p2", "amplitude": 0.1}})
+        scenario_from_dict({**doc, "surface": {"type": "round", "amplitude": 0.1}})
     scenario_from_dict({**doc, "surface": {"type": "round", "amplitude": 0.0}})
 
 
@@ -331,7 +332,7 @@ _BASES = (
     {"id": "sweep", "epsilons": [0.1, 0.0], "T": 0.25, "dt": 2.5e-3,
      "grid": {"n_theta": 16, "n_phi": 32}},
     {"id": "one-row", "mode": "RPI", "m": 1.0,
-     "surface": {"type": "p2", "area_radius": 2.0, "amplitude": 0.05}, "T": 0.5},
+     "surface": {"type": "round", "area_radius": 2.0, "amplitude": 0.05}, "T": 0.5},
     {"id": "rpi", "mode": "RPI", "m": 0.5, "epsilons": [0.1]},
 )
 

@@ -9,6 +9,7 @@ import pytest
 from imcf_lab import harness, imcf
 from imcf_lab.cli import main as cli_main
 from imcf_lab.comparison import (
+    LABELS,
     assemble,
     c_alpha_distance_to_round,
     gauss_deviation,
@@ -34,7 +35,8 @@ DOCS = {
         "m": 1.0,
         "surface": {"type": "round", "area_radius": 2.0},
     },
-    # the combined family at eps = 0.1: mass-aspect ambient, p2 graph of amplitude 0.05
+    # the combined family at eps = 0.1: mass-aspect ambient, round graph of amplitude
+    # 0.05, f = rbar (1 + 0.05 P2(cos theta))
     "p2-mass-aspect": {
         "mode": "PMT",
         "family": "combined",
@@ -123,19 +125,17 @@ def test_streamed_checks_match_replay(streamed_row):
 
 def test_streamed_chain_matches_full_grid_reference(streamed_row):
     scn, result, track, _ = streamed_row
-    g3, model = ("g3_pmt", "hyperbolic_model") if scn.mode == "PMT" else ("g3_rpi", "adss_model")
     idx = sample_indices(len(track.snap_times))
     grids = {
-        label: assemble(track, label, m=scn.m, time_indices=idx)
-        for label in ("hat", "g1", "g2", g3, model)
+        label: assemble(track, label, m=scn.m or 0.0, time_indices=idx) for label in LABELS
     }
-    ref = grids[model]
+    ref = grids["model"]
     pairs = {
         "hat_g1": ("hat", "g1"),
         "g1_g2": ("g1", "g2"),
-        "g2_g3": ("g2", g3),
-        "g3_model": (g3, model),
-        "hat_model": ("hat", model),
+        "g2_g3": ("g2", "g3"),
+        "g3_model": ("g3", "model"),
+        "hat_model": ("hat", "model"),
     }
     assert set(result.distances) == set(pairs)
     for key, (x, y) in pairs.items():

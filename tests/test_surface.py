@@ -6,16 +6,9 @@ from hypothesis import strategies as st
 from imcf_lab.ambient import HyperbolicProfile
 from imcf_lab.errors import CurvatureError, DomainError
 from imcf_lab.sphere_grid import get_grid
-from imcf_lab.surface import (
-    euler_characteristic,
-    geometry,
-    integrate,
-    intrinsic_diameter,
-    make_graph,
-    make_round,
-)
+from imcf_lab.surface import geometry, integrate, intrinsic_diameter, make_graph
 
-from .oracles import embedding_mean_curvature, grad_pairing
+from .oracles import embedding_mean_curvature, euler_characteristic, grad_pairing, make_round
 
 RBAR = float(np.arcsinh(1.0))
 
@@ -56,10 +49,11 @@ def test_umbilic_consistency_any_radius(rbar):
     assert np.max(np.abs(geom.K - 1.0 / lam**2)) < 1e-10
 
 
-@pytest.mark.parametrize("formula", ["ellipsoid", "p2", "bumpy"])
+@pytest.mark.parametrize("formula", ["ellipsoid", "round", "bumpy"])
 @pytest.mark.parametrize("rbar", [0.3, RBAR, 2.5])
 def test_every_formula_at_amplitude_0_is_the_round_graph(hyperbolic, grid64, formula, rbar):
-    """Bit for bit, so a row of amplitude 0 needs no round branch."""
+    """Bit for bit the coordinate sphere f = np.full(shape, rbar), so a row of
+    amplitude 0 needs no round branch."""
     graph = make_graph(hyperbolic, grid64, rbar, formula, 0.0)
     assert graph.zeta.tobytes() == make_round(hyperbolic, rbar, grid64).zeta.tobytes()
 
@@ -77,7 +71,7 @@ def test_curvature_identities_pointwise(hyperbolic, grid32):
     )
 
 
-@pytest.mark.parametrize("formula,amp", [("ellipsoid", 0.05), ("bumpy", 0.06), ("p2", 0.07)])
+@pytest.mark.parametrize("formula,amp", [("ellipsoid", 0.05), ("bumpy", 0.06), ("round", 0.07)])
 def test_mean_curvature_vs_embedding_oracle(hyperbolic, grid64, formula, amp):
     """H agrees with the brute-force embedding computation at O(h^2)."""
     surf = make_graph(hyperbolic, grid64, RBAR, formula, amp)
@@ -86,7 +80,7 @@ def test_mean_curvature_vs_embedding_oracle(hyperbolic, grid64, formula, amp):
     def f_func(t, p):
         if formula == "ellipsoid":
             return RBAR * (1 + amp * np.cos(t))
-        if formula == "p2":
+        if formula == "round":
             return RBAR * (1 + amp * 0.5 * (3 * np.cos(t) ** 2 - 1))
         return RBAR * (1 + amp * np.sin(t) ** 2 * np.cos(2 * p))
 
@@ -173,6 +167,6 @@ def test_grad_pairing_matches_gradient_norm(hyperbolic, grid32):
 
 def test_mean_curvature_sign_guard(hyperbolic, grid32):
     """Strongly pinched graphs lose H > 0 and must be rejected."""
-    surf = make_graph(hyperbolic, grid32, 2.0, "p2", 0.9)
+    surf = make_graph(hyperbolic, grid32, 2.0, "round", 0.9)
     with pytest.raises(CurvatureError):
         geometry(hyperbolic, surf)

@@ -30,7 +30,7 @@ def test_every_traced_name_resolves(name, owner, attr):
 def test_track_bytes_accepts_a_run_track():
     """A mass-aspect row, whose track maps zeta to r through the ODE profile."""
     scn = scenario_from_dict({"id": "t", "epsilons": [0.1], "T": 0.02, "dt": 0.005,
-                              "surface": {"type": "p2"},
+                              "surface": {"type": "round"},
                               "grid": {"n_theta": 8, "n_phi": 8}})
     row = scn.rows()[0]
     track = imcf.run(row.profile, row.surface0, T=scn.T, dt=scn.dt)
