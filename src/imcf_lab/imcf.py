@@ -32,6 +32,17 @@ the snapshots is one more observer, ``SnapshotRecorder``: ``record`` is
 (``FlowTrack.replay`` feeds the same observers afterwards by rebuilding each
 snapshot's geometry from its stored zeta).
 
+Data that is constant on every latitude ring stays so under the flow (the
+background is rotationally symmetric), so every column of a full-grid flow
+of it repeats one column.  ``flow_grid`` picks the grid a flow runs on: the
+meridian ``get_grid(n_theta, 1)`` when the start's zeta is ring-constant
+(every shipped scenario), else the scenario's grid (``bumpy`` data).  The
+start's geometry is computed on the scenario's grid either way; on the
+meridian the flow then keeps zeta, P1 and P2 as (n_theta, 1) columns, and
+the observers and the series see the geometry lifted back to the scenario's
+grid as zero-copy broadcast views, so they read the shapes of a full-grid
+flow.
+
 Stability: each recorded step of size dt is internally split into substeps
 obeying the parabolic guard dt <= CFL * h_theta^2 * min(H)^2 * min(lambda)^2
 (the linearized flow diffuses with coefficient 1/(H lambda)^2; a guard that is
@@ -50,7 +61,7 @@ import numpy as np
 
 from .ambient import AmbientProfile
 from .errors import CurvatureError, ImcfLabError, StabilityError, TrackError
-from .sphere_grid import SphereGrid
+from .sphere_grid import SphereGrid, get_grid
 from .surface import (
     GraphSurface,
     SpeedGeometry,
@@ -136,9 +147,14 @@ class FlowTrack:
             )
 
     def snapshot_geometry(self, j: int) -> SurfaceGeometry:
-        """Geometry of stored snapshot j, rebuilt from its zeta (not cached)."""
+        """Geometry of stored snapshot j, rebuilt from its zeta (not cached)
+        on the grid ``run`` computed it on: snapshot 0, the start, on the
+        track's grid, and a later one on ``flow_grid``'s pick."""
         self._require_snapshots()
-        return geometry(self.profile, GraphSurface(self.grid, self.snap_zeta[j], self.profile))
+        zeta = self.snap_zeta[j]
+        flow = self.grid if j == 0 else flow_grid(self.grid, zeta)
+        geom = geometry(self.profile, GraphSurface(flow, zeta[:, :flow.n_phi], self.profile))
+        return geom if flow is self.grid else _on_grid(geom, self.grid)
 
     def replay(self, acc: SnapshotAccumulator) -> None:
         """Feed an accumulator the stored snapshots it reads, in order.
@@ -191,6 +207,15 @@ def area_radius(geom: SurfaceGeometry) -> float:
 def mean_curvature_average(geom: SurfaceGeometry) -> float:
     """Area average of H."""
     return float(np.sum(geom.H * (geom.dmu * geom.grid.weights))) / geom.area
+
+
+def flow_grid(grid: SphereGrid, zeta: np.ndarray) -> SphereGrid:
+    """The grid a flow of zeta on ``grid`` runs on: the meridian
+    ``get_grid(n_theta, 1)`` when zeta is constant on every latitude ring,
+    else ``grid`` itself."""
+    if np.all(zeta == zeta[:, :1]):
+        return get_grid(grid.n_theta, 1)
+    return grid
 
 
 def snap_interval(n_steps: int, snap_every: int | None) -> int:
@@ -256,13 +281,17 @@ def run(
     )
     snap_pos = {int(k): j for j, k in enumerate(snap_indices)}
 
-    P1 = np.zeros(grid.shape)
-    P2 = np.zeros(grid.shape)
-    rate1_prev = rate2_prev = None
-
     with _at_time(0.0):
-        geom = geometry(profile, GraphSurface(grid, grid.polar_filter(surface0.zeta), profile))
-    r0 = area_radius(geom)
+        start = geometry(profile, GraphSurface(grid, grid.polar_filter(surface0.zeta), profile))
+    r0 = area_radius(start)
+    flow = flow_grid(grid, start.surface.zeta)
+    geom = start if flow is grid else _on_grid(start, flow)
+
+    P1 = np.zeros(flow.shape)
+    P2 = np.zeros(flow.shape)
+    # the observers read the pinch integrals on the scenario's grid
+    P1_seen, P2_seen = (np.broadcast_to(P, grid.shape) for P in (P1, P2))
+    rate1_prev = rate2_prev = None
     for k in range(N + 1):
         t_k = times[k]
         _record(series, k, geom)
@@ -275,8 +304,9 @@ def run(
         rate1_prev, rate2_prev = rate1, rate2
 
         if k in snap_pos:
+            seen = start if k == 0 else geom if flow is grid else _on_grid(geom, grid)
             for observe in observers:
-                observe(snap_pos[k], float(t_k), geom, P1, P2)
+                observe(snap_pos[k], float(t_k), seen, P1_seen, P2_seen)
 
         if k < N:
             with _at_time(t_k + dt):
@@ -349,6 +379,22 @@ def _at_time(t: float):
         yield
     except ImcfLabError as exc:
         raise type(exc)(f"at t = {t:.6g}: {exc}") from exc
+
+
+_NODE_FIELDS = tuple(f.name for f in fields(SurfaceGeometry) if f.name not in ("surface", "area"))
+
+
+def _on_grid(geom: SurfaceGeometry, grid: SphereGrid) -> SurfaceGeometry:
+    """A ring-constant geometry on ``grid``, its meridian or a full grid:
+    every node field's first column as a zero-copy broadcast view of
+    ``grid.shape``.  The area is geom's."""
+
+    def view(a):
+        return np.broadcast_to(a[:, :1], grid.shape)
+
+    nodes = {name: view(getattr(geom, name)) for name in _NODE_FIELDS}
+    surface = GraphSurface(grid, view(geom.surface.zeta), geom.surface.profile)
+    return SurfaceGeometry(surface=surface, area=geom.area, **nodes)
 
 
 def _rhs(geom: SpeedGeometry, tau: float) -> np.ndarray:

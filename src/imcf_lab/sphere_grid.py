@@ -11,6 +11,15 @@ on the Gauss-Legendre nodes (chain rule through x = cos theta).  A
 latitude-dependent azimuthal mode cap (`polar_filter`) removes sub-grid
 wavelengths near the polar node clusters, the standard treatment that keeps
 explicit time stepping on a lat-lon style grid stable.
+
+The meridian grid ``get_grid(n_theta, 1)`` has one longitude, phi = 0: a
+field on it is an (n_theta, 1) column, one value per latitude ring.  Its
+theta nodes, weights and derivatives are those of every n_theta grid, and
+its phi weight is the whole circle, 2 pi, so it integrates a ring-constant
+field as the full grid does.  A ring-constant field has no azimuthal modes:
+there the phi derivatives are exact zeros and ``polar_filter`` returns its
+input, so the meridian computes both without a transform.  The flow runs
+data that is constant on every ring there (``imcf.flow_grid``).
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ class SphereGrid:
     """Gauss-Legendre x uniform-phi quadrature grid on S^2."""
 
     def __init__(self, n_theta: int, n_phi: int):
-        if n_theta < 4 or n_phi < 4:
-            raise ValueError("grid must have at least 4 nodes per direction")
+        if n_theta < 4 or not (n_phi >= 4 or n_phi == 1):
+            raise ValueError("grid must have at least 4 latitudes and 1 or at least 4 longitudes")
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
 
@@ -60,6 +69,8 @@ class SphereGrid:
         return -self.sin_theta[:, None] * (self._d1 @ field)
 
     def dphi(self, field: np.ndarray) -> np.ndarray:
+        if self.n_phi == 1:
+            return np.zeros_like(field)
         fh = np.fft.rfft(field, axis=1)
         fh *= 1j * self._m
         if self.n_phi % 2 == 0:
@@ -75,6 +86,8 @@ class SphereGrid:
 
     def phi_derivs(self, field: np.ndarray):
         """(d/dphi, d^2/dphi^2) sharing one forward transform."""
+        if self.n_phi == 1:
+            return np.zeros_like(field), np.zeros_like(field)
         fh = np.fft.rfft(field, axis=1)
         fh1 = fh * (1j * self._m)
         if self.n_phi % 2 == 0:
@@ -95,6 +108,8 @@ class SphereGrid:
 
     def polar_filter(self, field: np.ndarray) -> np.ndarray:
         """Zero azimuthal modes beyond the local resolvable wavenumber."""
+        if self.n_phi == 1:
+            return field
         fh = np.fft.rfft(field, axis=1)
         fh *= self._filter_mask
         return np.fft.irfft(fh, n=self.n_phi, axis=1)
