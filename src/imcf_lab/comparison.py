@@ -68,7 +68,8 @@ class ProductMetricGrid:
 
 
 def _track_samples(track: FlowTrack, idx: np.ndarray) -> dict:
-    """Fiber data of the track at the chosen snapshot indices."""
+    """Fiber data of the track at the chosen snapshot indices, on the track's
+    grid: a snapshot rebuilt on the meridian fills every ring with its column."""
     shape = (len(idx), *track.grid.shape)
     out = {name: np.empty(shape) for name in _FIBER_FIELDS}
     for row, j in enumerate(idx):
@@ -205,7 +206,9 @@ class ChainAccumulator(SnapshotAccumulator):
     (weighted by dmu / H, as in ``l2_distance``) and keeps only those scalars
     and the first sample's fiber, which g2 and g3 rescale by e^t.  r0 is the
     area radius of the first sample, Sigma_0, and m the model's mass, as for
-    ``assemble``'s g3 and model labels.
+    ``assemble``'s g3 and model labels.  A sample integrates on its own grid:
+    on a meridian column, the first sample's fiber is restricted to that
+    column.
     """
 
     def __init__(self, snap_times: np.ndarray, m: float = 0.0):
@@ -231,7 +234,7 @@ class ChainAccumulator(SnapshotAccumulator):
         lapse_model = self._model_lapse[i]
         hbar = mean_curvature_average(geom)
         lapse_mean = 1.0 / (hbar * hbar)
-        scaled0 = tuple(growth * g for g in self._fiber0)
+        scaled0 = tuple(growth * g[:, :grid.n_phi] for g in self._fiber0)
 
         hat = (1.0 / geom.H**2, geom.g11, geom.g12, geom.g22)
         g1 = (lapse_mean, geom.g11, geom.g12, geom.g22)

@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import comparison, mass
+from . import comparison, imcf, mass
 from .ambient import validate_profile
 from .errors import FitError, WindowError
 from .imcf import FlowSeries, FlowTrack, SnapshotAccumulator, area_radius, run, time_grid
 from .scenario import Scenario, ScenarioRow
-from .surface import intrinsic_diameter
+from .surface import SurfaceGeometry, intrinsic_diameter
 from .sphere_grid import SphereGrid
 
 CSV_COLUMNS = (
@@ -149,18 +149,20 @@ class W12Accumulator(SnapshotAccumulator):
 
     The time derivative at each stored time uses the neighbouring slices with
     the weights ``np.gradient`` gives for the window's spacing: second-order
-    three-point inside, one-sided first order at the ends.
+    three-point inside, one-sided first order at the ends.  Each time's
+    density is differentiated and integrated on the grid of its own slice;
+    a neighbour on a finer grid (the start, beside a meridian column) is
+    restricted to that grid's columns.
     """
 
-    def __init__(self, grid: SphereGrid, snap_times: np.ndarray, a: float, b: float):
+    def __init__(self, snap_times: np.ndarray, a: float, b: float):
         sel = _window(snap_times, a, b)
         self.window = (a, b)
         self.enough = len(sel) >= 3
         super().__init__(sel if self.enough else [])
-        self.grid = grid
         self.t = snap_times[sel]
         self.density = np.empty(len(sel))
-        self._u = {}
+        self._u = {}   # i -> (grid, Rc(nu,nu) on it)
         if self.enough:
             self._dx = dx = np.diff(self.t)
             dx1, dx2 = dx[:-1], dx[1:]
@@ -169,7 +171,7 @@ class W12Accumulator(SnapshotAccumulator):
             self._c = dx1 / (dx2 * (dx1 + dx2))
 
     def take(self, i, j, t, geom, P1, P2) -> None:
-        self._u[i] = geom.Rc_nn
+        self._u[i] = (geom.grid, geom.Rc_nn)
         if i >= 1:
             self._density_at(i - 1)
         if i == len(self.t) - 1:
@@ -177,14 +179,14 @@ class W12Accumulator(SnapshotAccumulator):
         self._u.pop(i - 2, None)
 
     def _density_at(self, i: int) -> None:
-        u, n = self._u, len(self.t)
+        grid, n = self._u[i][0], len(self.t)
+        u = {k: v[:, :grid.n_phi] for k, (_, v) in self._u.items()}
         if i == 0:
             u_t = (u[1] - u[0]) / self._dx[0]
         elif i == n - 1:
             u_t = (u[i] - u[i - 1]) / self._dx[-1]
         else:
             u_t = self._a[i - 1] * u[i - 1] + self._b[i - 1] * u[i] + self._c[i - 1] * u[i + 1]
-        grid = self.grid
         du_th = grid.dtheta(u[i])
         du_ph = grid.dphi(u[i])
         grad2 = du_th**2 + (du_ph / grid.sin_theta[:, None]) ** 2
@@ -198,6 +200,12 @@ class W12Accumulator(SnapshotAccumulator):
         return float(np.sqrt(np.trapezoid(self.density, self.t)))
 
 
+def _diameter(geom: SurfaceGeometry, grid: SphereGrid) -> float:
+    """``intrinsic_diameter`` on the scenario's ``grid``, to which a meridian
+    column is lifted first: the shortest paths need the 2D lattice."""
+    return intrinsic_diameter(geom if geom.grid is grid else imcf._on_grid(geom, grid))
+
+
 def w12_normal_ricci(track: FlowTrack, a: float, b: float) -> float:
     """W^{1,2} norm of Rc(nu,nu) over Sigma x [a,b], flat product measure.
 
@@ -205,7 +213,7 @@ def w12_normal_ricci(track: FlowTrack, a: float, b: float) -> float:
     sphere, quadrature against d(sigma) dt.  Replays a track from
     ``imcf.record`` through ``W12Accumulator``.
     """
-    acc = W12Accumulator(track.grid, track.snap_times, a, b)
+    acc = W12Accumulator(track.snap_times, a, b)
     track.replay(acc)
     return acc.result()
 
@@ -213,15 +221,15 @@ def w12_normal_ricci(track: FlowTrack, a: float, b: float) -> float:
 class CompatAccumulator(SnapshotAccumulator):
     """Snapshot part of ``check_coordinate_compatibility`` over window [a, b].
 
-    Reads Sigma_0 (K12 floor), every stored time in the window (W^{1,2}
-    Ricci norm) and N_DIAM of them (intrinsic diameter); ``result`` adds the
-    series-based ratios and gradient bound once the flow has ended.  Two
-    accumulators given one ``diameters`` dict compute a snapshot's diameter once.
+    Reads Sigma_0 (K12 floor, and the scenario's grid for the diameters),
+    every stored time in the window (W^{1,2} Ricci norm) and N_DIAM of them
+    (intrinsic diameter); ``result`` adds the series-based ratios and
+    gradient bound once the flow has ended.  Two accumulators given one
+    ``diameters`` dict compute a snapshot's diameter once.
     """
 
     def __init__(
         self,
-        grid: SphereGrid,
         snap_times: np.ndarray,
         T: float,
         a: float,
@@ -230,7 +238,7 @@ class CompatAccumulator(SnapshotAccumulator):
     ):
         self.window = (a, b)
         self.T = float(T)
-        self.w12 = W12Accumulator(grid, snap_times, a, b)
+        self.w12 = W12Accumulator(snap_times, a, b)
         sel = _window(snap_times, a, b)
         self.picks = sel[
             np.unique(np.linspace(0, len(sel) - 1, min(N_DIAM, len(sel))).astype(int))
@@ -244,9 +252,10 @@ class CompatAccumulator(SnapshotAccumulator):
     def take(self, i, j, t, geom, P1, P2) -> None:
         if j == 0:
             self.k12_min0 = float(np.min(geom.K12))
+            self.grid = geom.grid
         self.w12.observe(j, t, geom, P1, P2)
         if j in self.picks and j not in self._diam:
-            self._diam[j] = intrinsic_diameter(geom)
+            self._diam[j] = _diameter(geom, self.grid)
 
     def result(self, series) -> CompatReport:
         a, b = self.window
@@ -287,7 +296,7 @@ def check_coordinate_compatibility(track: FlowTrack, a: float, b: float) -> Comp
 
     Replays a track from ``imcf.record`` through ``CompatAccumulator``.
     """
-    acc = CompatAccumulator(track.grid, track.snap_times, track.T, a, b)
+    acc = CompatAccumulator(track.snap_times, track.T, a, b)
     track.replay(acc)
     return acc.result(track.series)
 
@@ -304,12 +313,13 @@ class SampleAccumulator(SnapshotAccumulator):
 
     def take(self, i, j, t, geom, P1, P2) -> None:
         if j == 0:
+            self.grid = geom.grid
             self.r0 = area_radius(geom)
             self.c_alpha = comparison.c_alpha_distance_to_round(geom, r0=self.r0)
         if j in self._snap_of.values():
             self._gauss[j] = comparison.gauss_deviation(geom, self.r0, t)
             if j not in self._diam:
-                self._diam[j] = intrinsic_diameter(geom)
+                self._diam[j] = _diameter(geom, self.grid)
 
     def result(self) -> tuple[float, dict, dict]:
         """(c_alpha, gauss deviation by t-sample, diameter by t-sample)."""
@@ -333,7 +343,6 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
     result = RowResult(label=row.label, eps=row.eps, ok=True)
     try:
         profile_report = validate_profile(row.profile)
-        grid = row.surface0.grid
         times, snap_indices = time_grid(scn.T, scn.dt)
         snap_times = times[snap_indices]
         # each t-sample's record reads every column at its nearest snapshot
@@ -341,7 +350,7 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
         result.sample_steps = {t: int(snap_indices[j]) for t, j in snap_of.items()}
         diameters = {}
         a, b = scn.compat_window
-        compat = CompatAccumulator(grid, snap_times, scn.T, a, b, diameters=diameters)
+        compat = CompatAccumulator(snap_times, scn.T, a, b, diameters=diameters)
         pinch = mass.PinchAccumulator(snap_times)
         chain = comparison.ChainAccumulator(snap_times, m=scn.m or 0.0)
         samples = SampleAccumulator(snap_of, diameters)

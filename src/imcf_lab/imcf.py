@@ -38,10 +38,13 @@ of it repeats one column.  ``flow_grid`` picks the grid a flow runs on: the
 meridian ``get_grid(n_theta, 1)`` when the start's zeta is ring-constant
 (every shipped scenario), else the scenario's grid (``bumpy`` data).  The
 start's geometry is computed on the scenario's grid either way; on the
-meridian the flow then keeps zeta, P1 and P2 as (n_theta, 1) columns, and
-the observers and the series see the geometry lifted back to the scenario's
-grid as zero-copy broadcast views, so they read the shapes of a full-grid
-flow.
+meridian the flow then keeps zeta, P1 and P2 as (n_theta, 1) columns.  The
+observers see the geometry on the grid it was computed on: snapshot 0, the
+start, on the scenario's grid, and every later snapshot on the flow's grid,
+with P1 and P2 on the grid of that geometry.  A check that reads the start
+with a later snapshot restricts the start's fields with ``[:, :n_phi]``, and
+a check that needs the scenario's grid (the intrinsic diameter) lifts a
+column to it as zero-copy broadcast views (``_on_grid``).
 
 Stability: each recorded step of size dt is internally split into substeps
 obeying the parabolic guard dt <= CFL * h_theta^2 * min(H)^2 * min(lambda)^2
@@ -70,8 +73,9 @@ from .surface import (
     speed_geometry,
 )
 
-# observer(j, t, geom, P1, P2) at each stored snapshot j; P1 and P2 are the
-# running pinch integrals, buffers the flow keeps updating after the call
+# observer(j, t, geom, P1, P2) at each stored snapshot j, on geom's grid: the
+# scenario's for j = 0, the flow's after; P1 and P2 are the running pinch
+# integrals, buffers the flow keeps updating after the call
 Observer = Callable[[int, float, SurfaceGeometry, np.ndarray, np.ndarray], None]
 
 # a recorded step that needs more substeps than this raises StabilityError
@@ -153,21 +157,23 @@ class FlowTrack:
         self._require_snapshots()
         zeta = self.snap_zeta[j]
         flow = self.grid if j == 0 else flow_grid(self.grid, zeta)
-        geom = geometry(self.profile, GraphSurface(flow, zeta[:, :flow.n_phi], self.profile))
-        return geom if flow is self.grid else _on_grid(geom, self.grid)
+        return geometry(self.profile, GraphSurface(flow, zeta[:, :flow.n_phi], self.profile))
 
     def replay(self, acc: SnapshotAccumulator) -> None:
         """Feed an accumulator the stored snapshots it reads, in order.
 
         It sees the same arguments ``run`` passed its observer during the
-        flow, with the geometry rebuilt from the stored zeta.
+        flow, with the geometry rebuilt from the stored zeta, and P1 and P2
+        on that geometry's grid.
         """
         self._require_snapshots()
         for j in acc.indices:
             j = int(j)
+            geom = self.snapshot_geometry(j)
+            n_phi = geom.grid.n_phi
             acc.observe(
-                j, float(self.snap_times[j]), self.snapshot_geometry(j),
-                self.snap_P1[j], self.snap_P2[j],
+                j, float(self.snap_times[j]), geom,
+                self.snap_P1[j][:, :n_phi], self.snap_P2[j][:, :n_phi],
             )
 
 
@@ -289,8 +295,6 @@ def run(
 
     P1 = np.zeros(flow.shape)
     P2 = np.zeros(flow.shape)
-    # the observers read the pinch integrals on the scenario's grid
-    P1_seen, P2_seen = (np.broadcast_to(P, grid.shape) for P in (P1, P2))
     rate1_prev = rate2_prev = None
     for k in range(N + 1):
         t_k = times[k]
@@ -304,9 +308,10 @@ def run(
         rate1_prev, rate2_prev = rate1, rate2
 
         if k in snap_pos:
-            seen = start if k == 0 else geom if flow is grid else _on_grid(geom, grid)
+            # the start is seen on the scenario's grid, with its (zero) pinch integrals
+            seen = (geom, P1, P2) if k else (start, np.zeros(grid.shape), np.zeros(grid.shape))
             for observe in observers:
-                observe(snap_pos[k], float(t_k), seen, P1_seen, P2_seen)
+                observe(snap_pos[k], float(t_k), *seen)
 
         if k < N:
             with _at_time(t_k + dt):
@@ -343,7 +348,8 @@ class SnapshotRecorder(SnapshotAccumulator):
         self.P2 = np.empty((n_snap, *shape))
 
     def take(self, i, j, t, geom, P1, P2) -> None:
-        # P1 and P2 are the flow's live buffers: assigning into a slot copies them
+        # P1 and P2 are the flow's live buffers: assigning into a slot copies
+        # them, and broadcasts a meridian column across the slot's rings
         self.zeta[j] = geom.surface.zeta
         self.P1[j] = P1
         self.P2[j] = P2
@@ -387,7 +393,9 @@ _NODE_FIELDS = tuple(f.name for f in fields(SurfaceGeometry) if f.name not in ("
 def _on_grid(geom: SurfaceGeometry, grid: SphereGrid) -> SurfaceGeometry:
     """A ring-constant geometry on ``grid``, its meridian or a full grid:
     every node field's first column as a zero-copy broadcast view of
-    ``grid.shape``.  The area is geom's."""
+    ``grid.shape``.  The area is geom's.  ``run`` restricts the start to the
+    meridian with it, and a check that needs the scenario's grid lifts a
+    column back."""
 
     def view(a):
         return np.broadcast_to(a[:, :1], grid.shape)

@@ -100,7 +100,13 @@ def geroch_identity_residual(track: FlowTrack) -> GerochResiduals:
 
 class PinchAccumulator(SnapshotAccumulator):
     """Streaming form of ``pinch_bounds_check``; reads every stored snapshot
-    and keeps only counts and extremes, no per-node history."""
+    and keeps only counts and extremes, no per-node history.
+
+    Sigma_0 sets the node set the counts are of, the scenario's grid.  A later
+    snapshot on a meridian column compares against the start's fields
+    restricted to that column, and each of its nodes counts for the n_phi
+    nodes of its latitude ring.
+    """
 
     def __init__(self, snap_times: np.ndarray):
         super().__init__(np.arange(len(snap_times)))
@@ -112,7 +118,9 @@ class PinchAccumulator(SnapshotAccumulator):
     def take(self, i, j, t, geom, P1, P2) -> None:
         if j == 0:
             self._g0 = (geom.g11, geom.g12, geom.g22)
-        g0_11, g0_12, g0_22 = self._g0
+        n_phi = geom.g11.shape[1]
+        g0_11, g0_12, g0_22 = (g[:, :n_phi] for g in self._g0)
+        ring = self._g0[0].shape[1] // n_phi
         e1 = np.exp(P1)
         e2 = np.exp(P2)
         scale = geom.g11 + geom.g22
@@ -125,8 +133,8 @@ class PinchAccumulator(SnapshotAccumulator):
         low = min_eig(geom.g11 - e1 * g0_11, geom.g12 - e1 * g0_12, geom.g22 - e1 * g0_22)
         up = min_eig(e2 * g0_11 - geom.g11, e2 * g0_12 - geom.g12, e2 * g0_22 - geom.g22)
         # ~(x >= tol), not x < tol: a NaN margin counts as a violation
-        self.n_lower += int(np.count_nonzero(~(low >= -PINCH_TOL * scale)))
-        self.n_upper += int(np.count_nonzero(~(up >= -PINCH_TOL * scale)))
+        self.n_lower += ring * int(np.count_nonzero(~(low >= -PINCH_TOL * scale)))
+        self.n_upper += ring * int(np.count_nonzero(~(up >= -PINCH_TOL * scale)))
         # np.minimum, not min: min(0.0, nan) is 0.0, and a NaN margin must show
         self.worst_low = float(np.minimum(self.worst_low, np.min(low / scale)))
         self.worst_up = float(np.minimum(self.worst_up, np.min(up / scale)))

@@ -242,6 +242,8 @@ def intrinsic_diameter(geom: SurfaceGeometry) -> float:
     """
     grid = geom.grid
     nt, np_ = grid.shape
+    if np_ == 1:
+        raise GeometryError("the diameter needs a 2D grid; lift a meridian column to one first")
     n = nt * np_
     idx = np.arange(n).reshape(nt, np_)
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from imcf_lab.comparison import sample_indices
-from imcf_lab.imcf import time_grid
+from imcf_lab.imcf import _on_grid, time_grid
 from imcf_lab.mass import SIXTEEN_PI
 from imcf_lab.surface import GraphSurface, integrate
 
@@ -180,6 +180,14 @@ def snap_index_of_time(track, t: float) -> int:
     return j
 
 
+def lifted_geometry(track, j: int):
+    """Stored snapshot j's geometry on the track's grid, a snapshot rebuilt
+    on the meridian lifted to it: the diameter's lattice and full-grid probe
+    fields need that grid."""
+    geom = track.snapshot_geometry(j)
+    return geom if geom.grid is track.grid else _on_grid(geom, track.grid)
+
+
 def grad_pairing(geom, a_t, a_p, b_t, b_p):
     """Pointwise <grad a, grad b> for fields given by coordinate partials."""
     return (
@@ -247,7 +255,7 @@ def weak_ricci_pairing(
     bulk_t = np.empty(len(sel))
     surf_a = surf_b = 0.0
     for i, j in enumerate(sel):
-        geom = track.snapshot_geometry(int(j))
+        geom = lifted_geometry(track, int(j))
         t = float(track.snap_times[j])
         p = psi.value(TH, PH, t)
         p_th = psi.d_theta(TH, PH, t)

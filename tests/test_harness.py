@@ -19,7 +19,7 @@ from imcf_lab.imcf import record, run
 from imcf_lab.scenario import scenario_from_dict
 from imcf_lab.surface import intrinsic_diameter, make_graph
 
-from .oracles import snap_index_of_time
+from .oracles import lifted_geometry, snap_index_of_time
 
 RBAR = float(np.arcsinh(1.0))
 
@@ -107,9 +107,9 @@ def test_row_computes_each_snapshot_diameter_once(monkeypatch):
     assert len(measured) == len(set(measured)) == 7
     (track,) = tracks
     for t, d in result.diam.items():
-        assert d == real(track.snapshot_geometry(snap_index_of_time(track, t)))
+        assert d == real(lifted_geometry(track, snap_index_of_time(track, t)))
     for t, d in zip(result.compat_report.diam_times, result.compat_report.diam_values):
-        assert d == real(track.snapshot_geometry(snap_index_of_time(track, t)))
+        assert d == real(lifted_geometry(track, snap_index_of_time(track, t)))
 
 
 def test_run_sequence_rows_and_columns(tmp_path):
@@ -218,7 +218,7 @@ def test_record_reads_every_column_at_one_snapshot():
              for j, t in enumerate(tr.snap_times)]
     j = gauss.index(rec["gauss_dev"])
     assert rec["m_H"] == tr.series.m_H[tr.snap_indices[j]]
-    assert rec["diam"] == intrinsic_diameter(tr.snapshot_geometry(j))
+    assert rec["diam"] == intrinsic_diameter(lifted_geometry(tr, j))
 
 
 # dt * N rounds one ulp below T for these pairs: 2/49 * 49 = 1.9999999999999998

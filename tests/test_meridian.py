@@ -114,9 +114,13 @@ def test_ring_constant_data_flows_on_the_meridian_and_is_seen_on_its_grid(monkey
         shapes.append((geom.grid, geom.H.shape, geom.surface.zeta.shape, P1.shape, P2.shape))
 
     track = imcf.run(hyperbolic, surf0, T=0.01, dt=1e-3, observers=[observe])
-    # the start on the scenario's grid, every later geometry on the meridian
+    # the start on the scenario's grid, every later geometry on the meridian,
+    # and the observers see each on the grid it was computed on
     assert seen[0] == 32 and set(seen[1:]) == {1}
-    assert shapes == [(grid, grid.shape, grid.shape, grid.shape, grid.shape)] * len(track.snap_indices)
+    mer = get_grid(16, 1)
+    assert shapes == [(grid, grid.shape, grid.shape, grid.shape, grid.shape)] + [
+        (mer, mer.shape, mer.shape, mer.shape, mer.shape)
+    ] * (len(track.snap_indices) - 1)
 
 
 # bumpy data at 32x64 in hyperbolic space, the bumpy-2d benchmark row on a

@@ -78,10 +78,13 @@ def test_record_stores_what_the_observers_received(p2_row):
 
     track = imcf.record(row.profile, row.surface0, T=scn.T, dt=scn.dt, observers=[observe])
     assert sorted(seen) == list(range(len(track.snap_indices)))
+    # a slot holds the scenario's grid; a later snapshot arrives as the
+    # meridian column, which the slot repeats on every ring
+    shape = row.surface0.grid.shape
     for j, (zeta, P1, P2) in seen.items():
-        assert np.array_equal(track.snap_zeta[j], zeta)
-        assert np.array_equal(track.snap_P1[j], P1)
-        assert np.array_equal(track.snap_P2[j], P2)
+        assert np.array_equal(track.snap_zeta[j], np.broadcast_to(zeta, shape))
+        assert np.array_equal(track.snap_P1[j], np.broadcast_to(P1, shape))
+        assert np.array_equal(track.snap_P2[j], np.broadcast_to(P2, shape))
     # the later snapshots are not the live buffers' final state
     assert not np.array_equal(track.snap_P1[1], track.snap_P1[-1])
     plain = imcf.run(row.profile, row.surface0, T=scn.T, dt=scn.dt)

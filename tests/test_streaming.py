@@ -22,6 +22,8 @@ from imcf_lab.scenario import Scenario, scenario_from_dict
 from imcf_lab.sphere_grid import get_grid
 from imcf_lab.surface import intrinsic_diameter
 
+from .oracles import lifted_geometry
+
 GRID32 = {"n_theta": 32, "n_phi": 64}
 BASE = {"T": 0.2, "dt": 1e-3, "grid": GRID32}
 DOCS = {
@@ -120,7 +122,7 @@ def test_streamed_checks_match_replay(streamed_row):
         geom = track.snapshot_geometry(j)
         ref = gauss_deviation(geom, track.r0, float(track.snap_times[j]))
         assert _close(result.gauss_dev[t], ref)
-        assert _close(result.diam[t], intrinsic_diameter(geom))
+        assert _close(result.diam[t], intrinsic_diameter(lifted_geometry(track, j)))
 
 
 def test_streamed_chain_matches_full_grid_reference(streamed_row):
@@ -182,9 +184,9 @@ def test_w12_window_matches_np_gradient(times):
     grid = get_grid(8, 16)
     rng = np.random.default_rng(7)
     u = rng.standard_normal((len(times), *grid.shape))
-    acc = W12Accumulator(grid, times, float(times[0]), float(times[-1]))
+    acc = W12Accumulator(times, float(times[0]), float(times[-1]))
     for j, t in enumerate(times):
-        acc.observe(j, float(t), SimpleNamespace(Rc_nn=u[j]), None, None)
+        acc.observe(j, float(t), SimpleNamespace(Rc_nn=u[j], grid=grid), None, None)
 
     u_t = np.gradient(u, times, axis=0)
     density = [
