@@ -105,10 +105,6 @@ class AmbientProfile:
         """Mass aspect and its derivative (m(s), m'(s))."""
         raise NotImplementedError
 
-    def mass_function(self, s):
-        """Mass aspect m(s) = (s/2)(1 + s^2 - lambda'^2)."""
-        return self._mass(np.asarray(s, dtype=float))[0]
-
     # -- the s-form ----------------------------------------------------------
 
     def warp_at_area_radius(self, s):

@@ -2,7 +2,6 @@
 
     imcf-lab run <scenario-file> [--out DIR] [--workers N] [--quiet]
     imcf-lab verify <scenario-file>
-    imcf-lab oracle
 
 ``run`` always writes all three reports to the output directory: <id>.csv,
 <id>.json and the gnuplot script <id>.gp.
@@ -19,12 +18,9 @@ import sys
 import traceback
 from pathlib import Path
 
-import numpy as np
-
-from .ambient import AdSSProfile, HyperbolicProfile, validate_profile
+from .ambient import validate_profile
 from .errors import DomainError, ImcfLabError, ParseError, ProfileError, ValidationError
 from .harness import emit, run_sequence
-from .imcf import exact_round_flow
 from .scenario import load_scenario
 
 
@@ -40,8 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver_p = sub.add_parser("verify", help="validate a scenario and its profiles")
     ver_p.add_argument("scenario", help="path to a scenario JSON file")
-
-    sub.add_parser("oracle", help="print the closed-form round-flow reference table")
     return p
 
 
@@ -56,11 +50,7 @@ def _cmd_run(args) -> int:
             status = "ok" if rr.ok else f"FAILED ({rr.error})"
             print(f"  row {rr.label}: {status}")
 
-    try:
-        written = emit(report, out_dir=args.out)
-    except OSError as exc:
-        print(f"IO failure: {exc}", file=sys.stderr)
-        return 3
+    written = emit(report, out_dir=args.out)
     if not args.quiet:
         for path in written:
             print(f"  wrote {path}")
@@ -85,35 +75,13 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_oracle(_args) -> int:
-    ts = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
-    print("closed-form round-flow reference (s(t) = s0 e^{t/2})")
-    for name, profile, s0, m in (
-        ("hyperbolic, s0 = 1", HyperbolicProfile(), 1.0, 0.0),
-        ("adss m = 1, s0 = 2", AdSSProfile(1.0, s_domain=(1.05, 12.0)), 2.0, 1.0),
-    ):
-        print(f"\n  {name}")
-        print(f"  {'t':>4} {'s(t)':>12} {'H(t)':>12} {'m_H':>8} "
-              f"{'I_Rc':>12} {'I_K12':>12} {'I_H2':>12}")
-        for t in ts:
-            s, H = exact_round_flow(profile, s0, t)
-            i_rc = -8.0 * np.pi * m / s + 0.0  # +0.0 avoids printing -0
-            i_k12 = 8.0 * np.pi * m / s
-            i_h2 = 16.0 * np.pi - 32.0 * np.pi * m / s
-            print(f"  {t:4.1f} {float(s):12.8f} {float(H):12.8f} {m:8.3f} "
-                  f"{float(i_rc):12.6f} {float(i_k12):12.6f} {float(i_h2):12.6f}")
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             code = _cmd_run(args)
-        elif args.command == "verify":
-            code = _cmd_verify(args)
         else:
-            code = _cmd_oracle(args)
+            code = _cmd_verify(args)
     except (ParseError, ValidationError, ProfileError, DomainError) as exc:
         # only loading a scenario and building its rows raise these: every
         # row's own failures are caught and reported by the sweep

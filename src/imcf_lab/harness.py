@@ -427,11 +427,8 @@ def table_rows(report: ReportTable) -> list[dict]:
                 k = rr.sample_steps[t]
                 for name in series_columns:
                     rec[name] = float(getattr(rr.diag, name)[k])
-                rec["l2_hat_g1"] = rr.distances.get("hat_g1")
-                rec["l2_g1_g2"] = rr.distances.get("g1_g2")
-                rec["l2_g2_g3"] = rr.distances.get("g2_g3")
-                rec["l2_g3_model"] = rr.distances.get("g3_model")
-                rec["l2_hat_model"] = rr.distances.get("hat_model")
+                for key in comparison.CHAIN_KEYS:
+                    rec[f"l2_{key}"] = rr.distances.get(key)
                 rec["c_alpha"] = rr.c_alpha
                 rec["gauss_dev"] = rr.gauss_dev.get(t)
                 rec["diam"] = rr.diam.get(t)

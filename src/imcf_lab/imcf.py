@@ -253,17 +253,6 @@ def time_grid(T: float, dt: float, snap_every: int | None = None):
     return times, np.array(sorted(snap_set))
 
 
-def exact_round_flow(profile: AmbientProfile, s0: float, t) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form round flow: s(t) = s0 e^{t/2} and its mean curvature.
-
-    The area law forces every rotationally symmetric solution onto this
-    trajectory; H(t) = 2 lambda'(s)/s = (2/s) sqrt(1 + s^2 - 2 m(s)/s).
-    """
-    t = np.asarray(t, dtype=float)
-    s = s0 * np.exp(0.5 * t)
-    return s, 2.0 * profile.warp_at_area_radius(s)[0] / s
-
-
 def run(
     profile: AmbientProfile,
     surface0: GraphSurface,

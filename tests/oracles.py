@@ -11,7 +11,8 @@ The weak normal-Ricci pairing integrates the flow's weak identity for
 Rc(nu, nu) against a probe field over the snapshots of a recorded track.
 
 The round-row reference gives a round row's report columns in closed form
-from the ambient's mass aspect m(s) alone.
+from the ambient's mass aspect m(s) alone; next to it are the round flow's
+trajectory and mean curvature in a built profile, and that profile's m(s).
 
 The last group holds the textbook definitions the flow's recorded series are
 checked against: the coordinate sphere, the Hawking mass, the Gauss-Bonnet
@@ -322,6 +323,22 @@ def round_row(m, dm, s0, T, dt, model_m=0.0) -> dict:
     H = 2.0 * np.sqrt(dlam2) / sc
     cols["l2_hat_model"] = float(np.trapezoid(4.0 * np.pi * sc**2 * (1.0 / ratio - 1.0) ** 2 / H, tc))
     return cols
+
+
+def exact_round_flow(profile, s0: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form round flow: s(t) = s0 e^{t/2} and its mean curvature.
+
+    The area law forces every rotationally symmetric solution onto this
+    trajectory; H(t) = 2 lambda'(s)/s = (2/s) sqrt(1 + s^2 - 2 m(s)/s).
+    """
+    t = np.asarray(t, dtype=float)
+    s = s0 * np.exp(0.5 * t)
+    return s, 2.0 * profile.warp_at_area_radius(s)[0] / s
+
+
+def mass_function(profile, s):
+    """Mass aspect m(s) = (s/2)(1 + s^2 - lambda'^2) of a built profile."""
+    return profile._mass(np.asarray(s, dtype=float))[0]
 
 
 def make_round(profile, rbar: float, grid) -> GraphSurface:

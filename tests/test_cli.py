@@ -27,11 +27,13 @@ def _write(tmp_path, doc):
     return p
 
 
-def test_oracle_prints_reference_table(capsys):
-    assert main(["oracle"]) == 0
-    out = capsys.readouterr().out
-    assert "hyperbolic" in out and "adss" in out
-    assert "2.82842712" in out  # H(0) = 2 sqrt(2) for the unit round sphere
+def test_run_and_verify_are_the_only_commands(capsys):
+    """The round-flow closed forms live in the tests' ``round_row``: there is
+    no ``oracle`` command printing a second copy of them."""
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'oracle'" in capsys.readouterr().err
 
 
 def test_verify_ok(tmp_path, capsys):
@@ -83,6 +85,16 @@ def test_run_solver_failure_exit_code(tmp_path):
     doc["epsilons"] = [0.9, 0.01]
     p = _write(tmp_path, doc)
     assert main(["run", str(p), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+
+
+def test_run_into_a_file_is_an_io_failure(tmp_path, capsys):
+    """--out naming an existing regular file: the sweep runs, then writing its
+    reports fails with one line and exit 3."""
+    p = _write(tmp_path, FAST_DOC)
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    assert main(["run", str(p), "--out", str(out), "--quiet"]) == 3
+    assert "File exists" in _one_line(capsys, "IO failure: [Errno 17] ")
 
 
 def test_run_deterministic_csv(tmp_path):

@@ -4,11 +4,11 @@ import pytest
 from imcf_lab import imcf
 from imcf_lab.ambient import AdSSProfile
 from imcf_lab.errors import DomainError, StabilityError
-from imcf_lab.imcf import exact_round_flow, record, run
+from imcf_lab.imcf import record, run
 from imcf_lab.sphere_grid import get_grid
 from imcf_lab.surface import make_graph
 
-from .oracles import make_round
+from .oracles import exact_round_flow, make_round
 
 RBAR = float(np.arcsinh(1.0))
 

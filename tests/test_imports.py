@@ -9,7 +9,9 @@ scripts under ``scripts/`` are also imported as modules (which leaves their
 module-level function and class of the package must be read somewhere in
 ``src/`` or ``scripts/``, or be a name the benchmark's tracer patches
 (``perfbench/tracer.py``'s ``TRACED``); a test-only definition belongs in
-``tests/oracles.py``.
+``tests/oracles.py``.  The same holds for every method of a package class
+other than a dunder or a method ``TRACED`` patches, with the tracer itself
+counted as a reader: it reads ``FlowTrack.snap_f`` for a row's stored bytes.
 """
 
 import ast
@@ -62,10 +64,11 @@ def test_every_script_imports(path):
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
-def unread_definitions(package: dict, readers: list[str], allowed: set[str]) -> list[str]:
-    """``module.name`` of each module-level function or class in ``package``
-    (module name -> source) that no source in ``readers`` reads by name or as
-    an attribute, and that ``allowed`` does not name."""
+FUNCTIONS = ast.FunctionDef, ast.AsyncFunctionDef
+
+
+def _read_names(readers: list[str]) -> set[str]:
+    """Every name the sources in ``readers`` read, bare or as an attribute."""
     read = set()
     for source in readers:
         for node in ast.walk(ast.parse(source)):
@@ -73,25 +76,60 @@ def unread_definitions(package: dict, readers: list[str], allowed: set[str]) -> 
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    return read
+
+
+def unread_definitions(package: dict, readers: list[str], allowed: set[str]) -> list[str]:
+    """``module.name`` of each module-level function or class in ``package``
+    (module name -> source) that no source in ``readers`` reads by name or as
+    an attribute, and that ``allowed`` does not name."""
+    read = _read_names(readers)
     return [
         f"{module}.{node.name}"
         for module, source in package.items()
         for node in ast.parse(source).body
-        if isinstance(node, defs) and node.name not in read and f"{module}.{node.name}" not in allowed
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef))
+        and node.name not in read
+        and f"{module}.{node.name}" not in allowed
     ]
 
 
-def _traced() -> set[str]:
-    """``module.name`` of every definition ``TRACED`` patches (its span name)
-    or patches a method of (its owner, when that is a class)."""
-    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+def unread_methods(package: dict, readers: list[str], allowed: set[str]) -> list[str]:
+    """``module.Class.name`` of each method of a module-level class in
+    ``package`` that is not a dunder, that no source in ``readers`` reads by
+    name, and that ``allowed`` does not name."""
+    read = _read_names(readers)
+    return [
+        f"{module}.{cls.name}.{node.name}"
+        for module, source in package.items()
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, FUNCTIONS)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+        and f"{module}.{cls.name}.{node.name}" not in allowed
+    ]
+
+
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _traced_entries() -> list[tuple[str, str, str]]:
+    """``TRACED``'s (span, owner, attribute) entries."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
     (traced,) = [
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]
     ]
-    return {name for span, owner, _ in traced for name in (span, owner)}
+    return traced
+
+
+def _traced() -> set[str]:
+    """``module.name`` of every definition ``TRACED`` patches (its span name)
+    or patches a method of (its owner, when that is a class)."""
+    return {name for span, owner, _ in _traced_entries() for name in (span, owner)}
 
 
 def test_scan_finds_an_unread_definition():
@@ -104,3 +142,20 @@ def test_every_package_definition_is_read_outside_the_tests():
     package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     readers = [*package.values(), *(p.read_text(encoding="utf-8") for p in SCRIPTS)]
     assert unread_definitions(package, readers, UNREAD_ALLOWED | _traced()) == []
+
+
+def test_scan_finds_an_unread_method():
+    package = {
+        "a": "class C:\n    def __init__(self): pass\n    def used(self): pass\n"
+             "    def unused(self): pass\n    @property\n    def shape(self): pass\n"
+             "    def traced(self): pass\n",
+        "b": "def f(c):\n    c.used()\n    return c.shape\n",
+    }
+    assert unread_methods(package, list(package.values()), {"a.C.traced"}) == ["a.C.unused"]
+
+
+def test_every_package_method_is_read_outside_the_tests():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    readers = [*package.values(), *(p.read_text(encoding="utf-8") for p in [*SCRIPTS, TRACER])]
+    traced = {f"{owner}.{attr}" for _, owner, attr in _traced_entries()}
+    assert unread_methods(package, readers, traced) == []

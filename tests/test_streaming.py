@@ -46,6 +46,12 @@ DOCS = {
         "amplitude_factor": 0.5,
         "surface": {"type": "round", "area_radius": 1.0},
     },
+    # not constant on latitude rings, so it flows on the full 32 x 64 grid
+    # rather than the meridian column
+    "bumpy": {
+        "mode": "PMT",
+        "surface": {"type": "bumpy", "area_radius": 1.0, "amplitude": 0.05},
+    },
 }
 REL = 1e-12
 
