@@ -206,9 +206,8 @@ class ChainAccumulator(SnapshotAccumulator):
     (weighted by dmu / H, as in ``l2_distance``) and keeps only those scalars
     and the first sample's fiber, which g2 and g3 rescale by e^t.  r0 is the
     area radius of the first sample, Sigma_0, and m the model's mass, as for
-    ``assemble``'s g3 and model labels.  A sample integrates on its own grid:
-    on a meridian column, the first sample's fiber is restricted to that
-    column.
+    ``assemble``'s g3 and model labels.  Every sample integrates on the
+    flow's grid.
     """
 
     def __init__(self, snap_times: np.ndarray, m: float = 0.0):
@@ -234,7 +233,7 @@ class ChainAccumulator(SnapshotAccumulator):
         lapse_model = self._model_lapse[i]
         hbar = mean_curvature_average(geom)
         lapse_mean = 1.0 / (hbar * hbar)
-        scaled0 = tuple(growth * g[:, :grid.n_phi] for g in self._fiber0)
+        scaled0 = tuple(growth * g for g in self._fiber0)
 
         hat = (1.0 / geom.H**2, geom.g11, geom.g12, geom.g22)
         g1 = (lapse_mean, geom.g11, geom.g12, geom.g22)

@@ -149,10 +149,8 @@ class W12Accumulator(SnapshotAccumulator):
 
     The time derivative at each stored time uses the neighbouring slices with
     the weights ``np.gradient`` gives for the window's spacing: second-order
-    three-point inside, one-sided first order at the ends.  Each time's
-    density is differentiated and integrated on the grid of its own slice;
-    a neighbour on a finer grid (the start, beside a meridian column) is
-    restricted to that grid's columns.
+    three-point inside, one-sided first order at the ends.  The densities
+    are differentiated and integrated on the flow's grid.
     """
 
     def __init__(self, snap_times: np.ndarray, a: float, b: float):
@@ -162,7 +160,7 @@ class W12Accumulator(SnapshotAccumulator):
         super().__init__(sel if self.enough else [])
         self.t = snap_times[sel]
         self.density = np.empty(len(sel))
-        self._u = {}   # i -> (grid, Rc(nu,nu) on it)
+        self._u = {}   # i -> Rc(nu,nu)
         if self.enough:
             self._dx = dx = np.diff(self.t)
             dx1, dx2 = dx[:-1], dx[1:]
@@ -171,16 +169,15 @@ class W12Accumulator(SnapshotAccumulator):
             self._c = dx1 / (dx2 * (dx1 + dx2))
 
     def take(self, i, j, t, geom, P1, P2) -> None:
-        self._u[i] = (geom.grid, geom.Rc_nn)
+        self._u[i] = geom.Rc_nn
         if i >= 1:
-            self._density_at(i - 1)
+            self._density_at(i - 1, geom.grid)
         if i == len(self.t) - 1:
-            self._density_at(i)
+            self._density_at(i, geom.grid)
         self._u.pop(i - 2, None)
 
-    def _density_at(self, i: int) -> None:
-        grid, n = self._u[i][0], len(self.t)
-        u = {k: v[:, :grid.n_phi] for k, (_, v) in self._u.items()}
+    def _density_at(self, i: int, grid: SphereGrid) -> None:
+        n, u = len(self.t), self._u
         if i == 0:
             u_t = (u[1] - u[0]) / self._dx[0]
         elif i == n - 1:
@@ -221,11 +218,11 @@ def w12_normal_ricci(track: FlowTrack, a: float, b: float) -> float:
 class CompatAccumulator(SnapshotAccumulator):
     """Snapshot part of ``check_coordinate_compatibility`` over window [a, b].
 
-    Reads Sigma_0 (K12 floor, and the scenario's grid for the diameters),
-    every stored time in the window (W^{1,2} Ricci norm) and N_DIAM of them
-    (intrinsic diameter); ``result`` adds the series-based ratios and
-    gradient bound once the flow has ended.  Two accumulators given one
-    ``diameters`` dict compute a snapshot's diameter once.
+    Reads Sigma_0 (K12 floor), every stored time in the window (W^{1,2}
+    Ricci norm) and N_DIAM of them (intrinsic diameter, on ``grid``, the
+    scenario's); ``result`` adds the series-based ratios and gradient bound
+    once the flow has ended.  Two accumulators given one ``diameters`` dict
+    compute a snapshot's diameter once.
     """
 
     def __init__(
@@ -234,9 +231,11 @@ class CompatAccumulator(SnapshotAccumulator):
         T: float,
         a: float,
         b: float,
+        grid: SphereGrid,
         diameters: dict | None = None,
     ):
         self.window = (a, b)
+        self.grid = grid
         self.T = float(T)
         self.w12 = W12Accumulator(snap_times, a, b)
         sel = _window(snap_times, a, b)
@@ -252,7 +251,6 @@ class CompatAccumulator(SnapshotAccumulator):
     def take(self, i, j, t, geom, P1, P2) -> None:
         if j == 0:
             self.k12_min0 = float(np.min(geom.K12))
-            self.grid = geom.grid
         self.w12.observe(j, t, geom, P1, P2)
         if j in self.picks and j not in self._diam:
             self._diam[j] = _diameter(geom, self.grid)
@@ -296,7 +294,7 @@ def check_coordinate_compatibility(track: FlowTrack, a: float, b: float) -> Comp
 
     Replays a track from ``imcf.record`` through ``CompatAccumulator``.
     """
-    acc = CompatAccumulator(track.snap_times, track.T, a, b)
+    acc = CompatAccumulator(track.snap_times, track.T, a, b, track.grid)
     track.replay(acc)
     return acc.result(track.series)
 
@@ -304,16 +302,16 @@ def check_coordinate_compatibility(track: FlowTrack, a: float, b: float) -> Comp
 class SampleAccumulator(SnapshotAccumulator):
     """Holder distance of Sigma_0 to round, and the Gauss deviation and
     intrinsic diameter at each t-sample's snapshot (``snap_of``: t -> j;
-    ``diameters`` as for ``CompatAccumulator``)."""
+    ``grid`` and ``diameters`` as for ``CompatAccumulator``)."""
 
-    def __init__(self, snap_of: dict, diameters: dict):
+    def __init__(self, snap_of: dict, grid: SphereGrid, diameters: dict):
         self._snap_of = snap_of
+        self.grid = grid
         self._gauss, self._diam = {}, diameters
         super().__init__(sorted({0, *snap_of.values()}))
 
     def take(self, i, j, t, geom, P1, P2) -> None:
         if j == 0:
-            self.grid = geom.grid
             self.r0 = area_radius(geom)
             self.c_alpha = comparison.c_alpha_distance_to_round(geom, r0=self.r0)
         if j in self._snap_of.values():
@@ -350,10 +348,11 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
         result.sample_steps = {t: int(snap_indices[j]) for t, j in snap_of.items()}
         diameters = {}
         a, b = scn.compat_window
-        compat = CompatAccumulator(snap_times, scn.T, a, b, diameters=diameters)
-        pinch = mass.PinchAccumulator(snap_times)
+        grid = row.surface0.grid
+        compat = CompatAccumulator(snap_times, scn.T, a, b, grid, diameters=diameters)
+        pinch = mass.PinchAccumulator(snap_times, grid)
         chain = comparison.ChainAccumulator(snap_times, m=scn.m or 0.0)
-        samples = SampleAccumulator(snap_of, diameters)
+        samples = SampleAccumulator(snap_of, grid, diameters)
         track = run(
             row.profile,
             row.surface0,

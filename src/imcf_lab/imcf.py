@@ -36,15 +36,12 @@ Data that is constant on every latitude ring stays so under the flow (the
 background is rotationally symmetric), so every column of a full-grid flow
 of it repeats one column.  ``flow_grid`` picks the grid a flow runs on: the
 meridian ``get_grid(n_theta, 1)`` when the start's zeta is ring-constant
-(every shipped scenario), else the scenario's grid (``bumpy`` data).  The
-start's geometry is computed on the scenario's grid either way; on the
-meridian the flow then keeps zeta, P1 and P2 as (n_theta, 1) columns.  The
-observers see the geometry on the grid it was computed on: snapshot 0, the
-start, on the scenario's grid, and every later snapshot on the flow's grid,
-with P1 and P2 on the grid of that geometry.  A check that reads the start
-with a later snapshot restricts the start's fields with ``[:, :n_phi]``, and
-a check that needs the scenario's grid (the intrinsic diameter) lifts a
-column to it as zero-copy broadcast views (``_on_grid``).
+(every shipped scenario), else the scenario's grid (``bumpy`` data).
+``start_geometry`` builds the start on the scenario's grid, so every t = 0
+number keeps its bits, and restricts it to the flow's grid.  Every snapshot,
+the start included, reaches the observers on the flow's grid, with P1 and P2
+on it too; only the intrinsic diameter lifts a column back to the scenario's
+grid, as zero-copy broadcast views (``_on_grid``).
 
 Stability: each recorded step of size dt is internally split into substeps
 obeying the parabolic guard dt <= CFL * h_theta^2 * min(H)^2 * min(lambda)^2
@@ -73,9 +70,9 @@ from .surface import (
     speed_geometry,
 )
 
-# observer(j, t, geom, P1, P2) at each stored snapshot j, on geom's grid: the
-# scenario's for j = 0, the flow's after; P1 and P2 are the running pinch
-# integrals, buffers the flow keeps updating after the call
+# observer(j, t, geom, P1, P2) at each stored snapshot j, on the flow's grid;
+# P1 and P2 are the running pinch integrals, buffers the flow keeps updating
+# after the call
 Observer = Callable[[int, float, SurfaceGeometry, np.ndarray, np.ndarray], None]
 
 # a recorded step that needs more substeps than this raises StabilityError
@@ -152,11 +149,13 @@ class FlowTrack:
 
     def snapshot_geometry(self, j: int) -> SurfaceGeometry:
         """Geometry of stored snapshot j, rebuilt from its zeta (not cached)
-        on the grid ``run`` computed it on: snapshot 0, the start, on the
-        track's grid, and a later one on ``flow_grid``'s pick."""
+        on ``flow_grid``'s pick, as ``run`` computed it: the start by
+        ``start_geometry``, so it equals the streamed start bit for bit."""
         self._require_snapshots()
         zeta = self.snap_zeta[j]
-        flow = self.grid if j == 0 else flow_grid(self.grid, zeta)
+        if j == 0:
+            return start_geometry(self.profile, self.grid, zeta)
+        flow = flow_grid(self.grid, zeta)
         return geometry(self.profile, GraphSurface(flow, zeta[:, :flow.n_phi], self.profile))
 
     def replay(self, acc: SnapshotAccumulator) -> None:
@@ -224,6 +223,15 @@ def flow_grid(grid: SphereGrid, zeta: np.ndarray) -> SphereGrid:
     return grid
 
 
+def start_geometry(profile: AmbientProfile, grid: SphereGrid, zeta: np.ndarray) -> SurfaceGeometry:
+    """The geometry of a flow's start zeta: computed on ``grid``, then
+    restricted to ``flow_grid``'s pick (every node field's first column when
+    zeta is ring-constant, whose full-grid geometry is ring-constant too)."""
+    geom = geometry(profile, GraphSurface(grid, zeta, profile))
+    flow = flow_grid(grid, zeta)
+    return geom if flow is grid else _on_grid(geom, flow)
+
+
 def snap_interval(n_steps: int, snap_every: int | None) -> int:
     """Steps between stored snapshots: ``snap_every``, or about 400 snapshots."""
     return max(1, n_steps // 400) if snap_every is None else snap_every
@@ -277,13 +285,10 @@ def run(
     snap_pos = {int(k): j for j, k in enumerate(snap_indices)}
 
     with _at_time(0.0):
-        start = geometry(profile, GraphSurface(grid, grid.polar_filter(surface0.zeta), profile))
-    r0 = area_radius(start)
-    flow = flow_grid(grid, start.surface.zeta)
-    geom = start if flow is grid else _on_grid(start, flow)
+        geom = start_geometry(profile, grid, grid.polar_filter(surface0.zeta))
+    r0 = area_radius(geom)
 
-    P1 = np.zeros(flow.shape)
-    P2 = np.zeros(flow.shape)
+    P1, P2 = np.zeros(geom.grid.shape), np.zeros(geom.grid.shape)
     rate1_prev = rate2_prev = None
     for k in range(N + 1):
         t_k = times[k]
@@ -297,10 +302,8 @@ def run(
         rate1_prev, rate2_prev = rate1, rate2
 
         if k in snap_pos:
-            # the start is seen on the scenario's grid, with its (zero) pinch integrals
-            seen = (geom, P1, P2) if k else (start, np.zeros(grid.shape), np.zeros(grid.shape))
             for observe in observers:
-                observe(snap_pos[k], float(t_k), *seen)
+                observe(snap_pos[k], float(t_k), geom, P1, P2)
 
         if k < N:
             with _at_time(t_k + dt):
@@ -382,9 +385,8 @@ _NODE_FIELDS = tuple(f.name for f in fields(SurfaceGeometry) if f.name not in ("
 def _on_grid(geom: SurfaceGeometry, grid: SphereGrid) -> SurfaceGeometry:
     """A ring-constant geometry on ``grid``, its meridian or a full grid:
     every node field's first column as a zero-copy broadcast view of
-    ``grid.shape``.  The area is geom's.  ``run`` restricts the start to the
-    meridian with it, and a check that needs the scenario's grid lifts a
-    column back."""
+    ``grid.shape``.  The area is geom's.  ``start_geometry`` restricts the
+    start to the meridian with it, and the diameter lifts a column back."""
 
     def view(a):
         return np.broadcast_to(a[:, :1], grid.shape)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import FitError
 from .imcf import FlowSeries, FlowTrack, SnapshotAccumulator
+from .sphere_grid import SphereGrid
 
 SIXTEEN_PI = 16.0 * np.pi
 # pinch bounds: a node fails when its normalized eigenvalue is below -PINCH_TOL
@@ -102,25 +103,23 @@ class PinchAccumulator(SnapshotAccumulator):
     """Streaming form of ``pinch_bounds_check``; reads every stored snapshot
     and keeps only counts and extremes, no per-node history.
 
-    Sigma_0 sets the node set the counts are of, the scenario's grid.  A later
-    snapshot on a meridian column compares against the start's fields
-    restricted to that column, and each of its nodes counts for the n_phi
-    nodes of its latitude ring.
+    The counts are of the (node, time) pairs of ``grid``, the scenario's: a
+    snapshot on its meridian column counts each node for the n_phi nodes of
+    its latitude ring.
     """
 
-    def __init__(self, snap_times: np.ndarray):
+    def __init__(self, snap_times: np.ndarray, grid: SphereGrid):
         super().__init__(np.arange(len(snap_times)))
         self.times = snap_times
+        self.n_phi = grid.n_phi
         self.n_lower = self.n_upper = 0
         self.worst_low = self.worst_up = 0.0
-        self._g0 = None
 
     def take(self, i, j, t, geom, P1, P2) -> None:
         if j == 0:
             self._g0 = (geom.g11, geom.g12, geom.g22)
-        n_phi = geom.g11.shape[1]
-        g0_11, g0_12, g0_22 = (g[:, :n_phi] for g in self._g0)
-        ring = self._g0[0].shape[1] // n_phi
+        g0_11, g0_12, g0_22 = self._g0
+        ring = self.n_phi // geom.g11.shape[1]
         e1 = np.exp(P1)
         e2 = np.exp(P2)
         scale = geom.g11 + geom.g22
@@ -161,7 +160,7 @@ def pinch_bounds_check(track: FlowTrack) -> PinchReport:
     metric scale with tolerance ``PINCH_TOL``.  Replays a track from
     ``imcf.record`` through ``PinchAccumulator``.
     """
-    acc = PinchAccumulator(track.snap_times)
+    acc = PinchAccumulator(track.snap_times, track.grid)
     track.replay(acc)
     return acc.result()
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from imcf_lab.comparison import sample_indices
@@ -283,7 +284,7 @@ def weak_ricci_pairing(
     return lhs, rhs
 
 
-def round_row(m, dm, s0, T, dt, model_m=0.0) -> dict:
+def round_row(m, dm, s0, T, dt, model_m=0.0, exact=False) -> dict:
     """Exact report columns of a round row: the flow s(t) = s0 e^{t/2} in
     the mass aspect m(s), whose derivative is dm(s).
 
@@ -295,8 +296,9 @@ def round_row(m, dm, s0, T, dt, model_m=0.0) -> dict:
     ``l2_hat_model`` is the hat -> model distance against the model of mass
     ``model_m``.  Their fibers agree, and H^2 L = lambda'^2 / lambda'^2_model
     with L the model's lapse^2, so the distance is
-    int 4 pi s^2 (1/(H^2 L) - 1)^2 / H dt, here by the trapezoid over the
-    chain's own times, as the report takes it.
+    int 4 pi s^2 (1/(H^2 L) - 1)^2 / H dt: by the trapezoid over the chain's
+    own times, as the report takes it, or with ``exact`` by adaptive
+    quadrature to 1e-13 relative.
     """
     times, snaps = time_grid(T, dt)
     s = s0 * np.exp(0.5 * times)
@@ -316,12 +318,20 @@ def round_row(m, dm, s0, T, dt, model_m=0.0) -> dict:
         "chi": np.full_like(s, 2.0),
         "mH_T": float(ms[-1]),
     }
-    tc = times[snaps][sample_indices(len(snaps))]
-    sc = s0 * np.exp(0.5 * tc)
-    dlam2 = 1.0 + sc**2 - 2.0 * m(sc) / sc
-    ratio = dlam2 / (1.0 + sc**2 - 2.0 * model_m / sc)  # H^2 L
-    H = 2.0 * np.sqrt(dlam2) / sc
-    cols["l2_hat_model"] = float(np.trapezoid(4.0 * np.pi * sc**2 * (1.0 / ratio - 1.0) ** 2 / H, tc))
+
+    def hat_model(t):
+        sc = s0 * np.exp(0.5 * t)
+        dlam2 = 1.0 + sc**2 - 2.0 * m(sc) / sc
+        ratio = dlam2 / (1.0 + sc**2 - 2.0 * model_m / sc)  # H^2 L
+        H = 2.0 * np.sqrt(dlam2) / sc
+        return 4.0 * np.pi * sc**2 * (1.0 / ratio - 1.0) ** 2 / H
+
+    if exact:
+        value, _ = quad(hat_model, 0.0, T, epsabs=0.0, epsrel=1e-13, limit=200)
+    else:
+        tc = times[snaps][sample_indices(len(snaps))]
+        value = np.trapezoid(hat_model(tc), tc)
+    cols["l2_hat_model"] = float(value)
     return cols
 
 

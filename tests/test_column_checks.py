@@ -1,6 +1,6 @@
-"""The streamed checks read a meridian flow on its own grid: every snapshot
-after the start is the (n_theta, 1) column.  They are tested here against the
-same checks fed each snapshot lifted to the scenario's grid, as the flow
+"""The streamed checks read a meridian flow on its own grid: every snapshot,
+the start included, is the (n_theta, 1) column.  They are tested here against
+the same checks fed each snapshot lifted to the scenario's grid, as the flow
 handed them over before the checks read the column."""
 
 import numpy as np
@@ -39,15 +39,15 @@ def _lifted(observe, grid):
     return seen
 
 
-def _checks(snap_times, m):
+def _checks(snap_times, m, grid):
     """The accumulators of a sweep row, as ``run_row`` builds them."""
     diameters = {}
     snap_of = {t: int(np.argmin(np.abs(snap_times - t))) for t in np.linspace(0.0, T, 5)}
     return {
-        "compat": CompatAccumulator(snap_times, T, T / 2, T, diameters=diameters),
-        "pinch": PinchAccumulator(snap_times),
+        "compat": CompatAccumulator(snap_times, T, T / 2, T, grid, diameters=diameters),
+        "pinch": PinchAccumulator(snap_times, grid),
         "chain": ChainAccumulator(snap_times, m=m),
-        "samples": SampleAccumulator(snap_of, diameters),
+        "samples": SampleAccumulator(snap_of, grid, diameters),
     }
 
 
@@ -78,7 +78,7 @@ def test_column_fed_checks_match_the_lift_fed_checks(kind, formula, nt, nph):
     surf0 = make_graph(profile, grid, float(profile.radius_from_area_radius(s0)), formula, 0.05)
     times, snap = imcf.time_grid(T, DT)
     m = profile.m if kind == "adss" else 0.0
-    column, lift = _checks(times[snap], m), _checks(times[snap], m)
+    column, lift = _checks(times[snap], m, grid), _checks(times[snap], m, grid)
     observers = [acc.observe for acc in column.values()]
     observers += [_lifted(acc.observe, grid) for acc in lift.values()]
     track = imcf.run(profile, surf0, T=T, dt=DT, observers=observers)
@@ -101,7 +101,7 @@ def test_pinch_counts_are_of_the_scenarios_nodes(hyperbolic):
     grid = get_grid(16, 32)
     surf0 = make_graph(hyperbolic, grid, float(np.arcsinh(1.0)), "ellipsoid", 0.05)
     times, snap = imcf.time_grid(0.1, DT)
-    column, lift = PinchAccumulator(times[snap]), PinchAccumulator(times[snap])
+    column, lift = PinchAccumulator(times[snap], grid), PinchAccumulator(times[snap], grid)
     track = imcf.record(
         hyperbolic, surf0, T=0.1, dt=DT, observers=[column.observe, _lifted(lift.observe, grid)]
     )
@@ -115,9 +115,9 @@ def test_pinch_counts_are_of_the_scenarios_nodes(hyperbolic):
 
 def test_a_meridian_row_lifts_only_its_diameter_snapshots(monkeypatch):
     """Besides the start's restriction to the meridian, ``run_row`` lifts a
-    column to the scenario's grid once per distinct diameter snapshot after
-    the start: the t-samples {0, T/4, T/2, 3T/4, T} and the compat picks
-    over [T/2, T] make 7 distinct snapshots, 6 after the start."""
+    column to the scenario's grid once per distinct diameter snapshot, the
+    start included: the t-samples {0, T/4, T/2, 3T/4, T} and the compat
+    picks over [T/2, T] make 7 distinct snapshots."""
     doc = {"id": "lifts", "mode": "PMT", "profile": {"kind": "hyperbolic"},
            "surface": {"type": "ellipsoid", "area_radius": 1.0, "amplitude": 0.05},
            "T": 0.25, "dt": 2.5e-3, "grid": {"n_theta": 16, "n_phi": 32}}
@@ -136,7 +136,7 @@ def test_a_meridian_row_lifts_only_its_diameter_snapshots(monkeypatch):
     steps = set(result.sample_steps.values())
     steps |= {round(t / scn.dt) for t in result.compat_report.diam_times}
     assert len(steps) == 7 and 0 in steps
-    assert targets == [1] + [grid.n_phi] * (len(steps) - 1)
+    assert targets == [1] + [grid.n_phi] * len(steps)
 
 
 def test_the_diameter_refuses_a_meridian_column(hyperbolic):

@@ -12,6 +12,12 @@ module-level function and class of the package must be read somewhere in
 ``tests/oracles.py``.  The same holds for every method of a package class
 other than a dunder or a method ``TRACED`` patches, with the tracer itself
 counted as a reader: it reads ``FlowTrack.snap_f`` for a row's stored bytes.
+
+A flow has one grid, and the checks see every snapshot on it: within the
+package, only ``imcf`` and ``harness._diameter`` (which lifts a meridian
+column to the lattice the diameter needs) may name the grid choice
+(``flow_grid``), the restriction and lift (``_on_grid``) or the start's
+builder (``start_geometry``).
 """
 
 import ast
@@ -159,3 +165,54 @@ def test_every_package_method_is_read_outside_the_tests():
     readers = [*package.values(), *(p.read_text(encoding="utf-8") for p in [*SCRIPTS, TRACER])]
     traced = {f"{owner}.{attr}" for _, owner, attr in _traced_entries()}
     assert unread_methods(package, readers, traced) == []
+
+
+GRID_NAMES = {"flow_grid", "_on_grid", "start_geometry"}
+GRID_HOMES = {"imcf", "harness._diameter"}
+
+
+def _names(node) -> set[str]:
+    """Every name ``node`` defines, reads or imports (by its own name), bare
+    or as an attribute."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.split(".")[-1])
+        elif isinstance(sub, (*FUNCTIONS, ast.ClassDef)):
+            out.add(sub.name)
+    return out
+
+
+def grid_name_uses(package: dict) -> list[str]:
+    """``scope: name`` of each use of a ``GRID_NAMES`` name in ``package``
+    (module name -> source) outside ``GRID_HOMES``; the scope is the
+    module-level definition holding the use, or the module itself."""
+    uses = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            named = isinstance(node, (*FUNCTIONS, ast.ClassDef))
+            scope = f"{module}.{node.name}" if named else module
+            if module in GRID_HOMES or scope in GRID_HOMES:
+                continue
+            uses += [f"{scope}: {name}" for name in sorted(_names(node) & GRID_NAMES)]
+    return uses
+
+
+def test_scan_finds_a_planted_grid_name():
+    package = {
+        "imcf": "def flow_grid(g): pass\ndef start_geometry(p, g, z): return flow_grid(g)\n",
+        "harness": "from . import imcf\n\ndef _diameter(geom, grid):\n"
+                   "    return imcf._on_grid(geom, grid)\n\n"
+                   "class Acc:\n    def take(self, geom):\n        return imcf.flow_grid(geom.grid)\n",
+        "mass": "from .imcf import start_geometry as sg\n",
+    }
+    assert grid_name_uses(package) == ["harness.Acc: flow_grid", "mass: start_geometry"]
+
+
+def test_only_imcf_and_the_diameter_name_the_flow_grid():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert grid_name_uses(package) == []

@@ -1,7 +1,8 @@
 """Ring-constant data flows on the meridian grid get_grid(n_theta, 1): the
-premise (the full grid's phi operations are exact on such data), the grid
-itself, the fork in ``imcf.flow_grid``, and the meridian flow against the
-full-grid flow it replaces."""
+premise (the full grid's phi operations are exact on such data, and its
+start geometry repeats one column), the grid itself, the fork in
+``imcf.flow_grid``, the grid every observer call gets, and the meridian flow
+against the full-grid flow it replaces."""
 
 import csv
 import dataclasses
@@ -14,7 +15,7 @@ from imcf_lab import imcf
 from imcf_lab.cli import main as cli_main
 from imcf_lab.comparison import c_alpha_distance_to_round
 from imcf_lab.sphere_grid import SphereGrid, get_grid
-from imcf_lab.surface import make_graph
+from imcf_lab.surface import GraphSurface, geometry, make_graph
 
 from .test_s_form import PROFILES
 
@@ -43,6 +44,30 @@ def test_phi_derivatives_of_a_ring_constant_field_are_exact_zeros(n_theta, n_phi
     f = _ring_constant(n_theta, n_phi)
     d1, d2 = g.phi_derivs(f)
     assert not np.any(d1) and not np.any(d2) and not np.any(g.dphi(f))
+
+
+@pytest.mark.parametrize("nt,nph", [(16, 32), (64, 128)])
+@pytest.mark.parametrize("amp", [0.0, 1e-9, 0.05])
+@pytest.mark.parametrize("formula", ["round", "ellipsoid"])
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+def test_the_start_geometry_of_ring_constant_data_is_ring_constant_bit_for_bit(
+    kind, formula, amp, nt, nph
+):
+    """The full-grid start geometry repeats one column in every node field,
+    so ``start_geometry``'s restriction to the meridian drops no bit, and the
+    Holder distance of the restriction is the full start's."""
+    profile, s0 = PROFILES[kind]()
+    grid = get_grid(nt, nph)
+    surf0 = make_graph(profile, grid, float(profile.radius_from_area_radius(s0)), formula, amp)
+    zeta = grid.polar_filter(surf0.zeta)
+    full = geometry(profile, GraphSurface(grid, zeta, profile))
+    for name in imcf._NODE_FIELDS:
+        a = getattr(full, name)
+        assert np.array_equal(a, np.broadcast_to(a[:, :1], grid.shape)), name
+    start = imcf.start_geometry(profile, grid, zeta)
+    assert start.grid is get_grid(nt, 1) and start.area == full.area
+    r0 = imcf.area_radius(full)
+    assert c_alpha_distance_to_round(start, r0) == c_alpha_distance_to_round(full, r0)
 
 
 # -- the meridian grid ------------------------------------------------------------
@@ -104,23 +129,60 @@ def _geometry_grids(monkeypatch):
     return seen
 
 
+def _observed_grids(profile, surf0, T=0.01):
+    """The grids of every observer call's geometry, P1 and P2, as
+    (grid, geometry shape, zeta shape, P1 shape, P2 shape) per snapshot."""
+    calls = []
+
+    def observe(j, t, geom, P1, P2):
+        calls.append((geom.grid, geom.H.shape, geom.surface.zeta.shape, P1.shape, P2.shape))
+
+    track = imcf.run(profile, surf0, T=T, dt=1e-3, observers=[observe])
+    assert len(calls) == len(track.snap_indices)
+    return calls
+
+
 def test_ring_constant_data_flows_on_the_meridian_and_is_seen_on_its_grid(monkeypatch, hyperbolic):
     grid = get_grid(16, 32)
     surf0 = make_graph(hyperbolic, grid, float(np.arcsinh(1.0)), "ellipsoid", 0.05)
     seen = _geometry_grids(monkeypatch)
-    shapes = []
-
-    def observe(j, t, geom, P1, P2):
-        shapes.append((geom.grid, geom.H.shape, geom.surface.zeta.shape, P1.shape, P2.shape))
-
-    track = imcf.run(hyperbolic, surf0, T=0.01, dt=1e-3, observers=[observe])
-    # the start on the scenario's grid, every later geometry on the meridian,
-    # and the observers see each on the grid it was computed on
+    calls = _observed_grids(hyperbolic, surf0)
+    # the start is computed on the scenario's grid and every later geometry
+    # on the meridian; every observer call, the start's included, gets the
+    # meridian, P1 and P2 included
     assert seen[0] == 32 and set(seen[1:]) == {1}
     mer = get_grid(16, 1)
-    assert shapes == [(grid, grid.shape, grid.shape, grid.shape, grid.shape)] + [
-        (mer, mer.shape, mer.shape, mer.shape, mer.shape)
-    ] * (len(track.snap_indices) - 1)
+    assert set(calls) == {(mer, mer.shape, mer.shape, mer.shape, mer.shape)}
+
+
+def test_bumpy_data_is_seen_on_the_scenarios_grid(monkeypatch, hyperbolic):
+    grid = get_grid(16, 32)
+    surf0 = make_graph(hyperbolic, grid, float(np.arcsinh(1.0)), "bumpy", 0.05)
+    seen = _geometry_grids(monkeypatch)
+    calls = _observed_grids(hyperbolic, surf0)
+    assert set(seen) == {32}
+    assert set(calls) == {(grid, grid.shape, grid.shape, grid.shape, grid.shape)}
+
+
+@pytest.mark.parametrize("formula", ["ellipsoid", "bumpy"])
+def test_a_replayed_start_equals_the_streamed_start_bit_for_bit(hyperbolic, formula):
+    """``snapshot_geometry(0)`` rebuilds the start through ``start_geometry``,
+    as ``run`` built it, so a replayed check reads the streamed start."""
+    grid = get_grid(16, 32)
+    surf0 = make_graph(hyperbolic, grid, float(np.arcsinh(1.0)), formula, 0.05)
+    streamed = []
+
+    def observe(j, t, geom, P1, P2):
+        if j == 0:
+            streamed.append(geom)
+
+    track = imcf.record(hyperbolic, surf0, T=0.01, dt=1e-3, observers=[observe])
+    (ref,), got = streamed, track.snapshot_geometry(0)
+    assert got.grid is ref.grid and got.area == ref.area
+    for name in ("zeta", *imcf._NODE_FIELDS):
+        a = got.surface.zeta if name == "zeta" else getattr(got, name)
+        b = ref.surface.zeta if name == "zeta" else getattr(ref, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
 
 
 # bumpy data at 32x64 in hyperbolic space, the bumpy-2d benchmark row on a

@@ -1,6 +1,7 @@
 """Every round row of the shipped scenarios and the benchmark workloads,
 run as a 16x32 copy at dt 0.004, against its closed-form report columns
-(``oracles.round_row``)."""
+(``oracles.round_row``), and the error of the report's time rule for the
+distance chain against the exact integral."""
 
 import json
 from pathlib import Path
@@ -65,3 +66,37 @@ def test_round_row_matches_its_closed_forms(name, i):
         assert np.pi * s * (1.0 - REL) <= result.diam[t] <= np.pi * s * (1.0 + DIAM_OVER)
     assert _close(result.mH_T, exact["mH_T"], "mH_T")
     assert _close(result.distances["hat_model"], exact["l2_hat_model"], "l2_hat_model")
+
+
+# The chain's 101-point trapezoid in t against the exact hat -> model
+# distance, relative, on the round rows whose distance is not 0: the PMT
+# mass-aspect family (the shipped pmt_sweep with its mass_aspect ambients)
+# and rpi_sweep.  Measured: -4.054e-5 ... -4.009e-5 and +2.614e-4 ... +3.776e-4.
+TRAPEZOID_ERROR = {"pmt-mass-aspect": (-4.06e-5, -4.00e-5), "rpi-sweep": (2.6e-4, 3.8e-4)}
+
+
+def _chain_documents():
+    pmt = json.loads((ROOT / "scenarios" / "pmt_sweep.json").read_text(encoding="utf-8"))
+    del pmt["amplitude_factor"]
+    pmt.update(id="pmt-mass-aspect", family="mass_aspect")
+    rpi = json.loads((ROOT / "scenarios" / "rpi_sweep.json").read_text(encoding="utf-8"))
+    return {doc["id"]: doc for doc in (pmt, rpi)}
+
+
+CHAIN_DOCS = _chain_documents()
+CHAIN_CASES = [(name, eps) for name, doc in CHAIN_DOCS.items() for eps in doc["epsilons"] if eps > 0]
+
+
+@pytest.mark.parametrize("name, eps", CHAIN_CASES, ids=[f"{n}-{e}" for n, e in CHAIN_CASES])
+def test_the_reports_time_rule_error_on_round_rows(name, eps):
+    """The report's l2_hat_model is the trapezoid ``round_row`` gives
+    (``test_round_row_matches_its_closed_forms``); its error against the
+    quadrature stays in the measured band."""
+    scn = scenario_from_dict(CHAIN_DOCS[name])
+    (row,) = [r for r in scn.rows() if r.eps == eps]
+    mass = row.profile._mass
+    args = (lambda s: mass(s)[0], lambda s: mass(s)[1], scn.area_radius, scn.T, scn.dt, scn.m or 0.0)
+    trapezoid = round_row(*args)["l2_hat_model"]
+    exact = round_row(*args, exact=True)["l2_hat_model"]
+    lo, hi = TRAPEZOID_ERROR[name]
+    assert lo <= (trapezoid - exact) / exact <= hi
