@@ -31,7 +31,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario and emit reports")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
     run_p.add_argument("--out", default="out", help="output directory (default: out)")
-    run_p.add_argument("--workers", type=int, default=1, help="row worker budget")
+    run_p.add_argument(
+        "--workers", type=int, default=1,
+        help="threads that flow a sweep's batches (its rows that share a flow grid) "
+             "concurrently (default: 1)",
+    )
     run_p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     ver_p = sub.add_parser("verify", help="validate a scenario and its profiles")

@@ -1,10 +1,12 @@
 """Sweep runner: class/compatibility checks, stability experiments, reports.
 
 ``run_sequence`` executes each scenario row (one flow per epsilon) and
-assembles a deterministic report table.  A row is one pass over its flow:
-the compatibility, pinching, metric-distance chain, Holder, Gauss and
-diameter checks are accumulators the flow feeds at each stored snapshot, and
-the mass/roundness diagnostics come from the flow's per-step series.
+assembles a deterministic report table.  The rows that share a flow grid
+flow as one batch (``imcf.run`` on their stacked starts), and each row is
+one pass over its flow: the compatibility, pinching, metric-distance chain,
+Holder, Gauss and diameter checks are accumulators the flow feeds at each
+stored snapshot, and the mass/roundness diagnostics come from the flow's
+per-step series.
 Each t-sample's report record reads every column at one stored snapshot,
 the nearest.  ``emit`` writes CSV (fixed column order, 12 significant
 digits), schema-versioned JSON and a gnuplot script for the CSV.  A failing
@@ -327,52 +329,72 @@ class SampleAccumulator(SnapshotAccumulator):
         return self.c_alpha, gauss, diam
 
 
-def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
-    """Flow one scenario row, streaming every check through the flow.
+class _RowChecks:
+    """The streamed checks of one scenario row: the accumulators its flow
+    feeds at the stored snapshots, and the step each t-sample reads."""
 
-    Each check's accumulator sees the flow's own geometry at the stored
-    snapshots, so no geometry is rebuilt after the flow and the row keeps no
-    per-node history: no snapshots (the flow goes through ``run``, not
-    ``record``) and no per-node verdicts.
-    Check errors are raised once the flow has ended, in the order the checks
-    are listed here.
-    Any exception marks the row failed and is recorded as ``Type: message``.
-    """
-    result = RowResult(label=row.label, eps=row.eps, ok=True)
-    try:
-        profile_report = validate_profile(row.profile)
+    def __init__(self, scn: Scenario, row: ScenarioRow):
         times, snap_indices = time_grid(scn.T, scn.dt)
         snap_times = times[snap_indices]
         # each t-sample's record reads every column at its nearest snapshot
         snap_of = {t: int(np.argmin(np.abs(snap_times - t))) for t in scn.t_samples}
-        result.sample_steps = {t: int(snap_indices[j]) for t, j in snap_of.items()}
+        self.sample_steps = {t: int(snap_indices[j]) for t, j in snap_of.items()}
         diameters = {}
         a, b = scn.compat_window
         grid = row.surface0.grid
-        compat = CompatAccumulator(snap_times, scn.T, a, b, grid, diameters=diameters)
-        pinch = mass.PinchAccumulator(snap_times, grid)
-        chain = comparison.ChainAccumulator(snap_times, m=scn.m or 0.0)
-        samples = SampleAccumulator(snap_of, grid, diameters)
-        track = run(
-            row.profile,
-            row.surface0,
-            T=scn.T,
-            dt=scn.dt,
-            observers=[acc.observe for acc in (compat, pinch, chain, samples)],
-        )
+        self.compat = CompatAccumulator(snap_times, scn.T, a, b, grid, diameters=diameters)
+        self.pinch = mass.PinchAccumulator(snap_times, grid)
+        self.chain = comparison.ChainAccumulator(snap_times, m=scn.m or 0.0)
+        self.samples = SampleAccumulator(snap_of, grid, diameters)
+        accumulators = (self.compat, self.pinch, self.chain, self.samples)
+        self.observers = [acc.observe for acc in accumulators]
+
+
+def _flow_batch(scn: Scenario, rows: list) -> list:
+    """Scan each row's profile, then flow ``rows`` as one batch, one ``run``
+    call that feeds every row's streamed checks; per row, its profile
+    report, its checks and its track.  Raises the first profile scan or
+    flow breakdown of any row."""
+    reports = [validate_profile(row.profile) for row in rows]
+    checks = [_RowChecks(scn, row) for row in rows]
+    profile, surface0 = imcf.stack_rows(
+        [row.profile for row in rows], [row.surface0 for row in rows]
+    )
+    track = run(profile, surface0, T=scn.T, dt=scn.dt, observers=[c.observers for c in checks])
+    return list(zip(reports, checks, track.split()))
+
+
+def run_row(scn: Scenario, row: ScenarioRow, flow: tuple | None = None) -> RowResult:
+    """Finish one scenario row from its share of a batch flow.
+
+    ``flow`` is the row's entry of ``_flow_batch``: its profile report, its
+    streamed checks, which saw the flow's own geometry at the stored
+    snapshots, and its track.  Without ``flow`` the row is scanned and
+    flowed alone, as a batch of one.  So no geometry is rebuilt after the
+    flow and the row keeps no per-node history: no snapshots (the flow goes
+    through ``run``, not ``record``) and no per-node verdicts.
+    A profile scan that raises fails the row before it flows; check errors
+    are raised once the flow has ended, in the order the checks are listed
+    here.
+    Any exception marks the row failed and is recorded as ``Type: message``.
+    """
+    result = RowResult(label=row.label, eps=row.eps, ok=True)
+    try:
+        profile_report, checks, track = flow if flow is not None else _flow_batch(scn, [row])[0]
+        result.sample_steps = checks.sample_steps
         result.diag = mass.diagnostics(track)
         result.mH_T = float(track.series.m_H[-1])
 
         result.class_report = check_class_membership(track, scalar_floor_ok=profile_report.passed)
-        result.compat_report = compat.result(track.series)
-        result.pinch_pass = pinch.result().n_violations == 0
+        result.compat_report = checks.compat.result(track.series)
+        result.pinch_pass = checks.pinch.result().n_violations == 0
         if scn.T >= 2.0:
             try:
                 result.mH_inf = mass.mass_at_infinity(track.times, track.series.m_H)
             except FitError:
                 result.mH_inf = None
-        result.distances = chain.result()
-        result.c_alpha, result.gauss_dev, result.diam = samples.result()
+        result.distances = checks.chain.result()
+        result.c_alpha, result.gauss_dev, result.diam = checks.samples.result()
     except Exception as exc:
         result.ok = False
         result.error = f"{type(exc).__name__}: {exc}"
@@ -380,13 +402,40 @@ def run_row(scn: Scenario, row: ScenarioRow) -> RowResult:
 
 
 def run_sequence(scn: Scenario, workers: int = 1) -> ReportTable:
-    """Run all scenario rows (optionally concurrently); deterministic order."""
+    """Run all scenario rows; deterministic order.
+
+    The rows that share a flow grid (``imcf.flow_batches``) flow as one
+    batch, and each row then finishes its checks (``run_row``).  If any row
+    of a batch raises, in its profile scan, its flow or its streamed checks,
+    each of the batch's rows runs alone instead, so every row reports what
+    it reports alone.  With ``workers`` > 1, a thread pool of that size runs
+    the batches concurrently; a sweep whose rows all share one flow grid,
+    every shipped scenario's, is one batch and gains nothing from it.
+    """
     rows = scn.rows()
-    if workers <= 1 or len(rows) == 1:
-        results = [run_row(scn, row) for row in rows]
+    batches = imcf.flow_batches([row.surface0 for row in rows])
+
+    def finish(batch: list) -> list:
+        members = [rows[i] for i in batch]
+        if len(members) == 1:
+            # flowed by run_row itself, which records its failure without a rerun
+            return [run_row(scn, members[0])]
+        try:
+            flows = _flow_batch(scn, members)
+        except Exception:
+            # some row raised: every row runs alone, so each reports its own outcome
+            flows = [None] * len(members)
+        return [run_row(scn, row, flow) for row, flow in zip(members, flows)]
+
+    if workers <= 1 or len(batches) == 1:
+        done = [finish(batch) for batch in batches]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: run_row(scn, r), rows))
+            done = list(pool.map(finish, batches))
+    results = [None] * len(rows)
+    for batch, batch_results in zip(batches, done):
+        for i, result in zip(batch, batch_results):
+            results[i] = result
     return ReportTable(scenario=scn, rows=results)
 
 

@@ -14,23 +14,41 @@ round-off.  The area law |Sigma_t| = |Sigma_0| e^t is therefore exact on
 rotationally symmetric data and the scheme's error budget is spent entirely
 on genuine anisotropy.
 
+The rows of a sweep that share a flow grid (``flow_batches``) flow as one
+batch: their zeta is stacked on a leading row axis, shape (k, n_theta,
+n_phi), and one ``geometry()`` call serves every row.  Every grid operation
+and node-wise formula acts on each row's slice, and every reduction
+(``surface.integrate``, the area, ``_record``'s sums, minima and maxima, the
+substep guard) is taken per row over the last two axes, so each row's
+numbers are bit for bit those of its lone flow.  Each row keeps its own
+profile: a ``ProfileStack`` calls row i's s-form and r-map on slice i.  Each
+row's start is built alone by ``start_geometry`` and each row substeps at
+its own guard.  A breakdown of any row ends the batch's flow and is raised,
+so a caller that wants every row's own outcome flows the rows of a batch
+that raised alone (``harness.run_sequence`` does).  A lone row is the batch
+of one: ``run`` and ``record`` on an ``AmbientProfile`` return its own
+track.
+
 Each substep makes one full ``geometry()`` call, at its end, where the next
 substep, the recorded series and the observers read it.  The midpoint feeds
 only the right side, which reads lambda', v and H, so it calls
 ``speed_geometry``, the first part of ``geometry()``, and skips the
-diagnostics.  A row therefore makes 1 + substeps full calls and substeps
-midpoint calls.
+diagnostics.  A batch of k rows whose rows all take one substep per step
+therefore makes k + N full calls over N steps (one start per row, then one
+stacked call per step) and N midpoint calls; flowed one by one, the rows made
+k(1 + N) and kN.
 
 Checks that read the per-node geometry (pinching, the metric-distance chain,
 the W^{1,2} Ricci norm, Holder, Gauss and diameter samples) are accumulators
-fed by the flow itself: ``run`` hands every observer each stored snapshot's
-geometry as it is computed.  ``run`` keeps only the per-step series, a
-``FlowSeries`` that ``_record`` fills at every step and that the checks and
-the report read as it is, so a sweep row holds no per-node history.  Storing
-the snapshots is one more observer, ``SnapshotRecorder``: ``record`` is
-``run`` with one attached, and only its track can be replayed
-(``FlowTrack.replay`` feeds the same observers afterwards by rebuilding each
-snapshot's geometry from its stored zeta).
+fed by the flow itself: ``run`` hands every observer of a row each stored
+snapshot's geometry of that row, views of its slice of the batch, as it is
+computed.  ``run`` keeps only the per-step series, a ``FlowSeries`` that
+``_record`` fills at every step and that the checks and the report read as
+it is, so a sweep row holds no per-node history.  Storing the snapshots is one
+more observer, ``SnapshotRecorder``: ``record`` is ``run`` with one attached
+to every row, and only its track can be replayed (``FlowTrack.replay`` feeds
+the same observers afterwards by rebuilding each snapshot's geometry from its
+stored zeta).
 
 Data that is constant on every latitude ring stays so under the flow (the
 background is rotationally symmetric), so every column of a full-grid flow
@@ -53,6 +71,7 @@ scheme cannot propagate.  Recorded times stay on the uniform grid t_k = k dt.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
@@ -70,9 +89,9 @@ from .surface import (
     speed_geometry,
 )
 
-# observer(j, t, geom, P1, P2) at each stored snapshot j, on the flow's grid;
-# P1 and P2 are the running pinch integrals, buffers the flow keeps updating
-# after the call
+# observer(j, t, geom, P1, P2) at each stored snapshot j, on the flow's grid,
+# with one row's geometry; P1 and P2 are that row's running pinch integrals,
+# buffers the flow keeps updating after the call
 Observer = Callable[[int, float, SurfaceGeometry, np.ndarray, np.ndarray], None]
 
 # a recorded step that needs more substeps than this raises StabilityError
@@ -88,7 +107,8 @@ class FlowSeries:
 
     The only record of a flow's per-step scalars: ``run`` allocates one array
     per field but ``times``, and a field that is also a report column has
-    that column's name.
+    that column's name.  A batch's series has a leading row axis on every
+    field but ``times``.
     """
 
     times: np.ndarray
@@ -112,11 +132,43 @@ class FlowSeries:
     gradf_max: np.ndarray  # max |grad_sigma f|
 
 
+_SERIES_FIELDS = tuple(f.name for f in fields(FlowSeries) if f.name != "times")
+
+# the node axes of a field, or of each row of a batch: reductions over them are per row
+_NODE_AXES = (-2, -1)
+
+
+class ProfileStack:
+    """The ambient profiles of a batch, row i's at position i.
+
+    Each method maps slice i of its argument's leading row axis with row i's
+    profile and stacks the results, so a row gets what it gets alone.
+    """
+
+    def __init__(self, profiles):
+        self.profiles = tuple(profiles)
+
+    def warp_at_area_radius(self, s):
+        out = np.empty((5, *np.shape(s)))
+        for i, (p, x) in enumerate(zip(self.profiles, s)):
+            for n, part in enumerate(p.warp_at_area_radius(x)):
+                out[n, i] = part
+        return tuple(out)
+
+    def radius_from_area_radius(self, s):
+        return np.stack([p.radius_from_area_radius(x) for p, x in zip(self.profiles, s)])
+
+
 @dataclass
 class FlowTrack:
     """Uniform-grid IMCF history: scalar series plus, on a track from
     ``record``, the per-node snapshots.  ``run``'s track stores none: its
-    snapshot arrays have length 0 and it cannot be replayed."""
+    snapshot arrays have length 0 and it cannot be replayed.
+
+    A batch's track has a ``ProfileStack`` for its profile and a leading
+    row axis on r0, on the series' fields and on the snapshot arrays;
+    ``split`` gives the rows' own tracks.
+    """
 
     profile: AmbientProfile
     grid: SphereGrid
@@ -140,6 +192,18 @@ class FlowTrack:
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
+
+    def split(self) -> list:
+        """A batch track's rows' own tracks, in row order."""
+        out = []
+        for i, profile in enumerate(self.profile.profiles):
+            series = {name: getattr(self.series, name)[i] for name in _SERIES_FIELDS}
+            out.append(replace(
+                self, profile=profile, series=FlowSeries(times=self.times, **series),
+                r0=float(self.r0[i]), snap_zeta=self.snap_zeta[i], snap_P1=self.snap_P1[i],
+                snap_P2=self.snap_P2[i],
+            ))
+        return out
 
     def _require_snapshots(self) -> None:
         if len(self.snap_zeta) != len(self.snap_indices):
@@ -223,6 +287,26 @@ def flow_grid(grid: SphereGrid, zeta: np.ndarray) -> SphereGrid:
     return grid
 
 
+def flow_batches(surfaces: Sequence[GraphSurface]) -> list[list[int]]:
+    """The rows that flow as one batch, as lists of indices into
+    ``surfaces`` (the rows' starts) in row order: rows whose starts share a
+    grid and ``flow_grid``'s pick for it."""
+    batches = {}
+    for i, s in enumerate(surfaces):
+        key = (s.grid, flow_grid(s.grid, s.grid.polar_filter(s.zeta)))
+        batches.setdefault(key, []).append(i)
+    return list(batches.values())
+
+
+def stack_rows(
+    profiles: Sequence[AmbientProfile], surfaces: Sequence[GraphSurface]
+) -> tuple[ProfileStack, GraphSurface]:
+    """The profile stack and the stacked start of rows that flow as one
+    batch, in the order given, for ``run`` and ``record``."""
+    stack = ProfileStack(profiles)
+    return stack, GraphSurface(surfaces[0].grid, np.stack([s.zeta for s in surfaces]), stack)
+
+
 def start_geometry(profile: AmbientProfile, grid: SphereGrid, zeta: np.ndarray) -> SurfaceGeometry:
     """The geometry of a flow's start zeta: computed on ``grid``, then
     restricted to ``flow_grid``'s pick (every node field's first column when
@@ -262,37 +346,53 @@ def time_grid(T: float, dt: float, snap_every: int | None = None):
 
 
 def run(
-    profile: AmbientProfile,
+    profile: AmbientProfile | ProfileStack,
     surface0: GraphSurface,
     T: float,
     dt: float,
     snap_every: int | None = None,
-    observers: Sequence[Observer] = (),
+    observers: Sequence = (),
 ) -> FlowTrack:
     """Flow from t = 0 to T on the uniform grid t_k = k dt.
 
-    Every observer is called at each stored snapshot with the geometry the
-    flow computed there (see ``Observer``).  The track keeps the series but
+    A lone row takes its profile, its start and a list of observers and
+    returns its own track.  A batch takes ``stack_rows``' profile stack and
+    stacked start, and one list of observers per row, and returns one track
+    for all its rows (see ``FlowTrack``).  Every observer is called at each
+    stored snapshot with its row's geometry as the flow computed it (see
+    ``Observer``).  A breakdown of any row, or an observer's exception, ends
+    the whole flow and is raised; a breakdown's message is the one the row
+    gets alone when it is the batch's first.  The track keeps the series but
     no per-node snapshots; ``record`` keeps those too.
     """
+    if not isinstance(profile, ProfileStack):
+        return _lone(run, profile, surface0, T, dt, snap_every, observers)
     times, snap_indices = time_grid(T, dt, snap_every)
     N = len(times) - 1
     grid = surface0.grid
+    observers = list(observers) or [()] * len(profile.profiles)
 
-    series = FlowSeries(
-        times=times, **{f.name: np.empty(N + 1) for f in fields(FlowSeries) if f.name != "times"}
-    )
+    block = np.empty((len(_SERIES_FIELDS), len(profile.profiles), N + 1))
+    series = FlowSeries(times=times, **dict(zip(_SERIES_FIELDS, block)))
     snap_pos = {int(k): j for j, k in enumerate(snap_indices)}
 
+    starts = []
     with _at_time(0.0):
-        geom = start_geometry(profile, grid, grid.polar_filter(surface0.zeta))
-    r0 = area_radius(geom)
+        for p, zeta in zip(profile.profiles, surface0.zeta):
+            # a copy, so that the scenario-grid geometry a meridian start is
+            # cut from is freed here, not held through the flow
+            starts.append(_row(_stack([start_geometry(p, grid, grid.polar_filter(zeta))]), 0))
+    if len({start.grid for start in starts}) > 1:
+        raise ValueError("a batch's rows must share a flow grid; imcf.flow_batches groups them")
+    r0 = np.array([area_radius(start) for start in starts])
+    geom = _stack(starts)
+    del starts
 
-    P1, P2 = np.zeros(geom.grid.shape), np.zeros(geom.grid.shape)
+    P1, P2 = np.zeros(geom.H.shape), np.zeros(geom.H.shape)
     rate1_prev = rate2_prev = None
     for k in range(N + 1):
         t_k = times[k]
-        _record(series, k, geom)
+        _record(block, k, geom)
 
         rate1 = 2.0 * geom.lam1 / geom.H
         rate2 = 2.0 * geom.lam2 / geom.H
@@ -302,18 +402,16 @@ def run(
         rate1_prev, rate2_prev = rate1, rate2
 
         if k in snap_pos:
-            for observe in observers:
-                observe(snap_pos[k], float(t_k), geom, P1, P2)
+            _observe(observers, snap_pos[k], float(t_k), geom, P1, P2)
 
         if k < N:
             with _at_time(t_k + dt):
                 geom = _advance(geom, t_k, dt)
 
-    # one inversion of the per-step extremes of zeta, since r is monotone in s
-    series.r_min, series.r_max = profile.radius_from_area_radius(
-        np.stack([series.r_min, series.r_max])
-    )
-    no_snapshots = np.empty((0, *grid.shape))
+    # one inversion per row of the per-step extremes of zeta, since r is monotone in s
+    r = profile.radius_from_area_radius(np.stack([series.r_min, series.r_max], axis=1))
+    series.r_min, series.r_max = r[:, 0], r[:, 1]
+    no_snapshots = np.empty((len(profile.profiles), 0, *grid.shape))
     return FlowTrack(
         profile=profile,
         grid=grid,
@@ -348,26 +446,39 @@ class SnapshotRecorder(SnapshotAccumulator):
 
 
 def record(
-    profile: AmbientProfile,
+    profile: AmbientProfile | ProfileStack,
     surface0: GraphSurface,
     T: float,
     dt: float,
     snap_every: int | None = None,
-    observers: Sequence[Observer] = (),
+    observers: Sequence = (),
 ) -> FlowTrack:
-    """``run`` with a ``SnapshotRecorder`` attached: the returned track stores
-    every snapshot's zeta, P1 and P2, so it can be replayed.  The recorder
-    sees each snapshot before ``observers`` do."""
+    """``run`` with a ``SnapshotRecorder`` attached to every row: the
+    returned track stores every snapshot's zeta, P1 and P2, so it can be
+    replayed.  A row's recorder sees each snapshot before its ``observers``
+    do."""
+    if not isinstance(profile, ProfileStack):
+        return _lone(record, profile, surface0, T, dt, snap_every, observers)
     n_snap = len(time_grid(T, dt, snap_every)[1])
-    rec = SnapshotRecorder(n_snap, surface0.grid.shape)
+    recs = [SnapshotRecorder(n_snap, surface0.grid.shape) for _ in profile.profiles]
+    observers = list(observers) or [()] * len(recs)
     track = run(
         profile, surface0, T, dt, snap_every=snap_every,
-        observers=[rec.observe, *observers],
+        observers=[[rec.observe, *obs] for rec, obs in zip(recs, observers)],
     )
-    return replace(track, snap_zeta=rec.zeta, snap_P1=rec.P1, snap_P2=rec.P2)
+    snaps = {name: np.stack([getattr(rec, name) for rec in recs]) for name in ("zeta", "P1", "P2")}
+    return replace(track, snap_zeta=snaps["zeta"], snap_P1=snaps["P1"], snap_P2=snaps["P2"])
 
 
 # -- internals -----------------------------------------------------------------
+
+
+def _lone(flow, profile, surface0, T, dt, snap_every, observers) -> FlowTrack:
+    """``flow`` (``run`` or ``record``) of a lone row, as the batch of one:
+    the row's own track."""
+    stack, start = stack_rows([profile], [surface0])
+    (track,) = flow(stack, start, T, dt, snap_every, [observers]).split()
+    return track
 
 
 @contextmanager
@@ -396,72 +507,147 @@ def _on_grid(geom: SurfaceGeometry, grid: SphereGrid) -> SurfaceGeometry:
     return SurfaceGeometry(surface=surface, area=geom.area, **nodes)
 
 
-def _rhs(geom: SpeedGeometry, tau: float) -> np.ndarray:
+def _stack(geoms: list) -> SurfaceGeometry:
+    """Lone rows' geometries stacked, as copies, into one batch, in order."""
+    nodes = {name: np.stack([getattr(g, name) for g in geoms]) for name in _NODE_FIELDS}
+    profile = ProfileStack(g.surface.profile for g in geoms)
+    surface = GraphSurface(geoms[0].grid, np.stack([g.surface.zeta for g in geoms]), profile)
+    return SurfaceGeometry(surface=surface, area=np.array([g.area for g in geoms]), **nodes)
+
+
+def _row(geom: SurfaceGeometry, p: int) -> SurfaceGeometry:
+    """Row p of a batch geometry as its lone row's geometry, by views."""
+    batch = vars(geom)
+    nodes = {name: batch[name][p] for name in _NODE_FIELDS}
+    surface = GraphSurface(geom.grid, geom.surface.zeta[p], geom.surface.profile.profiles[p])
+    return SurfaceGeometry(surface=surface, area=float(geom.area[p]), **nodes)
+
+
+def _observe(observers, j, t, geom, P1, P2) -> None:
+    """Hand each row's observers its snapshot j, its row of the batch."""
+    for p, row_observers in enumerate(observers):
+        if row_observers:
+            row = _row(geom, p)
+            for observe in row_observers:
+                observe(j, t, row, P1[p], P2[p])
+
+
+def _column(values) -> np.ndarray:
+    """Per-row scalars as an array of shape (k, 1, 1), against a batch's rows."""
+    return np.array(values)[:, None, None]
+
+
+def _rhs(geom: SpeedGeometry, tau) -> np.ndarray:
     # d zeta / d tau along IMCF in the exponential time variable
     return (2.0 / tau) * geom.dlam * geom.v / geom.H
 
 
-def _guard(grid: SphereGrid, geom: SurfaceGeometry) -> float:
-    scale = float(np.min(geom.H) ** 2 * np.min(geom.lam) ** 2)
-    return CFL * grid.h_theta**2 * scale
+def _guards(grid: SphereGrid, geom: SurfaceGeometry) -> list[float]:
+    """Each row's substep guard, CFL h_theta^2 min(H)^2 min(lambda)^2."""
+    h_min = np.min(geom.H, axis=_NODE_AXES)
+    lam_min = np.min(geom.lam, axis=_NODE_AXES)
+    scale = CFL * grid.h_theta**2
+    return [scale * float(h**2 * lam**2) for h, lam in zip(h_min, lam_min)]
 
 
-def _advance(geom, t, dt):
-    """Substep geom's surface from t to t + dt; returns the geometry at t + dt."""
+def _substep(geom: SurfaceGeometry, tau0, htau, t0) -> SurfaceGeometry:
+    """One RK2 substep of a batch: row i from tau0[i] by htau[i] (per-row
+    scalars as ``_column`` gives them); t0[i] is its time t, for the
+    message."""
     grid, profile, zeta = geom.grid, geom.surface.profile, geom.surface.zeta
+    k1 = _rhs(geom, tau0)
+    z_mid = grid.polar_filter(zeta + 0.5 * htau * k1)
+    # the midpoint feeds only the speed, so it skips geometry()'s diagnostics
+    geom_mid = speed_geometry(profile, GraphSurface(grid, z_mid, profile))
+    k2 = _rhs(geom_mid, tau0 + 0.5 * htau)
+    zeta = grid.polar_filter(zeta + htau * k2)
+    finite = np.all(np.isfinite(zeta), axis=_NODE_AXES)
+    if not np.all(finite):
+        t = t0[int(np.argmin(finite))]
+        raise CurvatureError(f"flow produced non-finite radii at t = {t:.6g}")
+    return geometry(profile, GraphSurface(grid, zeta, profile))
+
+
+def _advance(geom: SurfaceGeometry, t, dt) -> SurfaceGeometry:
+    """Substep every row of a batch from t to t + dt, each at its own guard;
+    returns the batch's geometry at t + dt."""
+    grid = geom.grid
     t_end = t + dt
-    t_cur = t
+    todo = list(range(len(geom.area)))   # the rows short of t_end, in order
+    t_cur = [t] * len(todo)
+    arrived = {}                         # row: its geometry at t_end, if it got there early
     n_sub = 0
     while True:
-        remaining = t_end - t_cur
-        guard = _guard(grid, geom)
-        # tested before the min: min(remaining, nan) is remaining
-        if not (guard > 0 and np.isfinite(guard)):
-            raise StabilityError(f"degenerate CFL guard ({guard}) at t = {t_cur:.6g}")
-        h = min(remaining, guard)
         n_sub += 1
-        if n_sub > MAX_SUBSTEPS:
-            raise StabilityError(
-                f"substep budget {MAX_SUBSTEPS} exhausted (guard "
-                f"{guard:.3g} at t = {t_cur:.6g})"
-            )
-        tau0 = np.exp(0.5 * t_cur)
-        tau1 = np.exp(0.5 * (t_cur + h))
-        htau = tau1 - tau0
-        k1 = _rhs(geom, tau0)
-        z_mid = grid.polar_filter(zeta + 0.5 * htau * k1)
-        # the midpoint feeds only the speed, so it skips geometry()'s diagnostics
-        geom_mid = speed_geometry(profile, GraphSurface(grid, z_mid, profile))
-        k2 = _rhs(geom_mid, tau0 + 0.5 * htau)
-        zeta = grid.polar_filter(zeta + htau * k2)
-        if not np.all(np.isfinite(zeta)):
-            raise CurvatureError(f"flow produced non-finite radii at t = {t_cur:.6g}")
-        t_cur += h
-        geom = geometry(profile, GraphSurface(grid, zeta, profile))
-        if remaining - h <= 1e-12 * max(1.0, abs(t_end)):
+        guards = _guards(grid, geom)
+        h = [_substep_size(guard, n_sub, t_cur[p], t_end) for p, guard in zip(todo, guards)]
+        tau0 = [np.exp(0.5 * t_cur[p]) for p in todo]
+        htau = [np.exp(0.5 * (t_cur[p] + hp)) - tau for p, hp, tau in zip(todo, h, tau0)]
+        geom = _substep(geom, _column(tau0), _column(htau), [t_cur[p] for p in todo])
+        rest = []
+        for q, (p, hp) in enumerate(zip(todo, h)):
+            remaining = t_end - t_cur[p]
+            t_cur[p] += hp
+            if remaining - hp > 1e-12 * max(1.0, abs(t_end)):
+                rest.append(q)
+        if not rest and not arrived:
             return geom
+        arrived.update({p: _row(geom, q) for q, p in enumerate(todo) if q not in rest})
+        if not rest:
+            return _stack([arrived[p] for p in sorted(arrived)])
+        todo = [todo[q] for q in rest]
+        geom = _stack([_row(geom, q) for q in rest])
 
 
-def _record(series: FlowSeries, k: int, geom: SurfaceGeometry):
+def _substep_size(guard: float, n_sub: int, t, t_end) -> float:
+    """The size of a row's n_sub-th substep of the step from time t to t_end
+    under ``guard``; raises ``StabilityError`` if the guard is not finite and
+    positive or the step needs more than ``MAX_SUBSTEPS`` substeps."""
+    # tested before the min: min(remaining, nan) is remaining
+    if not (guard > 0 and math.isfinite(guard)):
+        raise StabilityError(f"degenerate CFL guard ({guard}) at t = {t:.6g}")
+    if n_sub > MAX_SUBSTEPS:
+        raise StabilityError(
+            f"substep budget {MAX_SUBSTEPS} exhausted (guard {guard:.3g} at t = {t:.6g})"
+        )
+    return min(t_end - t, guard)
+
+
+def _record(block: np.ndarray, k: int, geom: SurfaceGeometry):
+    """Step k of every row's series, from its row of the batch geometry;
+    ``block`` holds the series' fields in ``_SERIES_FIELDS`` order on its
+    first axis.  Every reduction is per row, over the last two axes, and the
+    ten integrals are one reduction."""
     dmu_w = geom.dmu * geom.grid.weights
+    H2 = geom.H**2
+    densities = (
+        H2 - 4.0, geom.grad_H2 / H2, geom.pinch2, geom.R + 6.0, geom.Rc_nn + 2.0,
+        geom.K12 + 1.0, geom.absA2 - 2.0, geom.prod12 - 1.0, geom.K, H2,
+    )
+    i_h2, i_gradh, i_pinch, i_r, i_rc, i_k12, i_a2, i_prod, i_k, i_hh = np.sum(
+        np.array(densities) * dmu_w, axis=_NODE_AXES
+    )
     area = geom.area
-    i_h2 = float(np.sum((geom.H**2 - 4.0) * dmu_w))
-    series.area[k] = area
-    series.I_H2[k] = i_h2
-    series.m_H[k] = np.sqrt(area / (16.0 * np.pi) ** 3) * (16.0 * np.pi - i_h2)
-    series.I_gradH[k] = np.sum(geom.grad_H2 / geom.H**2 * dmu_w)
-    series.I_pinch[k] = np.sum(geom.pinch2 * dmu_w)
-    series.I_R[k] = np.sum((geom.R + 6.0) * dmu_w)
-    series.I_Rc[k] = np.sum((geom.Rc_nn + 2.0) * dmu_w)
-    series.I_K12[k] = np.sum((geom.K12 + 1.0) * dmu_w)
-    series.I_A2[k] = np.sum((geom.absA2 - 2.0) * dmu_w)
-    series.I_prod[k] = np.sum((geom.prod12 - 1.0) * dmu_w)
-    series.chi[k] = np.sum(geom.K * dmu_w) / (2.0 * np.pi)
-    series.Hbar2[k] = np.sum(geom.H**2 * dmu_w) / area
-    series.h_min[k] = np.min(geom.H)
-    series.h_max[k] = np.max(geom.H)
-    series.absA_max[k] = np.sqrt(np.max(geom.absA2))
-    # area radii until ``run`` maps them to r once the flow has ended
-    series.r_min[k] = np.min(geom.surface.zeta)
-    series.r_max[k] = np.max(geom.surface.zeta)
-    series.gradf_max[k] = np.sqrt(np.max(geom.grad_f_sigma2))
+    lo, hi = np.min, np.max
+    values = {
+        "area": area,
+        "m_H": np.sqrt(area / (16.0 * np.pi) ** 3) * (16.0 * np.pi - i_h2),
+        "I_gradH": i_gradh,
+        "I_pinch": i_pinch,
+        "I_R": i_r,
+        "I_Rc": i_rc,
+        "I_K12": i_k12,
+        "I_H2": i_h2,
+        "I_A2": i_a2,
+        "I_prod": i_prod,
+        "chi": i_k / (2.0 * np.pi),
+        "Hbar2": i_hh / area,
+        "h_min": lo(geom.H, axis=_NODE_AXES),
+        "h_max": hi(geom.H, axis=_NODE_AXES),
+        "absA_max": np.sqrt(hi(geom.absA2, axis=_NODE_AXES)),
+        # area radii until ``run`` maps them to r once the flow has ended
+        "r_min": lo(geom.surface.zeta, axis=_NODE_AXES),
+        "r_max": hi(geom.surface.zeta, axis=_NODE_AXES),
+        "gradf_max": np.sqrt(hi(geom.grad_f_sigma2, axis=_NODE_AXES)),
+    }
+    block[:, :, k] = [values[name] for name in _SERIES_FIELDS]

@@ -20,6 +20,10 @@ field as the full grid does.  A ring-constant field has no azimuthal modes:
 there the phi derivatives are exact zeros and ``polar_filter`` returns its
 input, so the meridian computes both without a transform.  The flow runs
 data that is constant on every ring there (``imcf.flow_grid``).
+
+Every operation acts on the last two axes, (theta, phi), so a stack of
+fields with a leading row axis, shape (k, n_theta, n_phi), is differentiated
+and filtered row by row, each row's result bit for bit that of the row alone.
 """
 
 from __future__ import annotations
@@ -71,11 +75,11 @@ class SphereGrid:
     def dphi(self, field: np.ndarray) -> np.ndarray:
         if self.n_phi == 1:
             return np.zeros_like(field)
-        fh = np.fft.rfft(field, axis=1)
+        fh = np.fft.rfft(field, axis=-1)
         fh *= 1j * self._m
         if self.n_phi % 2 == 0:
-            fh[:, -1] = 0.0  # Nyquist mode has no odd derivative
-        return np.fft.irfft(fh, n=self.n_phi, axis=1)
+            fh[..., -1] = 0.0  # Nyquist mode has no odd derivative
+        return np.fft.irfft(fh, n=self.n_phi, axis=-1)
 
     def theta_derivs(self, field: np.ndarray):
         """(d/dtheta, d^2/dtheta^2) sharing the collocation product."""
@@ -88,14 +92,14 @@ class SphereGrid:
         """(d/dphi, d^2/dphi^2) sharing one forward transform."""
         if self.n_phi == 1:
             return np.zeros_like(field), np.zeros_like(field)
-        fh = np.fft.rfft(field, axis=1)
+        fh = np.fft.rfft(field, axis=-1)
         fh1 = fh * (1j * self._m)
         if self.n_phi % 2 == 0:
-            fh1[:, -1] = 0.0
+            fh1[..., -1] = 0.0
         fh2 = fh * (-(self._m**2))
         return (
-            np.fft.irfft(fh1, n=self.n_phi, axis=1),
-            np.fft.irfft(fh2, n=self.n_phi, axis=1),
+            np.fft.irfft(fh1, n=self.n_phi, axis=-1),
+            np.fft.irfft(fh2, n=self.n_phi, axis=-1),
         )
 
     # -- stabilizing filter --------------------------------------------------
@@ -110,9 +114,9 @@ class SphereGrid:
         """Zero azimuthal modes beyond the local resolvable wavenumber."""
         if self.n_phi == 1:
             return field
-        fh = np.fft.rfft(field, axis=1)
+        fh = np.fft.rfft(field, axis=-1)
         fh *= self._filter_mask
-        return np.fft.irfft(fh, n=self.n_phi, axis=1)
+        return np.fft.irfft(fh, n=self.n_phi, axis=-1)
 
     # -- misc ---------------------------------------------------------------
 

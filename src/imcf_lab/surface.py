@@ -29,6 +29,11 @@ guard (domain and profile errors from the s-form, det g <= 0, H <= 0).  That
 is all the flow's normal speed v/H needs, so the RK2 midpoint stops there.
 ``geometry`` then adds the diagnostics: the pinch split, the tilted ambient
 curvatures, K, the area density, grad H and the area.
+
+Both take a batch as they take one surface: every formula is node-wise, the
+grid's derivatives act on the last two axes and the area is a sum per row,
+so each row of a batch gets its lone geometry bit for bit.  Their guards
+test the whole batch: a batch raises if any of its rows would.
 """
 
 from __future__ import annotations
@@ -46,7 +51,11 @@ from .sphere_grid import SphereGrid
 
 @dataclass
 class GraphSurface:
-    """Radial graph over a sphere grid; zeta holds the area radius per node."""
+    """Radial graph over a sphere grid; zeta holds the area radius per node.
+
+    A batch of k rows stacks their zeta on a leading row axis, shape
+    (k, n_theta, n_phi), with an ``imcf.ProfileStack`` as its profile.
+    """
 
     grid: SphereGrid
     zeta: np.ndarray
@@ -54,7 +63,7 @@ class GraphSurface:
 
     def __post_init__(self):
         self.zeta = np.asarray(self.zeta, dtype=float)
-        if self.zeta.shape != self.grid.shape:
+        if self.zeta.shape[-2:] != self.grid.shape or self.zeta.ndim > 3:
             raise GeometryError(
                 f"graph shape {self.zeta.shape} != grid shape {self.grid.shape}"
             )
@@ -101,7 +110,7 @@ class SurfaceGeometry(SpeedGeometry):
     K12: np.ndarray
     K: np.ndarray
     grad_H2: np.ndarray        # |grad H|^2 w.r.t. the induced metric
-    area: float = field(default=0.0)
+    area: float = field(default=0.0)  # on a batch, one per row
 
 
 def make_graph(
@@ -226,9 +235,12 @@ def geometry(profile: AmbientProfile, surface: GraphSurface) -> SurfaceGeometry:
     return geom
 
 
-def integrate(geom: SurfaceGeometry, field) -> float:
-    """Surface integral of a nodal field against the area measure."""
-    return float(np.sum(field * geom.dmu * geom.grid.weights))
+def integrate(geom: SurfaceGeometry, field):
+    """Surface integral of a nodal field against the area measure: a float,
+    or on a batch one per row (a sum over each row's last two axes, which is
+    bit for bit the row's own sum)."""
+    total = np.sum(field * geom.dmu * geom.grid.weights, axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
 
 
 def intrinsic_diameter(geom: SurfaceGeometry) -> float:

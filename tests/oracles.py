@@ -16,7 +16,9 @@ trajectory and mean curvature in a built profile, and that profile's m(s).
 
 The last group holds the textbook definitions the flow's recorded series are
 checked against: the coordinate sphere, the Hawking mass, the Gauss-Bonnet
-Euler characteristic and the model round flow's mean curvature.
+Euler characteristic and the model round flow's mean curvature; and a lone
+row's series entries as the flow recorded them before rows were batched, one
+sum, minimum or maximum per field over the row's own nodes.
 """
 
 from dataclasses import dataclass
@@ -373,3 +375,32 @@ def model_mean_curvature_sq(t, r0: float, m: float = 0.0):
     the reciprocal of the model lapse^2 the distance chain uses."""
     t = np.asarray(t, dtype=float)
     return (4.0 / r0**2) * (1.0 - (2.0 / r0) * m * np.exp(-0.5 * t)) * np.exp(-t) + 4.0
+
+
+def lone_series_entries(geom) -> dict:
+    """One step's ``FlowSeries`` entries of a lone row's geometry, each a
+    plain sum, minimum or maximum over its nodes (r_min and r_max still in
+    area radii), as the flow recorded them row by row."""
+    dmu_w = geom.dmu * geom.grid.weights
+    area = geom.area
+    i_h2 = float(np.sum((geom.H**2 - 4.0) * dmu_w))
+    return {
+        "area": area,
+        "I_H2": i_h2,
+        "m_H": np.sqrt(area / (16.0 * np.pi) ** 3) * (16.0 * np.pi - i_h2),
+        "I_gradH": np.sum(geom.grad_H2 / geom.H**2 * dmu_w),
+        "I_pinch": np.sum(geom.pinch2 * dmu_w),
+        "I_R": np.sum((geom.R + 6.0) * dmu_w),
+        "I_Rc": np.sum((geom.Rc_nn + 2.0) * dmu_w),
+        "I_K12": np.sum((geom.K12 + 1.0) * dmu_w),
+        "I_A2": np.sum((geom.absA2 - 2.0) * dmu_w),
+        "I_prod": np.sum((geom.prod12 - 1.0) * dmu_w),
+        "chi": np.sum(geom.K * dmu_w) / (2.0 * np.pi),
+        "Hbar2": np.sum(geom.H**2 * dmu_w) / area,
+        "h_min": np.min(geom.H),
+        "h_max": np.max(geom.H),
+        "absA_max": np.sqrt(np.max(geom.absA2)),
+        "r_min": np.min(geom.surface.zeta),
+        "r_max": np.max(geom.surface.zeta),
+        "gradf_max": np.sqrt(np.max(geom.grad_f_sigma2)),
+    }

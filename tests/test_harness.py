@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from imcf_lab import comparison, harness
+from imcf_lab import comparison, harness, imcf
 from imcf_lab.errors import WindowError
 from imcf_lab.harness import (
     CSV_COLUMNS,
@@ -97,8 +97,10 @@ def test_row_computes_each_snapshot_diameter_once(monkeypatch):
         return real(geom)
 
     def run(*args, **kwargs):
-        tracks.append(record(*args, **kwargs))
-        return tracks[-1]
+        # the row flows as a batch of one; keep its own track
+        batch = record(*args, **kwargs)
+        tracks.extend(batch.split())
+        return batch
 
     monkeypatch.setattr(harness, "intrinsic_diameter", diameter)
     monkeypatch.setattr(harness, "run", run)
@@ -181,14 +183,25 @@ def test_plot_script_renders(tmp_path):
     assert (tmp_path / "fast.png").exists()
 
 
-def test_run_sequence_workers_match_serial():
-    scn = _fast_scenario()
-    serial = run_sequence(scn, workers=1)
-    parallel = run_sequence(scn, workers=2)
-    for r1, r2 in zip(serial.rows, parallel.rows):
-        assert r1.eps == r2.eps
-        assert r1.mH_T == r2.mH_T
-        assert r1.distances == r2.distances
+# a bumpy sweep whose eps = 0 row is round: its rows flow in two batches,
+# the bumpy row on the 16x32 grid and the round one on the meridian
+TWO_BATCHES = {"family": "combined", "epsilons": [0.1, 0.0],
+               "surface": {"type": "bumpy", "area_radius": 1.0}, "T": 0.1, "dt": 1e-3}
+
+
+@pytest.mark.parametrize("over", [{}, TWO_BATCHES], ids=["one-batch", "two-batches"])
+def test_run_sequence_workers_match_serial(over):
+    """Every CSV cell of a sweep whose batches run on a pool of two workers
+    is the serial sweep's."""
+    scn = _fast_scenario(**over)
+    assert len(imcf.flow_batches([row.surface0 for row in scn.rows()])) == (2 if over else 1)
+    serial = table_rows(run_sequence(scn, workers=1))
+    parallel = table_rows(run_sequence(scn, workers=2))
+    assert len(serial) == len(parallel) == 2 * len(scn.t_samples)
+    for r1, r2 in zip(serial, parallel):
+        assert r1["row_ok"] and r2["row_ok"]
+        cells = [[harness._fmt(r[c]) for c in CSV_COLUMNS] for r in (r1, r2)]
+        assert cells[0] == cells[1]
 
 
 def test_monotone_stability_columns_fast():

@@ -75,8 +75,10 @@ def streamed_row(request):
     tracks = []
 
     def run(*args, **kwargs):
-        tracks.append(imcf.record(*args, **kwargs))
-        return tracks[-1]
+        # the row flows as a batch of one; keep its own track
+        batch = imcf.record(*args, **kwargs)
+        tracks.extend(batch.split())
+        return batch
 
     def counted(name):
         real = getattr(imcf, name)
