@@ -57,10 +57,12 @@ def _in_domain(x, domain, what: str) -> np.ndarray:
     # the slack scales with each end: s_domain spans 1e-6 to 4e10 on hyperbolic
     lo_ok = lo - _DOMAIN_SLACK * max(1.0, abs(lo))
     hi_ok = hi + _DOMAIN_SLACK * max(1.0, abs(hi))
-    bad = [v for v in (np.min(x), np.max(x)) if not lo_ok <= v <= hi_ok]
+    # a NaN makes the minimum NaN, which fails the test
+    extremes = (np.minimum.reduce(x, axis=None), np.maximum.reduce(x, axis=None))
+    bad = [v for v in extremes if not lo_ok <= v <= hi_ok]
     if bad:
         raise DomainError(f"{what} {bad[0]:.6g} outside profile domain [{lo:.6g}, {hi:.6g}]")
-    return np.clip(x, lo, hi)
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ class AmbientProfile:
     def _s_form(self, s):
         m, dm = self._mass(s)
         dlam2 = 1.0 + s * s - 2.0 * m / s
-        if np.min(dlam2) <= 0.0:
+        if np.minimum.reduce(dlam2, axis=None) <= 0.0:
             raise ProfileError(
                 f"{self.kind} profile loses positivity: min lambda'^2 {np.min(dlam2):.3g}"
             )

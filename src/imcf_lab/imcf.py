@@ -544,8 +544,8 @@ def _rhs(geom: SpeedGeometry, tau) -> np.ndarray:
 
 def _guards(grid: SphereGrid, geom: SurfaceGeometry) -> list[float]:
     """Each row's substep guard, CFL h_theta^2 min(H)^2 min(lambda)^2."""
-    h_min = np.min(geom.H, axis=_NODE_AXES)
-    lam_min = np.min(geom.lam, axis=_NODE_AXES)
+    h_min = np.minimum.reduce(geom.H, axis=_NODE_AXES)
+    lam_min = np.minimum.reduce(geom.lam, axis=_NODE_AXES)
     scale = CFL * grid.h_theta**2
     return [scale * float(h**2 * lam**2) for h, lam in zip(h_min, lam_min)]
 
@@ -561,8 +561,8 @@ def _substep(geom: SurfaceGeometry, tau0, htau, t0) -> SurfaceGeometry:
     geom_mid = speed_geometry(profile, GraphSurface(grid, z_mid, profile))
     k2 = _rhs(geom_mid, tau0 + 0.5 * htau)
     zeta = grid.polar_filter(zeta + htau * k2)
-    finite = np.all(np.isfinite(zeta), axis=_NODE_AXES)
-    if not np.all(finite):
+    finite = np.logical_and.reduce(np.isfinite(zeta), axis=_NODE_AXES)
+    if not finite.all():
         t = t0[int(np.argmin(finite))]
         raise CurvatureError(f"flow produced non-finite radii at t = {t:.6g}")
     return geometry(profile, GraphSurface(grid, zeta, profile))
@@ -624,11 +624,11 @@ def _record(block: np.ndarray, k: int, geom: SurfaceGeometry):
         H2 - 4.0, geom.grad_H2 / H2, geom.pinch2, geom.R + 6.0, geom.Rc_nn + 2.0,
         geom.K12 + 1.0, geom.absA2 - 2.0, geom.prod12 - 1.0, geom.K, H2,
     )
-    i_h2, i_gradh, i_pinch, i_r, i_rc, i_k12, i_a2, i_prod, i_k, i_hh = np.sum(
+    i_h2, i_gradh, i_pinch, i_r, i_rc, i_k12, i_a2, i_prod, i_k, i_hh = np.add.reduce(
         np.array(densities) * dmu_w, axis=_NODE_AXES
     )
     area = geom.area
-    lo, hi = np.min, np.max
+    lo, hi = np.minimum.reduce, np.maximum.reduce
     values = {
         "area": area,
         "m_H": np.sqrt(area / (16.0 * np.pi) ** 3) * (16.0 * np.pi - i_h2),

@@ -18,12 +18,16 @@ theta nodes, weights and derivatives are those of every n_theta grid, and
 its phi weight is the whole circle, 2 pi, so it integrates a ring-constant
 field as the full grid does.  A ring-constant field has no azimuthal modes:
 there the phi derivatives are exact zeros and ``polar_filter`` returns its
-input, so the meridian computes both without a transform.  The flow runs
-data that is constant on every ring there (``imcf.flow_grid``).
+input, so the meridian computes both without a transform, and the surface
+geometry drops every term they enter (``surface.speed_geometry``).  The flow
+runs data that is constant on every ring there (``imcf.flow_grid``).
 
 Every operation acts on the last two axes, (theta, phi), so a stack of
 fields with a leading row axis, shape (k, n_theta, n_phi), is differentiated
 and filtered row by row, each row's result bit for bit that of the row alone.
+On the meridian the latitude factors sin, cos and cot theta are kept per
+field shape (``factors``), so they multiply a field of their own shape
+instead of being broadcast from a column on every call.
 """
 
 from __future__ import annotations
@@ -60,6 +64,28 @@ class SphereGrid:
         self._d1 = _barycentric_diff_matrix(self.x, self.w_theta)
         self._m = np.arange(self.n_phi // 2 + 1)
         self._filter_mask = self._build_polar_mask()
+        self._columns = tuple(
+            _read_only(a[:, None]) for a in (self.sin_theta, self.cos_theta, self.cot_theta)
+        )
+        self._factors = {}
+
+    def factors(self, shape: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sin, cos, cot) theta for a field of ``shape``: its last two axes
+        the grid's, any leading axes a batch's rows; read-only.
+
+        On the meridian, contiguous arrays of ``shape``, built once per
+        shape: a field of a few dozen nodes then multiplies arrays of its
+        own shape instead of paying for a broadcast on every call.  On a
+        full grid, the (n_theta, 1) columns: there the broadcast costs
+        nothing next to the arithmetic, and a copy at the field's shape
+        would hold n_phi times the memory for the life of the grid."""
+        if self.n_phi > 1:
+            return self._columns
+        out = self._factors.get(shape)
+        if out is None:
+            out = tuple(_read_only(np.broadcast_to(a, shape)) for a in self._columns)
+            self._factors[shape] = out
+        return out
 
     # -- quadrature -------------------------------------------------------
 
@@ -70,7 +96,7 @@ class SphereGrid:
     # -- differentiation ---------------------------------------------------
 
     def dtheta(self, field: np.ndarray) -> np.ndarray:
-        return -self.sin_theta[:, None] * (self._d1 @ field)
+        return -self.factors(field.shape)[0] * (self._d1 @ field)
 
     def dphi(self, field: np.ndarray) -> np.ndarray:
         if self.n_phi == 1:
@@ -85,8 +111,8 @@ class SphereGrid:
         """(d/dtheta, d^2/dtheta^2) sharing the collocation product."""
         df = self._d1 @ field
         d2f = self._d1 @ df
-        st = self.sin_theta[:, None]
-        return -st * df, st**2 * d2f - self.cos_theta[:, None] * df
+        st, ct, _ = self.factors(field.shape)
+        return -st * df, st**2 * d2f - ct * df
 
     def phi_derivs(self, field: np.ndarray):
         """(d/dphi, d^2/dphi^2) sharing one forward transform."""
@@ -137,6 +163,12 @@ class SphereGrid:
 def get_grid(n_theta: int, n_phi: int) -> SphereGrid:
     """Shared grid instances; construction is cheap but not free."""
     return SphereGrid(n_theta, n_phi)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, order="C")
+    out.flags.writeable = False
+    return out
 
 
 def _barycentric_diff_matrix(x: np.ndarray, w_quad: np.ndarray):

@@ -34,6 +34,13 @@ Both take a batch as they take one surface: every formula is node-wise, the
 grid's derivatives act on the last two axes and the area is a sum per row,
 so each row of a batch gets its lone geometry bit for bit.  Their guards
 test the whole batch: a batch raises if any of its rows would.
+
+On the meridian grid (n_phi = 1) zeta is ring-constant, so every phi
+derivative is an exact zero, and both drop the terms those zeros enter:
+f_p, the phi parts of the Hessian, g12, A12, B12 and grad_phi H.  The rest
+is the general algebra in its order and association; adding or subtracting
+an exact zero is exact, so every node keeps its bits.  g12 and A12 are
+zeros there.
 """
 
 from __future__ import annotations
@@ -67,7 +74,10 @@ class GraphSurface:
             raise GeometryError(
                 f"graph shape {self.zeta.shape} != grid shape {self.grid.shape}"
             )
-        if np.any(self.zeta <= 0.0) or not np.all(np.isfinite(self.zeta)):
+        # a NaN makes the minimum NaN, so the test fails on it too
+        lo = np.minimum.reduce(self.zeta, axis=None)
+        hi = np.maximum.reduce(self.zeta, axis=None)
+        if not (lo > 0.0 and hi < np.inf):
             raise GeometryError("graph area radii must be finite and positive")
 
 
@@ -150,14 +160,14 @@ def speed_geometry(profile: AmbientProfile, surface: GraphSurface) -> SpeedGeome
     grid = surface.grid
     lam = surface.zeta
     dlam, d2lam, R_amb, rc_rad, _ = profile.warp_at_area_radius(lam)
+    if grid.n_phi == 1:
+        return _meridian_speed_geometry(surface, dlam, d2lam, R_amb, rc_rad)
 
     z_t, z_tt = grid.theta_derivs(lam)
     z_p, z_pp = grid.phi_derivs(lam)
     z_tp = grid.dtheta(z_p)
 
-    st = grid.sin_theta[:, None]
-    ct = grid.cos_theta[:, None]
-    cot = grid.cot_theta[:, None]
+    st, ct, cot = grid.factors(lam.shape)
 
     # graph gradient and covariant Hessian on (S^2, sigma), by the chain rule
     inv_dlam = 1.0 / dlam
@@ -174,8 +184,7 @@ def speed_geometry(profile: AmbientProfile, surface: GraphSurface) -> SpeedGeome
     g12 = f_t * f_p
     g22 = (lam * st) ** 2 + f_p**2
     det_g = g11 * g22 - g12**2
-    if np.any(det_g <= 0.0):
-        raise GeometryError("induced metric degenerate (det g <= 0)")
+    _check_metric(det_g)
 
     c = 2.0 * dlam / lam
     A11 = (lam * dlam + c * f_t**2 - hess_tt) / v
@@ -183,10 +192,7 @@ def speed_geometry(profile: AmbientProfile, surface: GraphSurface) -> SpeedGeome
     A22 = (lam * dlam * st**2 + c * f_p**2 - hess_pp) / v
 
     H = (A11 * g22 + A22 * g11 - 2.0 * A12 * g12) / det_g
-    if np.any(H <= 0.0):
-        raise CurvatureError(
-            f"mean curvature nonpositive (min H = {float(np.min(H)):.6g})"
-        )
+    _check_mean_curvature(H)
     return SpeedGeometry(
         surface=surface,
         lam=lam, dlam=dlam, v=v,
@@ -194,6 +200,61 @@ def speed_geometry(profile: AmbientProfile, surface: GraphSurface) -> SpeedGeome
         A11=A11, A12=A12, A22=A22, H=H,
         grad_f_sigma2=grad_f_sigma2, R=R_amb, Rc_rr=rc_rad,
     )
+
+
+def _meridian_speed_geometry(surface, dlam, d2lam, R_amb, rc_rad) -> SpeedGeometry:
+    """``speed_geometry`` on the meridian.  zeta is ring-constant there, so
+    f_p = z_pp = z_tp = 0 and every term they enter is an exact zero: this
+    is the general algebra with those terms dropped and every other
+    operation in its order and association, so each node keeps its bits.
+    g12 and A12 are zeros."""
+    grid = surface.grid
+    lam = surface.zeta
+    z_t, z_tt = grid.theta_derivs(lam)
+    st, ct, _ = grid.factors(lam.shape)
+
+    inv_dlam = 1.0 / dlam
+    f_t = z_t * inv_dlam
+    hess_tt = (z_tt - d2lam * f_t * f_t) * inv_dlam
+    hess_pp = (st * ct * z_t) * inv_dlam
+
+    ft2 = f_t**2
+    lam2 = lam**2
+    v = np.sqrt(1.0 + ft2 / lam2)
+
+    g11 = lam2 + ft2
+    g22 = (lam * st) ** 2
+    det_g = g11 * g22
+    _check_metric(det_g)
+
+    c = 2.0 * dlam / lam
+    lam_dlam = lam * dlam
+    A11 = (lam_dlam + c * ft2 - hess_tt) / v
+    A22 = (lam_dlam * st**2 - hess_pp) / v
+
+    H = (A11 * g22 + A22 * g11) / det_g
+    _check_mean_curvature(H)
+    zeros = np.zeros(lam.shape)
+    return SpeedGeometry(
+        surface=surface,
+        lam=lam, dlam=dlam, v=v,
+        g11=g11, g12=zeros, g22=g22, det_g=det_g,
+        A11=A11, A12=zeros, A22=A22, H=H,
+        grad_f_sigma2=ft2, R=R_amb, Rc_rr=rc_rad,
+    )
+
+
+def _check_metric(det_g) -> None:
+    if (det_g <= 0.0).any():
+        raise GeometryError("induced metric degenerate (det g <= 0)")
+
+
+def _check_mean_curvature(H) -> None:
+    # elementwise, not by the minimum: a NaN minimum would hide a negative H
+    if (H <= 0.0).any():
+        raise CurvatureError(
+            f"mean curvature nonpositive (min H = {float(np.min(H)):.6g})"
+        )
 
 
 def geometry(profile: AmbientProfile, surface: GraphSurface) -> SurfaceGeometry:
@@ -205,14 +266,24 @@ def geometry(profile: AmbientProfile, surface: GraphSurface) -> SurfaceGeometry:
     # trace-free part keeps the umbilic pinch at round-off instead of
     # suffering the cancellation in H^2 - 4 det(A)/det(g)
     B11 = sp.A11 - 0.5 * H * g11
-    B12 = sp.A12 - 0.5 * H * g12
     B22 = sp.A22 - 0.5 * H * g22
-    pinch2 = np.maximum(-4.0 * (B11 * B22 - B12**2) / det_g, 0.0)
+    H_t = grid.dtheta(H)
+    if grid.n_phi == 1:
+        # on the meridian B12 = H_p = 0: their terms are dropped, as in
+        # speed_geometry, and the rest keeps its bits
+        pinch2 = np.maximum(-4.0 * (B11 * B22) / det_g, 0.0)
+        grad_H2 = (g22 * H_t**2) / det_g
+    else:
+        B12 = sp.A12 - 0.5 * H * g12
+        pinch2 = np.maximum(-4.0 * (B11 * B22 - B12**2) / det_g, 0.0)
+        H_p = grid.dphi(H)
+        grad_H2 = (g22 * H_t**2 - 2.0 * g12 * H_t * H_p + g11 * H_p**2) / det_g
     gap = np.sqrt(pinch2)
     lam1 = 0.5 * (H - gap)
     lam2 = 0.5 * (H + gap)
-    prod12 = 0.25 * (H**2 - pinch2)
-    absA2 = 0.5 * (H**2 + pinch2)
+    H2 = H**2
+    prod12 = 0.25 * (H2 - pinch2)
+    absA2 = 0.5 * (H2 + pinch2)
 
     # ambient curvatures tilted from the radial frame to the actual normal
     inv_v2 = 1.0 / sp.v**2
@@ -220,11 +291,7 @@ def geometry(profile: AmbientProfile, surface: GraphSurface) -> SurfaceGeometry:
     k12 = 0.5 * sp.R - rc_nn
     K = k12 + prod12
 
-    dmu = np.sqrt(det_g) / grid.sin_theta[:, None]
-
-    H_t = grid.dtheta(H)
-    H_p = grid.dphi(H)
-    grad_H2 = (g22 * H_t**2 - 2.0 * g12 * H_t * H_p + g11 * H_p**2) / det_g
+    dmu = np.sqrt(det_g) / grid.factors(det_g.shape)[0]
 
     geom = SurfaceGeometry(
         **vars(sp),
@@ -239,7 +306,7 @@ def integrate(geom: SurfaceGeometry, field):
     """Surface integral of a nodal field against the area measure: a float,
     or on a batch one per row (a sum over each row's last two axes, which is
     bit for bit the row's own sum)."""
-    total = np.sum(field * geom.dmu * geom.grid.weights, axis=(-2, -1))
+    total = np.add.reduce(field * geom.dmu * geom.grid.weights, axis=(-2, -1))
     return float(total) if total.ndim == 0 else total
 
 

@@ -10,6 +10,9 @@ the implementation it checks.
 The weak normal-Ricci pairing integrates the flow's weak identity for
 Rc(nu, nu) against a probe field over the snapshots of a recorded track.
 
+The general geometry is the surface geometry's algebra with every phi term
+in place, as the meridian's fast path that drops them was checked against.
+
 The round-row reference gives a round row's report columns in closed form
 from the ambient's mass aspect m(s) alone; next to it are the round flow's
 trajectory and mean curvature in a built profile, and that profile's m(s).
@@ -29,9 +32,10 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from imcf_lab.comparison import sample_indices
+from imcf_lab.errors import CurvatureError, GeometryError
 from imcf_lab.imcf import _on_grid, time_grid
 from imcf_lab.mass import SIXTEEN_PI
-from imcf_lab.surface import GraphSurface, integrate
+from imcf_lab.surface import GraphSurface, SurfaceGeometry, integrate
 
 
 def ambient_metric(profile, y):
@@ -154,6 +158,86 @@ def r_path_geometry(profile, grid, f):
         "absA2": 0.5 * (H**2 + pinch2), "pinch2": pinch2, "grad_H2": grad_H2,
         "area": float(np.sum(dmu * grid.weights)),
     }
+
+
+def general_geometry(profile, surface) -> SurfaceGeometry:
+    """``surface.geometry`` with every phi term computed, on any grid: on the
+    meridian the phi derivatives are the grid's zeros and enter the algebra.
+    The latitude factors broadcast from (n_theta, 1) columns and the area is
+    ``np.sum``'s.  This is the algebra the meridian's fast path replaced; it
+    is kept as the reference for it."""
+    grid = surface.grid
+    lam = surface.zeta
+    dlam, d2lam, R_amb, rc_rad, _ = profile.warp_at_area_radius(lam)
+
+    z_t, z_tt = grid.theta_derivs(lam)
+    z_p, z_pp = grid.phi_derivs(lam)
+    z_tp = grid.dtheta(z_p)
+
+    st = grid.sin_theta[:, None]
+    ct = grid.cos_theta[:, None]
+    cot = grid.cot_theta[:, None]
+
+    inv_dlam = 1.0 / dlam
+    f_t = z_t * inv_dlam
+    f_p = z_p * inv_dlam
+    hess_tt = (z_tt - d2lam * f_t * f_t) * inv_dlam
+    hess_tp = (z_tp - cot * z_p - d2lam * f_t * f_p) * inv_dlam
+    hess_pp = (z_pp + st * ct * z_t - d2lam * f_p * f_p) * inv_dlam
+
+    grad_f_sigma2 = f_t**2 + (f_p / st) ** 2
+    v = np.sqrt(1.0 + grad_f_sigma2 / lam**2)
+
+    g11 = lam**2 + f_t**2
+    g12 = f_t * f_p
+    g22 = (lam * st) ** 2 + f_p**2
+    det_g = g11 * g22 - g12**2
+    if np.any(det_g <= 0.0):
+        raise GeometryError("induced metric degenerate (det g <= 0)")
+
+    c = 2.0 * dlam / lam
+    A11 = (lam * dlam + c * f_t**2 - hess_tt) / v
+    A12 = (c * f_t * f_p - hess_tp) / v
+    A22 = (lam * dlam * st**2 + c * f_p**2 - hess_pp) / v
+
+    H = (A11 * g22 + A22 * g11 - 2.0 * A12 * g12) / det_g
+    if np.any(H <= 0.0):
+        raise CurvatureError(
+            f"mean curvature nonpositive (min H = {float(np.min(H)):.6g})"
+        )
+
+    B11 = A11 - 0.5 * H * g11
+    B12 = A12 - 0.5 * H * g12
+    B22 = A22 - 0.5 * H * g22
+    pinch2 = np.maximum(-4.0 * (B11 * B22 - B12**2) / det_g, 0.0)
+    gap = np.sqrt(pinch2)
+    lam1 = 0.5 * (H - gap)
+    lam2 = 0.5 * (H + gap)
+    prod12 = 0.25 * (H**2 - pinch2)
+    absA2 = 0.5 * (H**2 + pinch2)
+
+    inv_v2 = 1.0 / v**2
+    rc_nn = rc_rad * inv_v2 + (1.0 - inv_v2) * 0.5 * (R_amb - rc_rad)
+    k12 = 0.5 * R_amb - rc_nn
+    K = k12 + prod12
+
+    dmu = np.sqrt(det_g) / grid.sin_theta[:, None]
+
+    H_t = grid.dtheta(H)
+    H_p = grid.dphi(H)
+    grad_H2 = (g22 * H_t**2 - 2.0 * g12 * H_t * H_p + g11 * H_p**2) / det_g
+
+    area = np.sum(1.0 * dmu * grid.weights, axis=(-2, -1))
+    return SurfaceGeometry(
+        surface=surface,
+        lam=lam, dlam=dlam, v=v,
+        g11=g11, g12=g12, g22=g22, det_g=det_g,
+        A11=A11, A12=A12, A22=A22, H=H,
+        grad_f_sigma2=grad_f_sigma2, R=R_amb, Rc_rr=rc_rad,
+        dmu=dmu, pinch2=pinch2, lam1=lam1, lam2=lam2, prod12=prod12, absA2=absA2,
+        Rc_nn=rc_nn, K12=k12, K=K, grad_H2=grad_H2,
+        area=float(area) if area.ndim == 0 else area,
+    )
 
 
 def tabulated_by_inversion(r_nodes, lam_values, s):

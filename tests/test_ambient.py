@@ -40,6 +40,17 @@ def test_domain_error_below_floor(hyperbolic):
         hyperbolic.warp_curvature(1e3)
 
 
+def test_domain_error_on_a_nan_area_radius(hyperbolic, adss1):
+    for profile in (hyperbolic, adss1):
+        lo, hi = profile.s_domain
+        s = np.full((2, 16, 1), 0.5 * (lo + hi))
+        s[1, 3, 0] = np.nan
+        want = f"area radius nan outside profile domain [{lo:.6g}, {hi:.6g}]"
+        with pytest.raises(DomainError) as exc:
+            profile.warp_at_area_radius(s)
+        assert str(exc.value) == want
+
+
 @settings(max_examples=40, deadline=None)
 @given(r=st.floats(0.2, 10.0))
 def test_hyperbolic_curvature_constants(r):

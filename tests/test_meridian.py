@@ -1,6 +1,7 @@
 """Ring-constant data flows on the meridian grid get_grid(n_theta, 1): the
 premise (the full grid's phi operations are exact on such data, and its
-start geometry repeats one column), the grid itself, the fork in
+start geometry repeats one column), the grid itself, the meridian geometry
+without its phi terms against the general algebra it replaces, the fork in
 ``imcf.flow_grid``, the grid every observer call gets, and the meridian flow
 against the full-grid flow it replaces."""
 
@@ -14,9 +15,11 @@ import pytest
 from imcf_lab import imcf
 from imcf_lab.cli import main as cli_main
 from imcf_lab.comparison import c_alpha_distance_to_round
+from imcf_lab.errors import CurvatureError
 from imcf_lab.sphere_grid import SphereGrid, get_grid
-from imcf_lab.surface import GraphSurface, geometry, make_graph
+from imcf_lab.surface import GraphSurface, geometry, make_graph, speed_geometry
 
+from .oracles import general_geometry
 from .test_s_form import PROFILES
 
 N_PHI = (8, 16, 32, 64, 128)   # every n_phi a scenario allows
@@ -104,6 +107,61 @@ def test_meridian_phi_operations_are_zeros_or_the_identity():
     d1, d2 = mer.phi_derivs(f)
     assert not np.any(d1) and not np.any(d2) and not np.any(mer.dphi(f))
     assert d1.shape == d2.shape == (16, 1)
+
+
+# -- the meridian algebra ---------------------------------------------------------
+
+
+def _meridian_starts(kind, formula, amp, n_theta=16):
+    """The profile and the meridian start of a ``make_graph`` surface."""
+    profile, s0 = PROFILES[kind]()
+    grid = get_grid(n_theta, 1)
+    surf = make_graph(profile, grid, float(profile.radius_from_area_radius(s0)), formula, amp)
+    return profile, surf
+
+
+def _assert_general_bit_for_bit(profile, surf):
+    fast, ref = geometry(profile, surf), general_geometry(profile, surf)
+    for name in imcf._NODE_FIELDS:
+        assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
+    assert np.array_equal(fast.area, ref.area)
+    sp = speed_geometry(profile, surf)
+    for f in dataclasses.fields(sp):
+        if f.name != "surface":
+            assert np.array_equal(getattr(sp, f.name), getattr(ref, f.name)), f.name
+
+
+@pytest.mark.parametrize("amp", [0.0, 1e-9, 0.05])
+@pytest.mark.parametrize("formula", ["round", "ellipsoid"])
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+def test_the_meridian_geometry_is_the_general_algebra_bit_for_bit(kind, formula, amp):
+    """Dropping the exact-zero phi terms keeps every bit of every field,
+    the zeros g12 and A12 included, and of the area: on a lone row and on a
+    3-row batch of the same kind at three amplitudes."""
+    profile, surf = _meridian_starts(kind, formula, amp)
+    _assert_general_bit_for_bit(profile, surf)
+    rows = [_meridian_starts(kind, formula, a * amp) for a in (1.0, 0.5, 2.0)]
+    stack, batch = imcf.stack_rows([p for p, _ in rows], [s for _, s in rows])
+    _assert_general_bit_for_bit(stack, batch)
+
+
+@pytest.mark.parametrize("amp", [-0.6, 1.0])
+def test_a_meridian_breakdown_raises_the_full_grids_error(hyperbolic, amp):
+    """Round (P2) data this far from the sphere has H < 0 at t = 0: the
+    meridian's geometry and speed geometry raise the full grid's text, and
+    the flow says t = 0, started on either grid."""
+    rbar = float(np.arcsinh(1.0))
+    full = make_graph(hyperbolic, get_grid(16, 32), rbar, "round", amp)
+    mer = make_graph(hyperbolic, get_grid(16, 1), rbar, "round", amp)
+    texts = set()
+    for surf in (full, mer):
+        for compute in (geometry, speed_geometry, general_geometry):
+            with pytest.raises(CurvatureError, match=r"^mean curvature nonpositive") as exc:
+                compute(hyperbolic, surf)
+            texts.add(str(exc.value))
+        with pytest.raises(CurvatureError, match=r"^at t = 0: mean curvature nonpositive"):
+            imcf.run(hyperbolic, surf, T=0.04, dt=0.01)
+    assert len(texts) == 1
 
 
 # -- the fork ------------------------------------------------------------------------

@@ -97,3 +97,18 @@ def test_integrate_sigma_is_linear(a, b):
 
 def test_grid_cache_shares_instances():
     assert get_grid(16, 32) is get_grid(16, 32)
+
+
+def test_latitude_factors_are_read_only_and_cached_per_shape_on_the_meridian():
+    for g, shapes in ((get_grid(16, 1), [(16, 1), (3, 16, 1)]), (get_grid(16, 32), [(16, 32)])):
+        for shape in shapes:
+            st, ct, cot = g.factors(shape)
+            assert g.factors(shape)[0] is st
+            for got, want in ((st, g.sin_theta), (ct, g.cos_theta), (cot, g.cot_theta)):
+                # a full grid's factors are its (n_theta, 1) columns
+                assert got.shape == (shape if g.n_phi == 1 else (16, 1))
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, np.broadcast_to(want[:, None], got.shape))
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[..., 0, 0] = 0.0

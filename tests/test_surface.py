@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imcf_lab.ambient import HyperbolicProfile
-from imcf_lab.errors import CurvatureError, DomainError
+from imcf_lab.errors import CurvatureError, DomainError, GeometryError
 from imcf_lab.sphere_grid import get_grid
-from imcf_lab.surface import geometry, integrate, intrinsic_diameter, make_graph
+from imcf_lab.surface import GraphSurface, geometry, integrate, intrinsic_diameter, make_graph
 
 from .oracles import embedding_mean_curvature, euler_characteristic, grad_pairing, make_round
 
@@ -22,6 +22,15 @@ def test_round_sphere_area_adss(adss1, grid64):
     r = float(adss1.radius_from_area_radius(2.0))
     geom = geometry(adss1, make_round(adss1, r, grid64))
     assert abs(geom.area - 16 * np.pi) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(16, 1), (2, 16, 32)])
+def test_graph_rejects_area_radii_not_finite_and_positive(hyperbolic, shape, bad):
+    zeta = np.ones(shape)
+    zeta[..., 5, 0] = bad
+    with pytest.raises(GeometryError, match="finite and positive"):
+        GraphSurface(get_grid(*shape[-2:]), zeta, hyperbolic)
 
 
 def test_make_round_domain_error(hyperbolic, grid32):
