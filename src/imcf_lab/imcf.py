@@ -22,12 +22,12 @@ and node-wise formula acts on each row's slice, and every reduction
 substep guard) is taken per row over the last two axes, so each row's
 numbers are bit for bit those of its lone flow.  Each row keeps its own
 profile: a ``ProfileStack`` calls row i's s-form and r-map on slice i.  Each
-row's start is built alone by ``start_geometry`` and each row substeps at
-its own guard.  A breakdown of any row ends the batch's flow and is raised,
-so a caller that wants every row's own outcome flows the rows of a batch
-that raised alone (``harness.run_sequence`` does).  A lone row is the batch
-of one: ``run`` and ``record`` on an ``AmbientProfile`` return its own
-track.
+row's start is built alone by ``start_geometry``; each row substeps at its
+own guard, and one that reaches t + dt first holds its zeta meanwhile.  A
+breakdown of any row ends the batch's flow and is raised, so a caller that
+wants every row's own outcome flows the rows of a batch that raised alone
+(``harness.run_sequence`` does).  A lone row is the batch of one: ``run``
+and ``record`` on an ``AmbientProfile`` return its own track.
 
 Each substep makes one full ``geometry()`` call, at its end, where the next
 substep, the recorded series and the observers read it.  The midpoint feeds
@@ -206,6 +206,8 @@ class FlowTrack:
         return out
 
     def _require_snapshots(self) -> None:
+        if isinstance(self.profile, ProfileStack):
+            raise TrackError("this track holds a batch's rows; replay their own, from split()")
         if len(self.snap_zeta) != len(self.snap_indices):
             raise TrackError(
                 "this track stores no snapshots to replay; flow it with imcf.record, not imcf.run"
@@ -288,12 +290,12 @@ def flow_grid(grid: SphereGrid, zeta: np.ndarray) -> SphereGrid:
 
 
 def flow_batches(surfaces: Sequence[GraphSurface]) -> list[list[int]]:
-    """The rows that flow as one batch, as lists of indices into
-    ``surfaces`` (the rows' starts) in row order: rows whose starts share a
-    grid and ``flow_grid``'s pick for it."""
+    """Index lists into ``surfaces`` (the rows' starts), in row order, of the
+    rows that flow as one batch: starts that share a grid and ``flow_grid``'s
+    pick, made on them unfiltered, as filtering keeps each ring's mean."""
     batches = {}
     for i, s in enumerate(surfaces):
-        key = (s.grid, flow_grid(s.grid, s.grid.polar_filter(s.zeta)))
+        key = (s.grid, flow_grid(s.grid, s.zeta))
         batches.setdefault(key, []).append(i)
     return list(batches.values())
 
@@ -550,53 +552,50 @@ def _guards(grid: SphereGrid, geom: SurfaceGeometry) -> list[float]:
     return [scale * float(h**2 * lam**2) for h, lam in zip(h_min, lam_min)]
 
 
-def _substep(geom: SurfaceGeometry, tau0, htau, t0) -> SurfaceGeometry:
+def _substep(geom: SurfaceGeometry, tau0, htau, t0, hold=None) -> SurfaceGeometry:
     """One RK2 substep of a batch: row i from tau0[i] by htau[i] (per-row
     scalars as ``_column`` gives them); t0[i] is its time t, for the
-    message."""
+    message.  A row that ``hold`` marks keeps its zeta bit for bit, which
+    a zero step through ``polar_filter`` would not on the 2D grid."""
     grid, profile, zeta = geom.grid, geom.surface.profile, geom.surface.zeta
     k1 = _rhs(geom, tau0)
     z_mid = grid.polar_filter(zeta + 0.5 * htau * k1)
+    if hold is not None:
+        z_mid = np.where(hold, zeta, z_mid)
     # the midpoint feeds only the speed, so it skips geometry()'s diagnostics
     geom_mid = speed_geometry(profile, GraphSurface(grid, z_mid, profile))
     k2 = _rhs(geom_mid, tau0 + 0.5 * htau)
-    zeta = grid.polar_filter(zeta + htau * k2)
-    finite = np.logical_and.reduce(np.isfinite(zeta), axis=_NODE_AXES)
+    z_new = grid.polar_filter(zeta + htau * k2)
+    if hold is not None:
+        z_new = np.where(hold, zeta, z_new)
+    finite = np.logical_and.reduce(np.isfinite(z_new), axis=_NODE_AXES)
     if not finite.all():
         t = t0[int(np.argmin(finite))]
         raise CurvatureError(f"flow produced non-finite radii at t = {t:.6g}")
-    return geometry(profile, GraphSurface(grid, zeta, profile))
+    return geometry(profile, GraphSurface(grid, z_new, profile))
 
 
 def _advance(geom: SurfaceGeometry, t, dt) -> SurfaceGeometry:
-    """Substep every row of a batch from t to t + dt, each at its own guard;
-    returns the batch's geometry at t + dt."""
-    grid = geom.grid
+    """Substep every row of a batch from t to t + dt, each at its own guard
+    (a row that gets there first holds its zeta, charged no substeps and its
+    guard untested); returns the batch's geometry at t + dt."""
     t_end = t + dt
-    todo = list(range(len(geom.area)))   # the rows short of t_end, in order
-    t_cur = [t] * len(todo)
-    arrived = {}                         # row: its geometry at t_end, if it got there early
+    tol = 1e-12 * max(1.0, abs(t_end))
+    t_cur = [t] * len(geom.area)
+    moving = [True] * len(t_cur)   # the rows short of t_end
     n_sub = 0
-    while True:
+    while any(moving):
         n_sub += 1
-        guards = _guards(grid, geom)
-        h = [_substep_size(guard, n_sub, t_cur[p], t_end) for p, guard in zip(todo, guards)]
-        tau0 = [np.exp(0.5 * t_cur[p]) for p in todo]
-        htau = [np.exp(0.5 * (t_cur[p] + hp)) - tau for p, hp, tau in zip(todo, h, tau0)]
-        geom = _substep(geom, _column(tau0), _column(htau), [t_cur[p] for p in todo])
-        rest = []
-        for q, (p, hp) in enumerate(zip(todo, h)):
-            remaining = t_end - t_cur[p]
-            t_cur[p] += hp
-            if remaining - hp > 1e-12 * max(1.0, abs(t_end)):
-                rest.append(q)
-        if not rest and not arrived:
-            return geom
-        arrived.update({p: _row(geom, q) for q, p in enumerate(todo) if q not in rest})
-        if not rest:
-            return _stack([arrived[p] for p in sorted(arrived)])
-        todo = [todo[q] for q in rest]
-        geom = _stack([_row(geom, q) for q in rest])
+        guards = _guards(geom.grid, geom)
+        h = [_substep_size(g, n_sub, tc, t_end) if go else 0.0
+             for g, tc, go in zip(guards, t_cur, moving)]
+        tau0 = [np.exp(0.5 * tc) for tc in t_cur]
+        htau = [np.exp(0.5 * (tc + hp)) - tau for tc, hp, tau in zip(t_cur, h, tau0)]
+        hold = None if all(moving) else _column([not go for go in moving])
+        geom = _substep(geom, _column(tau0), _column(htau), t_cur, hold)
+        moving = [go and t_end - tc - hp > tol for go, tc, hp in zip(moving, t_cur, h)]
+        t_cur = [tc + hp for tc, hp in zip(t_cur, h)]
+    return geom
 
 
 def _substep_size(guard: float, n_sub: int, t, t_end) -> float:

@@ -9,7 +9,10 @@ whose rows take different numbers of substeps and on batches whose middle
 row breaks down mid-flow or fails a streamed check (the batch then runs each
 row alone), and count the ``geometry()`` calls a batch makes.
 The batched geometry and series are also checked, bit for bit, against the
-lone geometry and the plain per-row reductions they replace.
+lone geometry and the plain per-row reductions they replace.  A row that
+reaches t + dt first holds its zeta while the others substep on: a 2D pair
+with uneven substep counts is checked against its lone flows, bit for bit,
+and so are the hold itself and the substep budget of a batch.
 """
 
 import dataclasses
@@ -21,10 +24,12 @@ import numpy as np
 import pytest
 
 from imcf_lab import comparison, imcf
+from imcf_lab.ambient import HyperbolicProfile
 from imcf_lab.cli import main as cli_main
+from imcf_lab.errors import StabilityError
 from imcf_lab.harness import ReportTable, emit, run_row, run_sequence
 from imcf_lab.scenario import Scenario, scenario_from_dict
-from imcf_lab.sphere_grid import get_grid
+from imcf_lab.sphere_grid import SphereGrid, get_grid
 from imcf_lab.surface import SurfaceGeometry, geometry, make_graph, speed_geometry
 
 from .oracles import lone_series_entries
@@ -166,6 +171,111 @@ def test_the_uneven_pair_takes_different_substep_counts(monkeypatch):
         substeps.append(len(calls))
     n_steps = round(scn.T / scn.dt)
     assert substeps[0] == n_steps < substeps[1]
+
+
+def _bumpy_2d_pair():
+    """Hyperbolic bumpy rows of amplitude 0.02 at area radii 1.0 and 0.5 on
+    16x32: their profiles and starts."""
+    grid = get_grid(16, 32)
+    profiles = [HyperbolicProfile(), HyperbolicProfile()]
+    surfaces = [
+        make_graph(p, grid, float(np.arcsinh(s)), "bumpy", 0.02)
+        for p, s in zip(profiles, (1.0, 0.5))
+    ]
+    return profiles, surfaces
+
+
+def test_a_row_that_arrives_first_on_the_2d_grid_holds_its_zeta_bit_for_bit(monkeypatch):
+    """Two bumpy rows on 16x32 that alone take 2 and 4 substeps over two
+    steps (one per ``speed_geometry`` call): while the slow row substeps
+    on, the fast one holds its zeta.  Every series field, r0 and the
+    geometry each row's observer sees at every stored snapshot are the lone
+    flow's."""
+    profiles, surfaces = _bumpy_2d_pair()
+    assert imcf.flow_batches(surfaces) == [[0, 1]]
+    assert imcf.flow_grid(surfaces[0].grid, surfaces[0].zeta) is surfaces[0].grid
+
+    def observer(seen):
+        def observe(j, t, geom, P1, P2):
+            fields = dataclasses.fields(geom)
+            nodes = {f.name: np.array(getattr(geom, f.name)) for f in fields if f.name != "surface"}
+            seen[j] = {"t": t, "zeta": geom.surface.zeta.copy(), "P1": P1.copy(), "P2": P2.copy()}
+            seen[j].update(nodes)
+        return observe
+
+    calls = _count_speed_calls(monkeypatch)
+    lone_seen, lone_tracks, substeps = [{}, {}], [], []
+    for profile, surface, seen in zip(profiles, surfaces, lone_seen):
+        calls.clear()
+        lone_tracks.append(imcf.run(profile, surface, T=0.1, dt=0.05, observers=[observer(seen)]))
+        substeps.append(len(calls))
+    assert substeps == [2, 4]
+    batch_seen = [{}, {}]
+    stack, start = imcf.stack_rows(profiles, surfaces)
+    observers = [[observer(seen)] for seen in batch_seen]
+    batch = imcf.run(stack, start, T=0.1, dt=0.05, observers=observers)
+
+    for got, want, got_seen, want_seen in zip(batch.split(), lone_tracks, batch_seen, lone_seen):
+        assert got.r0 == want.r0
+        for name in imcf._SERIES_FIELDS:
+            assert np.array_equal(getattr(got.series, name), getattr(want.series, name)), name
+        assert sorted(got_seen) == sorted(want_seen) == list(range(len(want.snap_indices)))
+        for j, seen in want_seen.items():
+            for name, value in seen.items():
+                assert np.array_equal(got_seen[j][name], value), (j, name)
+
+
+def test_a_held_row_keeps_its_zeta_where_the_filter_would_move_it():
+    """``_substep``'s hold on the 2D grid, on a start that ``polar_filter``
+    moves by round-off: the held row keeps its zeta bit for bit, and the
+    moving row gets what it gets with no row held."""
+    profiles, surfaces = _bumpy_2d_pair()
+    grid, zeta = surfaces[1].grid, surfaces[1].zeta
+    assert not np.array_equal(grid.polar_filter(zeta), zeta)
+    geom = geometry(*imcf.stack_rows(profiles, surfaces))
+    tau0, htau = imcf._column([1.0, 1.0]), imcf._column([0.01, 0.0])
+    held = imcf._substep(geom, tau0, htau, [0.0, 0.0], hold=imcf._column([False, True]))
+    free = imcf._substep(geom, tau0, htau, [0.0, 0.0])
+    assert np.array_equal(held.surface.zeta[1], zeta)
+    assert np.array_equal(held.surface.zeta[0], free.surface.zeta[0])
+    assert not np.array_equal(free.surface.zeta[1], zeta)
+
+
+def test_a_batch_charges_the_substep_budget_to_the_rows_still_moving(monkeypatch):
+    """With a budget of one substep per step, the uneven pair's fast row
+    flows alone cleanly and the batch raises the slow row's lone message:
+    the fast row, waiting through the slow row's second substep, is charged
+    nothing and its guard is not tested."""
+    monkeypatch.setattr(imcf, "MAX_SUBSTEPS", 1)
+    scn = scenario_from_dict(UNEVEN_GUARDS)
+    fast, slow = scn.rows()
+    imcf.run(fast.profile, fast.surface0, T=scn.T, dt=scn.dt)
+    with pytest.raises(StabilityError) as lone:
+        imcf.run(slow.profile, slow.surface0, T=scn.T, dt=scn.dt)
+    stack, start = imcf.stack_rows([fast.profile, slow.profile], [fast.surface0, slow.surface0])
+    with pytest.raises(StabilityError) as batch:
+        imcf.run(stack, start, T=scn.T, dt=scn.dt)
+    assert str(batch.value) == str(lone.value)
+    assert str(lone.value) == (
+        "at t = 0.04: substep budget 1 exhausted (guard 0.0323 at t = 0.0308425)"
+    )
+
+
+def test_flow_batches_groups_the_starts_as_given(monkeypatch):
+    """A bumpy sweep whose last row has amplitude 0: the two bumpy rows
+    share the 2D grid and the ring-constant row flows on the meridian,
+    decided without filtering any start."""
+    scn = scenario_from_dict({**BUMPY_PAIR, "id": "bumpy-three", "epsilons": [0.1, 0.05, 0.0]})
+    surfaces = [row.surface0 for row in scn.rows()]
+    calls, real = [], SphereGrid.polar_filter
+
+    def counted(self, field):
+        calls.append(1)
+        return real(self, field)
+
+    monkeypatch.setattr(SphereGrid, "polar_filter", counted)
+    assert imcf.flow_batches(surfaces) == [[0, 1], [2]]
+    assert calls == []
 
 
 def _narrow_middle_domain(monkeypatch, s_max: float) -> None:

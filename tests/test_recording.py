@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from imcf_lab import imcf
+from imcf_lab.ambient import HyperbolicProfile
 from imcf_lab.comparison import distance_chain
 from imcf_lab.errors import TrackError
 from imcf_lab.harness import check_coordinate_compatibility, run_row, w12_normal_ricci
 from imcf_lab.mass import pinch_bounds_check
 from imcf_lab.scenario import scenario_from_dict
+from imcf_lab.sphere_grid import get_grid
+from imcf_lab.surface import make_graph
 
 from .oracles import ProbeField, weak_ricci_pairing
 from .test_streaming import BASE, DOCS, _scenario
@@ -113,3 +116,23 @@ def test_run_track_stores_no_snapshots_and_cannot_be_replayed(p2_row):
     for name, call in checks.items():
         with pytest.raises(TrackError, match="imcf.record, not imcf.run"):
             call()
+
+
+@pytest.mark.parametrize("T", [0.02, 0.01], ids=["3-snapshots", "2-snapshots"])
+def test_an_unsplit_batch_track_cannot_be_replayed(T):
+    """A batch's track from ``record`` holds its rows on a leading axis: a
+    replay must name ``split()``, also when the batch has as many rows as
+    stored snapshots (T = 0.01: 2 and 2)."""
+    grid = get_grid(8, 8)
+    profiles = [HyperbolicProfile(), HyperbolicProfile()]
+    surfaces = [make_graph(p, grid, float(np.arcsinh(s))) for p, s in zip(profiles, (1.0, 0.5))]
+    track = imcf.record(*imcf.stack_rows(profiles, surfaces), T=T, dt=0.01)
+    acc = imcf.SnapshotRecorder(len(track.snap_indices), grid.shape)
+    calls = [lambda: track.replay(acc)] + [
+        lambda j=j: track.snapshot_geometry(j) for j in range(len(track.snap_indices))
+    ]
+    for call in calls:
+        with pytest.raises(TrackError, match=r"split\(\)"):
+            call()
+    for lone in track.split():
+        lone.snapshot_geometry(1)
