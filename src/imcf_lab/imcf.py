@@ -552,7 +552,7 @@ def _guards(grid: SphereGrid, geom: SurfaceGeometry) -> list[float]:
     return [scale * float(h**2 * lam**2) for h, lam in zip(h_min, lam_min)]
 
 
-def _substep(geom: SurfaceGeometry, tau0, htau, t0, hold=None) -> SurfaceGeometry:
+def _substep(geom: SurfaceGeometry, tau0, htau, t0, hold=False) -> SurfaceGeometry:
     """One RK2 substep of a batch: row i from tau0[i] by htau[i] (per-row
     scalars as ``_column`` gives them); t0[i] is its time t, for the
     message.  A row that ``hold`` marks keeps its zeta bit for bit, which
@@ -560,14 +560,10 @@ def _substep(geom: SurfaceGeometry, tau0, htau, t0, hold=None) -> SurfaceGeometr
     grid, profile, zeta = geom.grid, geom.surface.profile, geom.surface.zeta
     k1 = _rhs(geom, tau0)
     z_mid = grid.polar_filter(zeta + 0.5 * htau * k1)
-    if hold is not None:
-        z_mid = np.where(hold, zeta, z_mid)
     # the midpoint feeds only the speed, so it skips geometry()'s diagnostics
     geom_mid = speed_geometry(profile, GraphSurface(grid, z_mid, profile))
     k2 = _rhs(geom_mid, tau0 + 0.5 * htau)
-    z_new = grid.polar_filter(zeta + htau * k2)
-    if hold is not None:
-        z_new = np.where(hold, zeta, z_new)
+    z_new = np.where(hold, zeta, grid.polar_filter(zeta + htau * k2))
     finite = np.logical_and.reduce(np.isfinite(z_new), axis=_NODE_AXES)
     if not finite.all():
         t = t0[int(np.argmin(finite))]
@@ -591,7 +587,7 @@ def _advance(geom: SurfaceGeometry, t, dt) -> SurfaceGeometry:
              for g, tc, go in zip(guards, t_cur, moving)]
         tau0 = [np.exp(0.5 * tc) for tc in t_cur]
         htau = [np.exp(0.5 * (tc + hp)) - tau for tc, hp, tau in zip(t_cur, h, tau0)]
-        hold = None if all(moving) else _column([not go for go in moving])
+        hold = _column([not go for go in moving])
         geom = _substep(geom, _column(tau0), _column(htau), t_cur, hold)
         moving = [go and t_end - tc - hp > tol for go, tc, hp in zip(moving, t_cur, h)]
         t_cur = [tc + hp for tc, hp in zip(t_cur, h)]
