@@ -50,4 +50,6 @@ class WindowError(ImcfLabError):
 
 
 class TrackError(ImcfLabError):
-    """Flow track stores no snapshots (it came from ``run``, not ``record``)."""
+    """Flow track cannot be replayed: it stores no snapshots (it came from
+    ``run``, not ``record``), or it holds a batch's rows (replay the rows'
+    own tracks, from ``split``)."""

@@ -2,11 +2,11 @@
 
 ``run_sequence`` executes each scenario row (one flow per epsilon) and
 assembles a deterministic report table.  The rows that share a flow grid
-flow as one batch (``imcf.run`` on their stacked starts), and each row is
-one pass over its flow: the compatibility, pinching, metric-distance chain,
-Holder, Gauss and diameter checks are accumulators the flow feeds at each
-stored snapshot, and the mass/roundness diagnostics come from the flow's
-per-step series.
+flow as one batch (one ``imcf.run`` call on their profiles and starts),
+and each row is one pass over its flow: the compatibility, pinching,
+metric-distance chain, Holder, Gauss and diameter checks are accumulators
+the flow feeds at each stored snapshot, and the mass/roundness diagnostics
+come from the flow's per-step series.
 Each t-sample's report record reads every column at one stored snapshot,
 the nearest.  ``emit`` writes CSV (fixed column order, 12 significant
 digits), schema-versioned JSON and a gnuplot script for the CSV.  A failing
@@ -343,7 +343,7 @@ class _RowChecks:
         a, b = scn.compat_window
         grid = row.surface0.grid
         self.compat = CompatAccumulator(snap_times, scn.T, a, b, grid, diameters=diameters)
-        self.pinch = mass.PinchAccumulator(snap_times, grid)
+        self.pinch = mass.PinchAccumulator(snap_times)
         self.chain = comparison.ChainAccumulator(snap_times, m=scn.m or 0.0)
         self.samples = SampleAccumulator(snap_of, grid, diameters)
         accumulators = (self.compat, self.pinch, self.chain, self.samples)
@@ -357,10 +357,8 @@ def _flow_batch(scn: Scenario, rows: list) -> list:
     flow breakdown of any row."""
     reports = [validate_profile(row.profile) for row in rows]
     checks = [_RowChecks(scn, row) for row in rows]
-    profile, surface0 = imcf.stack_rows(
-        [row.profile for row in rows], [row.surface0 for row in rows]
-    )
-    track = run(profile, surface0, T=scn.T, dt=scn.dt, observers=[c.observers for c in checks])
+    profiles, starts = [row.profile for row in rows], [row.surface0 for row in rows]
+    track = run(profiles, starts, T=scn.T, dt=scn.dt, observers=[c.observers for c in checks])
     return list(zip(reports, checks, track.split()))
 
 

@@ -20,14 +20,15 @@ n_phi), and one ``geometry()`` call serves every row.  Every grid operation
 and node-wise formula acts on each row's slice, and every reduction
 (``surface.integrate``, the area, ``_record``'s sums, minima and maxima, the
 substep guard) is taken per row over the last two axes, so each row's
-numbers are bit for bit those of its lone flow.  Each row keeps its own
-profile: a ``ProfileStack`` calls row i's s-form and r-map on slice i.  Each
-row's start is built alone by ``start_geometry``; each row substeps at its
-own guard, and one that reaches t + dt first holds its zeta meanwhile.  A
-breakdown of any row ends the batch's flow and is raised, so a caller that
-wants every row's own outcome flows the rows of a batch that raised alone
-(``harness.run_sequence`` does).  A lone row is the batch of one: ``run``
-and ``record`` on an ``AmbientProfile`` return its own track.
+numbers are bit for bit those of its lone flow.  A row's profile is passed
+to ``run`` once: the batch's ``ProfileStack``, built there, calls row i's
+s-form and r-map on slice i.  Each row's start is built alone by
+``start_geometry``; each row substeps at its own guard, and one that reaches
+t + dt first holds its zeta meanwhile.  A breakdown of any row ends the
+batch's flow and is raised, so a caller that wants every row's own outcome
+flows the rows of a batch that raised alone (``harness.run_sequence``
+does).  A lone row is the batch of one: ``run`` and ``record`` on an
+``AmbientProfile`` return its own track.
 
 Each substep makes one full ``geometry()`` call, at its end, where the next
 substep, the recorded series and the observers read it.  The midpoint feeds
@@ -194,7 +195,10 @@ class FlowTrack:
         return len(self.times) - 1
 
     def split(self) -> list:
-        """A batch track's rows' own tracks, in row order."""
+        """A batch track's rows' own tracks, in row order; a lone row's
+        track is its own only row."""
+        if not isinstance(self.profile, ProfileStack):
+            return [self]
         out = []
         for i, profile in enumerate(self.profile.profiles):
             series = {name: getattr(self.series, name)[i] for name in _SERIES_FIELDS}
@@ -222,7 +226,7 @@ class FlowTrack:
         if j == 0:
             return start_geometry(self.profile, self.grid, zeta)
         flow = flow_grid(self.grid, zeta)
-        return geometry(self.profile, GraphSurface(flow, zeta[:, :flow.n_phi], self.profile))
+        return geometry(self.profile, GraphSurface(flow, zeta[:, :flow.n_phi]))
 
     def replay(self, acc: SnapshotAccumulator) -> None:
         """Feed an accumulator the stored snapshots it reads, in order.
@@ -300,20 +304,11 @@ def flow_batches(surfaces: Sequence[GraphSurface]) -> list[list[int]]:
     return list(batches.values())
 
 
-def stack_rows(
-    profiles: Sequence[AmbientProfile], surfaces: Sequence[GraphSurface]
-) -> tuple[ProfileStack, GraphSurface]:
-    """The profile stack and the stacked start of rows that flow as one
-    batch, in the order given, for ``run`` and ``record``."""
-    stack = ProfileStack(profiles)
-    return stack, GraphSurface(surfaces[0].grid, np.stack([s.zeta for s in surfaces]), stack)
-
-
 def start_geometry(profile: AmbientProfile, grid: SphereGrid, zeta: np.ndarray) -> SurfaceGeometry:
     """The geometry of a flow's start zeta: computed on ``grid``, then
     restricted to ``flow_grid``'s pick (every node field's first column when
     zeta is ring-constant, whose full-grid geometry is ring-constant too)."""
-    geom = geometry(profile, GraphSurface(grid, zeta, profile))
+    geom = geometry(profile, GraphSurface(grid, zeta))
     flow = flow_grid(grid, zeta)
     return geom if flow is grid else _on_grid(geom, flow)
 
@@ -348,8 +343,8 @@ def time_grid(T: float, dt: float, snap_every: int | None = None):
 
 
 def run(
-    profile: AmbientProfile | ProfileStack,
-    surface0: GraphSurface,
+    profile: AmbientProfile | Sequence[AmbientProfile],
+    surface0: GraphSurface | Sequence[GraphSurface],
     T: float,
     dt: float,
     snap_every: int | None = None,
@@ -358,34 +353,39 @@ def run(
     """Flow from t = 0 to T on the uniform grid t_k = k dt.
 
     A lone row takes its profile, its start and a list of observers and
-    returns its own track.  A batch takes ``stack_rows``' profile stack and
-    stacked start, and one list of observers per row, and returns one track
-    for all its rows (see ``FlowTrack``).  Every observer is called at each
-    stored snapshot with its row's geometry as the flow computed it (see
-    ``Observer``).  A breakdown of any row, or an observer's exception, ends
-    the whole flow and is raised; a breakdown's message is the one the row
-    gets alone when it is the batch's first.  The track keeps the series but
-    no per-node snapshots; ``record`` keeps those too.
+    returns its own track.  A batch takes its rows' profiles and their
+    starts as two lists of one length, in ``flow_batches``' order, and one
+    list of observers per row, and returns one track for all its rows (see
+    ``FlowTrack``).  Every observer is called at each stored snapshot with
+    its row's geometry as the flow computed it (see ``Observer``).  A
+    breakdown of any row, or an observer's exception, ends the whole flow
+    and is raised; a breakdown's message is the one the row gets alone when
+    it is the batch's first.  Lists of unequal length, or rows that do not
+    share a grid and a flow grid, raise ``ValueError``.  The track keeps the
+    series but no per-node snapshots; ``record`` keeps those too.
     """
-    if not isinstance(profile, ProfileStack):
+    if isinstance(profile, AmbientProfile):
         return _lone(run, profile, surface0, T, dt, snap_every, observers)
     times, snap_indices = time_grid(T, dt, snap_every)
     N = len(times) - 1
-    grid = surface0.grid
-    observers = list(observers) or [()] * len(profile.profiles)
+    stack = ProfileStack(profile)
+    grid = surface0[0].grid
+    observers = list(observers) or [()] * len(surface0)
 
-    block = np.empty((len(_SERIES_FIELDS), len(profile.profiles), N + 1))
+    block = np.empty((len(_SERIES_FIELDS), len(surface0), N + 1))
     series = FlowSeries(times=times, **dict(zip(_SERIES_FIELDS, block)))
     snap_pos = {int(k): j for j, k in enumerate(snap_indices)}
 
     starts = []
     with _at_time(0.0):
-        for p, zeta in zip(profile.profiles, surface0.zeta):
+        for p, s in zip(profile, surface0, strict=True):
             # a copy, so that the scenario-grid geometry a meridian start is
             # cut from is freed here, not held through the flow
-            starts.append(_row(_stack([start_geometry(p, grid, grid.polar_filter(zeta))]), 0))
-    if len({start.grid for start in starts}) > 1:
-        raise ValueError("a batch's rows must share a flow grid; imcf.flow_batches groups them")
+            starts.append(_row(_stack([start_geometry(p, s.grid, s.grid.polar_filter(s.zeta))]), 0))
+    if len({(s.grid, start.grid) for s, start in zip(surface0, starts)}) > 1:
+        raise ValueError(
+            "a batch's rows must share a grid and a flow grid; imcf.flow_batches groups them"
+        )
     r0 = np.array([area_radius(start) for start in starts])
     geom = _stack(starts)
     del starts
@@ -408,14 +408,14 @@ def run(
 
         if k < N:
             with _at_time(t_k + dt):
-                geom = _advance(geom, t_k, dt)
+                geom = _advance(stack, geom, t_k, dt)
 
     # one inversion per row of the per-step extremes of zeta, since r is monotone in s
-    r = profile.radius_from_area_radius(np.stack([series.r_min, series.r_max], axis=1))
+    r = stack.radius_from_area_radius(np.stack([series.r_min, series.r_max], axis=1))
     series.r_min, series.r_max = r[:, 0], r[:, 1]
-    no_snapshots = np.empty((len(profile.profiles), 0, *grid.shape))
+    no_snapshots = np.empty((len(surface0), 0, *grid.shape))
     return FlowTrack(
-        profile=profile,
+        profile=stack,
         grid=grid,
         dt=dt,
         T=float(T),
@@ -448,8 +448,8 @@ class SnapshotRecorder(SnapshotAccumulator):
 
 
 def record(
-    profile: AmbientProfile | ProfileStack,
-    surface0: GraphSurface,
+    profile: AmbientProfile | Sequence[AmbientProfile],
+    surface0: GraphSurface | Sequence[GraphSurface],
     T: float,
     dt: float,
     snap_every: int | None = None,
@@ -459,10 +459,10 @@ def record(
     returned track stores every snapshot's zeta, P1 and P2, so it can be
     replayed.  A row's recorder sees each snapshot before its ``observers``
     do."""
-    if not isinstance(profile, ProfileStack):
+    if isinstance(profile, AmbientProfile):
         return _lone(record, profile, surface0, T, dt, snap_every, observers)
     n_snap = len(time_grid(T, dt, snap_every)[1])
-    recs = [SnapshotRecorder(n_snap, surface0.grid.shape) for _ in profile.profiles]
+    recs = [SnapshotRecorder(n_snap, s.grid.shape) for s in surface0]
     observers = list(observers) or [()] * len(recs)
     track = run(
         profile, surface0, T, dt, snap_every=snap_every,
@@ -478,8 +478,7 @@ def record(
 def _lone(flow, profile, surface0, T, dt, snap_every, observers) -> FlowTrack:
     """``flow`` (``run`` or ``record``) of a lone row, as the batch of one:
     the row's own track."""
-    stack, start = stack_rows([profile], [surface0])
-    (track,) = flow(stack, start, T, dt, snap_every, [observers]).split()
+    (track,) = flow([profile], [surface0], T, dt, snap_every, [observers]).split()
     return track
 
 
@@ -505,15 +504,14 @@ def _on_grid(geom: SurfaceGeometry, grid: SphereGrid) -> SurfaceGeometry:
         return np.broadcast_to(a[:, :1], grid.shape)
 
     nodes = {name: view(getattr(geom, name)) for name in _NODE_FIELDS}
-    surface = GraphSurface(grid, view(geom.surface.zeta), geom.surface.profile)
+    surface = GraphSurface(grid, view(geom.surface.zeta))
     return SurfaceGeometry(surface=surface, area=geom.area, **nodes)
 
 
 def _stack(geoms: list) -> SurfaceGeometry:
     """Lone rows' geometries stacked, as copies, into one batch, in order."""
     nodes = {name: np.stack([getattr(g, name) for g in geoms]) for name in _NODE_FIELDS}
-    profile = ProfileStack(g.surface.profile for g in geoms)
-    surface = GraphSurface(geoms[0].grid, np.stack([g.surface.zeta for g in geoms]), profile)
+    surface = GraphSurface(geoms[0].grid, np.stack([g.surface.zeta for g in geoms]))
     return SurfaceGeometry(surface=surface, area=np.array([g.area for g in geoms]), **nodes)
 
 
@@ -521,7 +519,7 @@ def _row(geom: SurfaceGeometry, p: int) -> SurfaceGeometry:
     """Row p of a batch geometry as its lone row's geometry, by views."""
     batch = vars(geom)
     nodes = {name: batch[name][p] for name in _NODE_FIELDS}
-    surface = GraphSurface(geom.grid, geom.surface.zeta[p], geom.surface.profile.profiles[p])
+    surface = GraphSurface(geom.grid, geom.surface.zeta[p])
     return SurfaceGeometry(surface=surface, area=float(geom.area[p]), **nodes)
 
 
@@ -552,29 +550,31 @@ def _guards(grid: SphereGrid, geom: SurfaceGeometry) -> list[float]:
     return [scale * float(h**2 * lam**2) for h, lam in zip(h_min, lam_min)]
 
 
-def _substep(geom: SurfaceGeometry, tau0, htau, t0, hold=False) -> SurfaceGeometry:
-    """One RK2 substep of a batch: row i from tau0[i] by htau[i] (per-row
-    scalars as ``_column`` gives them); t0[i] is its time t, for the
-    message.  A row that ``hold`` marks keeps its zeta bit for bit, which
-    a zero step through ``polar_filter`` would not on the 2D grid."""
-    grid, profile, zeta = geom.grid, geom.surface.profile, geom.surface.zeta
+def _substep(stack, geom: SurfaceGeometry, tau0, htau, t0, hold=False) -> SurfaceGeometry:
+    """One RK2 substep of a batch, its rows' profiles ``stack``: row i from
+    tau0[i] by htau[i] (per-row scalars as ``_column`` gives them); t0[i] is
+    its time t, for the message.  A row that ``hold`` marks keeps its zeta
+    bit for bit, which a zero step through ``polar_filter`` would not on the
+    2D grid."""
+    grid, zeta = geom.grid, geom.surface.zeta
     k1 = _rhs(geom, tau0)
     z_mid = grid.polar_filter(zeta + 0.5 * htau * k1)
     # the midpoint feeds only the speed, so it skips geometry()'s diagnostics
-    geom_mid = speed_geometry(profile, GraphSurface(grid, z_mid, profile))
+    geom_mid = speed_geometry(stack, GraphSurface(grid, z_mid))
     k2 = _rhs(geom_mid, tau0 + 0.5 * htau)
     z_new = np.where(hold, zeta, grid.polar_filter(zeta + htau * k2))
     finite = np.logical_and.reduce(np.isfinite(z_new), axis=_NODE_AXES)
     if not finite.all():
         t = t0[int(np.argmin(finite))]
         raise CurvatureError(f"flow produced non-finite radii at t = {t:.6g}")
-    return geometry(profile, GraphSurface(grid, z_new, profile))
+    return geometry(stack, GraphSurface(grid, z_new))
 
 
-def _advance(geom: SurfaceGeometry, t, dt) -> SurfaceGeometry:
-    """Substep every row of a batch from t to t + dt, each at its own guard
-    (a row that gets there first holds its zeta, charged no substeps and its
-    guard untested); returns the batch's geometry at t + dt."""
+def _advance(stack, geom: SurfaceGeometry, t, dt) -> SurfaceGeometry:
+    """Substep every row of a batch, its rows' profiles ``stack``, from t to
+    t + dt, each at its own guard (a row that gets there first holds its
+    zeta, charged no substeps and its guard untested); returns its geometry
+    then."""
     t_end = t + dt
     tol = 1e-12 * max(1.0, abs(t_end))
     t_cur = [t] * len(geom.area)
@@ -588,7 +588,7 @@ def _advance(geom: SurfaceGeometry, t, dt) -> SurfaceGeometry:
         tau0 = [np.exp(0.5 * tc) for tc in t_cur]
         htau = [np.exp(0.5 * (tc + hp)) - tau for tc, hp, tau in zip(t_cur, h, tau0)]
         hold = _column([not go for go in moving])
-        geom = _substep(geom, _column(tau0), _column(htau), t_cur, hold)
+        geom = _substep(stack, geom, _column(tau0), _column(htau), t_cur, hold)
         moving = [go and t_end - tc - hp > tol for go, tc, hp in zip(moving, t_cur, h)]
         t_cur = [tc + hp for tc, hp in zip(t_cur, h)]
     return geom

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import FitError
 from .imcf import FlowSeries, FlowTrack, SnapshotAccumulator
-from .sphere_grid import SphereGrid
 
 SIXTEEN_PI = 16.0 * np.pi
 # pinch bounds: a node fails when its normalized eigenvalue is below -PINCH_TOL
@@ -53,12 +52,13 @@ class GerochResiduals:
 
 @dataclass
 class PinchReport:
-    """Violation counts for the metric pinching bounds, over all nodes and
-    stored times."""
+    """Violation counts for the metric pinching bounds, over the (node, time)
+    pairs of the flow grid's nodes and the stored times: a meridian flow
+    counts each node of its column once, not once per node of its ring."""
 
     times: np.ndarray
-    n_lower: int           # (node, time) pairs failing g(t) >= exp(int 2 lambda_1/H) g(0)
-    n_upper: int           # (node, time) pairs failing g(t) <= exp(int 2 lambda_2/H) g(0)
+    n_lower: int           # pairs failing g(t) >= exp(int 2 lambda_1/H) g(0)
+    n_upper: int           # pairs failing g(t) <= exp(int 2 lambda_2/H) g(0)
     worst_lower: float     # most negative normalized eigenvalue seen (lower bound)
     worst_upper: float
 
@@ -101,17 +101,12 @@ def geroch_identity_residual(track: FlowTrack) -> GerochResiduals:
 
 class PinchAccumulator(SnapshotAccumulator):
     """Streaming form of ``pinch_bounds_check``; reads every stored snapshot
-    and keeps only counts and extremes, no per-node history.
+    and keeps only counts and extremes, no per-node history.  The counts are
+    of the nodes of the grid each snapshot arrives on, the flow's."""
 
-    The counts are of the (node, time) pairs of ``grid``, the scenario's: a
-    snapshot on its meridian column counts each node for the n_phi nodes of
-    its latitude ring.
-    """
-
-    def __init__(self, snap_times: np.ndarray, grid: SphereGrid):
+    def __init__(self, snap_times: np.ndarray):
         super().__init__(np.arange(len(snap_times)))
         self.times = snap_times
-        self.n_phi = grid.n_phi
         self.n_lower = self.n_upper = 0
         self.worst_low = self.worst_up = 0.0
 
@@ -119,7 +114,6 @@ class PinchAccumulator(SnapshotAccumulator):
         if j == 0:
             self._g0 = (geom.g11, geom.g12, geom.g22)
         g0_11, g0_12, g0_22 = self._g0
-        ring = self.n_phi // geom.g11.shape[1]
         e1 = np.exp(P1)
         e2 = np.exp(P2)
         scale = geom.g11 + geom.g22
@@ -132,8 +126,8 @@ class PinchAccumulator(SnapshotAccumulator):
         low = min_eig(geom.g11 - e1 * g0_11, geom.g12 - e1 * g0_12, geom.g22 - e1 * g0_22)
         up = min_eig(e2 * g0_11 - geom.g11, e2 * g0_12 - geom.g12, e2 * g0_22 - geom.g22)
         # ~(x >= tol), not x < tol: a NaN margin counts as a violation
-        self.n_lower += ring * int(np.count_nonzero(~(low >= -PINCH_TOL * scale)))
-        self.n_upper += ring * int(np.count_nonzero(~(up >= -PINCH_TOL * scale)))
+        self.n_lower += int(np.count_nonzero(~(low >= -PINCH_TOL * scale)))
+        self.n_upper += int(np.count_nonzero(~(up >= -PINCH_TOL * scale)))
         # np.minimum, not min: min(0.0, nan) is 0.0, and a NaN margin must show
         self.worst_low = float(np.minimum(self.worst_low, np.min(low / scale)))
         self.worst_up = float(np.minimum(self.worst_up, np.min(up / scale)))
@@ -160,7 +154,7 @@ def pinch_bounds_check(track: FlowTrack) -> PinchReport:
     metric scale with tolerance ``PINCH_TOL``.  Replays a track from
     ``imcf.record`` through ``PinchAccumulator``.
     """
-    acc = PinchAccumulator(track.snap_times, track.grid)
+    acc = PinchAccumulator(track.snap_times)
     track.replay(acc)
     return acc.result()
 

@@ -60,13 +60,14 @@ from .sphere_grid import SphereGrid
 class GraphSurface:
     """Radial graph over a sphere grid; zeta holds the area radius per node.
 
-    A batch of k rows stacks their zeta on a leading row axis, shape
-    (k, n_theta, n_phi), with an ``imcf.ProfileStack`` as its profile.
+    The ambient profile is not part of it: ``geometry`` and
+    ``speed_geometry`` take the profile as their own argument.  A batch of
+    k rows stacks their zeta on a leading row axis, shape (k, n_theta,
+    n_phi), and its geometry takes an ``imcf.ProfileStack``.
     """
 
     grid: SphereGrid
     zeta: np.ndarray
-    profile: AmbientProfile
 
     def __post_init__(self):
         self.zeta = np.asarray(self.zeta, dtype=float)
@@ -152,7 +153,7 @@ def make_graph(
         raise ValueError(f"unknown graph formula {formula!r}")
     if np.min(f) <= 0.0:
         raise DomainError(f"surface amplitude {amplitude:g} gives the {formula} graph a radius <= 0")
-    return GraphSurface(grid, profile.area_radius_from_radius(f), profile)
+    return GraphSurface(grid, profile.area_radius_from_radius(f))
 
 
 def speed_geometry(profile: AmbientProfile, surface: GraphSurface) -> SpeedGeometry:

@@ -18,10 +18,11 @@ from the ambient's mass aspect m(s) alone; next to it are the round flow's
 trajectory and mean curvature in a built profile, and that profile's m(s).
 
 The last group holds the textbook definitions the flow's recorded series are
-checked against: the coordinate sphere, the Hawking mass, the Gauss-Bonnet
-Euler characteristic and the model round flow's mean curvature; and a lone
-row's series entries as the flow recorded them before rows were batched, one
-sum, minimum or maximum per field over the row's own nodes.
+checked against: the coordinate sphere (and rows stacked as a batch for
+``geometry()``), the Hawking mass, the Gauss-Bonnet Euler characteristic and
+the model round flow's mean curvature; and a lone row's series entries as
+the flow recorded them before rows were batched, one sum, minimum or
+maximum per field over the row's own nodes.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from scipy.interpolate import CubicSpline
 
 from imcf_lab.comparison import sample_indices
 from imcf_lab.errors import CurvatureError, GeometryError
-from imcf_lab.imcf import _on_grid, time_grid
+from imcf_lab.imcf import ProfileStack, _on_grid, time_grid
 from imcf_lab.mass import SIXTEEN_PI
 from imcf_lab.surface import GraphSurface, SurfaceGeometry, integrate
 
@@ -440,7 +441,14 @@ def mass_function(profile, s):
 def make_round(profile, rbar: float, grid) -> GraphSurface:
     """Coordinate sphere f == rbar."""
     f = np.full(grid.shape, float(rbar))
-    return GraphSurface(grid, profile.area_radius_from_radius(f), profile)
+    return GraphSurface(grid, profile.area_radius_from_radius(f))
+
+
+def stacked(profiles, surfaces) -> tuple[ProfileStack, GraphSurface]:
+    """Rows' profiles and surfaces as one batch for ``geometry()``: their
+    profile stack and their zeta stacked on a leading row axis."""
+    zeta = np.stack([s.zeta for s in surfaces])
+    return ProfileStack(profiles), GraphSurface(surfaces[0].grid, zeta)
 
 
 def hawking_mass(geom) -> float:

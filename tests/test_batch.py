@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from imcf_lab import comparison, imcf
+from imcf_lab import comparison, harness, imcf
 from imcf_lab.ambient import HyperbolicProfile
 from imcf_lab.cli import main as cli_main
 from imcf_lab.errors import StabilityError
@@ -32,7 +32,7 @@ from imcf_lab.scenario import Scenario, scenario_from_dict
 from imcf_lab.sphere_grid import SphereGrid, get_grid
 from imcf_lab.surface import SurfaceGeometry, geometry, make_graph, speed_geometry
 
-from .oracles import lone_series_entries
+from .oracles import lone_series_entries, stacked
 from .test_s_form import PROFILES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,7 +72,7 @@ def test_a_batched_geometry_is_each_rows_lone_geometry_bit_for_bit(shape):
         rbar = float(profile.radius_from_area_radius(s0))
         profiles.append(profile)
         surfaces.append(make_graph(profile, grid, rbar, formula, 0.02 * (n + 1)))
-    stack, batch = imcf.stack_rows(profiles, surfaces)
+    stack, batch = stacked(profiles, surfaces)
     full, fast = geometry(stack, batch), speed_geometry(stack, batch)
     for i, (profile, surface) in enumerate(zip(profiles, surfaces)):
         lone = geometry(profile, surface)
@@ -98,9 +98,9 @@ def test_a_batchs_series_are_the_lone_rows_sums_bit_for_bit():
             seen[i][int(snap_indices[j])] = lone_series_entries(geom)
         return observe
 
-    profile, surface0 = imcf.stack_rows([r.profile for r in rows], [r.surface0 for r in rows])
+    profiles, starts = [r.profile for r in rows], [r.surface0 for r in rows]
     observers = [[observer(i)] for i in range(len(rows))]
-    track = imcf.run(profile, surface0, T=scn.T, dt=scn.dt, observers=observers)
+    track = imcf.run(profiles, starts, T=scn.T, dt=scn.dt, observers=observers)
     for row, entries, lone in zip(rows, seen, track.split()):
         assert len(entries) == len(snap_indices)
         for step, want in entries.items():
@@ -173,25 +173,29 @@ def test_the_uneven_pair_takes_different_substep_counts(monkeypatch):
     assert substeps[0] == n_steps < substeps[1]
 
 
-def _bumpy_2d_pair():
-    """Hyperbolic bumpy rows of amplitude 0.02 at area radii 1.0 and 0.5 on
+def _bumpy_2d_pair(amplitude: float):
+    """Hyperbolic bumpy rows of ``amplitude`` at area radii 1.0 and 0.5 on
     16x32: their profiles and starts."""
     grid = get_grid(16, 32)
     profiles = [HyperbolicProfile(), HyperbolicProfile()]
     surfaces = [
-        make_graph(p, grid, float(np.arcsinh(s)), "bumpy", 0.02)
+        make_graph(p, grid, float(np.arcsinh(s)), "bumpy", amplitude)
         for p, s in zip(profiles, (1.0, 0.5))
     ]
     return profiles, surfaces
 
 
-def test_a_row_that_arrives_first_on_the_2d_grid_holds_its_zeta_bit_for_bit(monkeypatch):
-    """Two bumpy rows on 16x32 that alone take 2 and 4 substeps over two
-    steps (one per ``speed_geometry`` call): while the slow row substeps
-    on, the fast one holds its zeta.  Every series field, r0 and the
-    geometry each row's observer sees at every stored snapshot are the lone
-    flow's."""
-    profiles, surfaces = _bumpy_2d_pair()
+@pytest.mark.parametrize("amplitude, substeps", [(0.02, [2, 4]), (0.1, [4, 6])])
+def test_a_row_that_arrives_first_on_the_2d_grid_holds_its_zeta_bit_for_bit(
+    monkeypatch, amplitude, substeps
+):
+    """Two bumpy rows on 16x32 that alone take different numbers of
+    substeps over two steps (one per ``speed_geometry`` call): while the
+    slow row substeps on, the fast one holds its zeta.  Every series field,
+    r0 and the geometry each row's observer sees at every stored snapshot
+    are the lone flow's.  At amplitude 0.1 the held zeta is not a fixed
+    point of ``polar_filter``, so the case fails if the hold is lost."""
+    profiles, surfaces = _bumpy_2d_pair(amplitude)
     assert imcf.flow_batches(surfaces) == [[0, 1]]
     assert imcf.flow_grid(surfaces[0].grid, surfaces[0].zeta) is surfaces[0].grid
 
@@ -204,16 +208,15 @@ def test_a_row_that_arrives_first_on_the_2d_grid_holds_its_zeta_bit_for_bit(monk
         return observe
 
     calls = _count_speed_calls(monkeypatch)
-    lone_seen, lone_tracks, substeps = [{}, {}], [], []
+    lone_seen, lone_tracks, lone_substeps = [{}, {}], [], []
     for profile, surface, seen in zip(profiles, surfaces, lone_seen):
         calls.clear()
         lone_tracks.append(imcf.run(profile, surface, T=0.1, dt=0.05, observers=[observer(seen)]))
-        substeps.append(len(calls))
-    assert substeps == [2, 4]
+        lone_substeps.append(len(calls))
+    assert lone_substeps == substeps
     batch_seen = [{}, {}]
-    stack, start = imcf.stack_rows(profiles, surfaces)
     observers = [[observer(seen)] for seen in batch_seen]
-    batch = imcf.run(stack, start, T=0.1, dt=0.05, observers=observers)
+    batch = imcf.run(profiles, surfaces, T=0.1, dt=0.05, observers=observers)
 
     for got, want, got_seen, want_seen in zip(batch.split(), lone_tracks, batch_seen, lone_seen):
         assert got.r0 == want.r0
@@ -229,13 +232,14 @@ def test_a_held_row_keeps_its_zeta_where_the_filter_would_move_it():
     """``_substep``'s hold on the 2D grid, on a start that ``polar_filter``
     moves by round-off: the held row keeps its zeta bit for bit, and the
     moving row gets what it gets with no row held."""
-    profiles, surfaces = _bumpy_2d_pair()
+    profiles, surfaces = _bumpy_2d_pair(0.02)
     grid, zeta = surfaces[1].grid, surfaces[1].zeta
     assert not np.array_equal(grid.polar_filter(zeta), zeta)
-    geom = geometry(*imcf.stack_rows(profiles, surfaces))
+    stack, batch = stacked(profiles, surfaces)
+    geom = geometry(stack, batch)
     tau0, htau = imcf._column([1.0, 1.0]), imcf._column([0.01, 0.0])
-    held = imcf._substep(geom, tau0, htau, [0.0, 0.0], hold=imcf._column([False, True]))
-    free = imcf._substep(geom, tau0, htau, [0.0, 0.0])
+    held = imcf._substep(stack, geom, tau0, htau, [0.0, 0.0], hold=imcf._column([False, True]))
+    free = imcf._substep(stack, geom, tau0, htau, [0.0, 0.0])
     assert np.array_equal(held.surface.zeta[1], zeta)
     assert np.array_equal(held.surface.zeta[0], free.surface.zeta[0])
     assert not np.array_equal(free.surface.zeta[1], zeta)
@@ -252,9 +256,8 @@ def test_a_batch_charges_the_substep_budget_to_the_rows_still_moving(monkeypatch
     imcf.run(fast.profile, fast.surface0, T=scn.T, dt=scn.dt)
     with pytest.raises(StabilityError) as lone:
         imcf.run(slow.profile, slow.surface0, T=scn.T, dt=scn.dt)
-    stack, start = imcf.stack_rows([fast.profile, slow.profile], [fast.surface0, slow.surface0])
     with pytest.raises(StabilityError) as batch:
-        imcf.run(stack, start, T=scn.T, dt=scn.dt)
+        imcf.run([fast.profile, slow.profile], [fast.surface0, slow.surface0], T=scn.T, dt=scn.dt)
     assert str(batch.value) == str(lone.value)
     assert str(lone.value) == (
         "at t = 0.04: substep budget 1 exhausted (guard 0.0323 at t = 0.0308425)"
@@ -276,6 +279,39 @@ def test_flow_batches_groups_the_starts_as_given(monkeypatch):
     monkeypatch.setattr(SphereGrid, "polar_filter", counted)
     assert imcf.flow_batches(surfaces) == [[0, 1], [2]]
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "n_phi, formulas",
+    [((32, 64), ("round", "round")), ((32, 32), ("bumpy", "round"))],
+    ids=["grids", "flow-grids"],
+)
+@pytest.mark.parametrize("flow", [imcf.run, imcf.record], ids=["run", "record"])
+def test_a_batch_whose_rows_do_not_share_their_grids_raises(flow, n_phi, formulas):
+    """Round rows on 16x32 and 16x64, which both flow on the 16x1 meridian,
+    and a bumpy and a round row on 16x32, which flow on different grids:
+    ``flow_batches`` puts them in different batches, and a batch of both
+    is refused instead of flowed on its first row's grid."""
+    profiles = [HyperbolicProfile(), HyperbolicProfile()]
+    surfaces = [
+        make_graph(p, get_grid(16, n), float(np.arcsinh(1.0)), formula, 0.02)
+        for p, n, formula in zip(profiles, n_phi, formulas)
+    ]
+    assert imcf.flow_batches(surfaces) == [[0], [1]]
+    with pytest.raises(ValueError, match=(
+        r"^a batch's rows must share a grid and a flow grid; imcf.flow_batches groups them$"
+    )):
+        flow(profiles, surfaces, T=0.02, dt=0.01)
+
+
+@pytest.mark.parametrize("flow", [imcf.run, imcf.record], ids=["run", "record"])
+def test_a_batch_takes_one_start_per_profile(flow):
+    """Two profiles and one start are refused, not flowed as one row with a
+    track that names two."""
+    profile = HyperbolicProfile()
+    surface = make_graph(profile, get_grid(8, 8), float(np.arcsinh(1.0)))
+    with pytest.raises(ValueError, match="shorter"):
+        flow([profile, profile], [surface], T=0.02, dt=0.01)
 
 
 def _narrow_middle_domain(monkeypatch, s_max: float) -> None:
@@ -331,19 +367,26 @@ def test_a_row_whose_check_raises_fails_alone_and_the_others_go_on(monkeypatch, 
     snapshot: the row reports that error, as it does alone, and every other
     cell is its lone row's."""
     middle, real_rows = [], Scenario.rows
+    real_init = harness._RowChecks.__init__
     real_take = comparison.ChainAccumulator.take
 
     def rows(self):
         built = real_rows(self)
-        middle.append(built[len(built) // 2].profile)
+        middle.append(built[len(built) // 2])
         return built
 
+    def init(self, scn, row):
+        # tag the middle row's chain, which sees only its row's geometry
+        real_init(self, scn, row)
+        self.chain.middle = row is middle[-1]
+
     def take(self, i, j, t, geom, P1, P2):
-        if j == 10 and geom.surface.profile is middle[-1]:
+        if j == 10 and self.middle:
             raise CheckBroke(f"chain broke at snapshot {j}")
         real_take(self, i, j, t, geom, P1, P2)
 
     monkeypatch.setattr(Scenario, "rows", rows)
+    monkeypatch.setattr(harness._RowChecks, "__init__", init)
     monkeypatch.setattr(comparison.ChainAccumulator, "take", take)
     scn = scenario_from_dict(THREE_ROWS)
     batched, alone, got, want = _batched_and_alone(scn, tmp_path)

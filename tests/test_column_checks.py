@@ -1,7 +1,9 @@
 """The streamed checks read a meridian flow on its own grid: every snapshot,
 the start included, is the (n_theta, 1) column.  They are tested here against
 the same checks fed each snapshot lifted to the scenario's grid, as the flow
-handed them over before the checks read the column."""
+handed them over before the checks read the column.  The pinching counts are
+of the (node, time) pairs of the grid a check is fed, so a column's are
+1/n_phi of its lift's."""
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ def _checks(snap_times, m, grid):
     snap_of = {t: int(np.argmin(np.abs(snap_times - t))) for t in np.linspace(0.0, T, 5)}
     return {
         "compat": CompatAccumulator(snap_times, T, T / 2, T, grid, diameters=diameters),
-        "pinch": PinchAccumulator(snap_times, grid),
+        "pinch": PinchAccumulator(snap_times),
         "chain": ChainAccumulator(snap_times, m=m),
         "samples": SampleAccumulator(snap_of, grid, diameters),
     }
@@ -86,8 +88,9 @@ def test_column_fed_checks_match_the_lift_fed_checks(kind, formula, nt, nph):
     got, ref = _results(column, track.series), _results(lift, track.series)
     assert got["c_alpha"] == ref["c_alpha"]
     assert got["diam"] == ref["diam"]
-    # the counts are of (node, time) pairs of the scenario's grid
-    assert got["counts"] == ref["counts"]
+    # the counts are of (node, time) pairs of the grid each check is fed:
+    # a column node stands for the n_phi nodes of its ring
+    assert tuple(nph * n for n in got["counts"]) == ref["counts"]
     assert set(CHAIN_KEYS) <= set(got["close"])
     for key, a in got["close"].items():
         b = ref["close"][key]
@@ -95,20 +98,23 @@ def test_column_fed_checks_match_the_lift_fed_checks(kind, formula, nt, nph):
         assert gap <= max(REL * max(abs(a), abs(b)), FLOORS.get(key, 0.0)), (key, a, b)
 
 
-def test_pinch_counts_are_of_the_scenarios_nodes(hyperbolic):
-    """An anisotropic row with violations counts the same (node, time) pairs
-    fed the column, fed the lift and replayed from its recorded track."""
+def test_pinch_counts_are_of_the_flow_grids_nodes(hyperbolic):
+    """An anisotropic row with violations counts the (node, time) pairs of
+    its meridian flow: fed the column and replayed from its recorded track
+    alike, and 1/n_phi of the pairs counted fed the lift to the scenario's
+    grid."""
     grid = get_grid(16, 32)
     surf0 = make_graph(hyperbolic, grid, float(np.arcsinh(1.0)), "ellipsoid", 0.05)
     times, snap = imcf.time_grid(0.1, DT)
-    column, lift = PinchAccumulator(times[snap], grid), PinchAccumulator(times[snap], grid)
+    column, lift = PinchAccumulator(times[snap]), PinchAccumulator(times[snap])
     track = imcf.record(
         hyperbolic, surf0, T=0.1, dt=DT, observers=[column.observe, _lifted(lift.observe, grid)]
     )
     got, ref, replayed = column.result(), lift.result(), pinch_bounds_check(track)
     assert got.n_lower > 0 and got.n_upper > 0
+    assert (got.n_lower, got.n_upper) == (replayed.n_lower, replayed.n_upper)
+    assert (grid.n_phi * got.n_lower, grid.n_phi * got.n_upper) == (ref.n_lower, ref.n_upper)
     for rep in (ref, replayed):
-        assert (got.n_lower, got.n_upper) == (rep.n_lower, rep.n_upper)
         assert got.worst_lower == pytest.approx(rep.worst_lower, rel=REL)
         assert got.worst_upper == pytest.approx(rep.worst_upper, rel=REL)
 

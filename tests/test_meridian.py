@@ -19,7 +19,7 @@ from imcf_lab.errors import CurvatureError
 from imcf_lab.sphere_grid import SphereGrid, get_grid
 from imcf_lab.surface import GraphSurface, geometry, make_graph, speed_geometry
 
-from .oracles import general_geometry
+from .oracles import general_geometry, stacked
 from .test_s_form import PROFILES
 
 N_PHI = (8, 16, 32, 64, 128)   # every n_phi a scenario allows
@@ -63,7 +63,7 @@ def test_the_start_geometry_of_ring_constant_data_is_ring_constant_bit_for_bit(
     grid = get_grid(nt, nph)
     surf0 = make_graph(profile, grid, float(profile.radius_from_area_radius(s0)), formula, amp)
     zeta = grid.polar_filter(surf0.zeta)
-    full = geometry(profile, GraphSurface(grid, zeta, profile))
+    full = geometry(profile, GraphSurface(grid, zeta))
     for name in imcf._NODE_FIELDS:
         a = getattr(full, name)
         assert np.array_equal(a, np.broadcast_to(a[:, :1], grid.shape)), name
@@ -141,7 +141,7 @@ def test_the_meridian_geometry_is_the_general_algebra_bit_for_bit(kind, formula,
     profile, surf = _meridian_starts(kind, formula, amp)
     _assert_general_bit_for_bit(profile, surf)
     rows = [_meridian_starts(kind, formula, a * amp) for a in (1.0, 0.5, 2.0)]
-    stack, batch = imcf.stack_rows([p for p, _ in rows], [s for _, s in rows])
+    stack, batch = stacked([p for p, _ in rows], [s for _, s in rows])
     _assert_general_bit_for_bit(stack, batch)
 
 

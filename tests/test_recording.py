@@ -126,7 +126,7 @@ def test_an_unsplit_batch_track_cannot_be_replayed(T):
     grid = get_grid(8, 8)
     profiles = [HyperbolicProfile(), HyperbolicProfile()]
     surfaces = [make_graph(p, grid, float(np.arcsinh(s))) for p, s in zip(profiles, (1.0, 0.5))]
-    track = imcf.record(*imcf.stack_rows(profiles, surfaces), T=T, dt=0.01)
+    track = imcf.record(profiles, surfaces, T=T, dt=0.01)
     acc = imcf.SnapshotRecorder(len(track.snap_indices), grid.shape)
     calls = [lambda: track.replay(acc)] + [
         lambda j=j: track.snapshot_geometry(j) for j in range(len(track.snap_indices))
@@ -136,3 +136,12 @@ def test_an_unsplit_batch_track_cannot_be_replayed(T):
             call()
     for lone in track.split():
         lone.snapshot_geometry(1)
+
+
+@pytest.mark.parametrize("flow", [imcf.run, imcf.record], ids=["run", "record"])
+def test_a_lone_rows_track_splits_into_itself(flow):
+    grid = get_grid(8, 8)
+    profile = HyperbolicProfile()
+    track = flow(profile, make_graph(profile, grid, float(np.arcsinh(1.0))), T=0.02, dt=0.01)
+    parts = track.split()
+    assert len(parts) == 1 and parts[0] is track

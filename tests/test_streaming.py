@@ -157,7 +157,7 @@ def test_streamed_pinch_report_matches_replay():
     scn = _scenario("p2-mass-aspect")
     row = scn.rows()[0]
     times, snap = imcf.time_grid(scn.T, scn.dt)
-    acc = PinchAccumulator(times[snap], row.surface0.grid)
+    acc = PinchAccumulator(times[snap])
     track = imcf.record(row.profile, row.surface0, T=scn.T, dt=scn.dt, observers=[acc.observe])
     streamed, replayed = acc.result(), pinch_bounds_check(track)
     assert (streamed.n_lower, streamed.n_upper) == (replayed.n_lower, replayed.n_upper)
@@ -174,7 +174,7 @@ def test_a_nan_pinch_margin_is_a_violation():
     bad = g11.copy()
     bad[1, 2] = np.nan
     zero = np.zeros(shape)
-    acc = PinchAccumulator(np.array([0.0, 0.1]), get_grid(*shape))
+    acc = PinchAccumulator(np.array([0.0, 0.1]))
     acc.observe(0, 0.0, SimpleNamespace(g11=g11, g12=g12, g22=g22), zero, zero)
     acc.observe(1, 0.1, SimpleNamespace(g11=bad, g12=g12, g22=g22), zero, zero)
     rep = acc.result()

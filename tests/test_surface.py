@@ -30,7 +30,7 @@ def test_graph_rejects_area_radii_not_finite_and_positive(hyperbolic, shape, bad
     zeta = np.ones(shape)
     zeta[..., 5, 0] = bad
     with pytest.raises(GeometryError, match="finite and positive"):
-        GraphSurface(get_grid(*shape[-2:]), zeta, hyperbolic)
+        GraphSurface(get_grid(*shape[-2:]), zeta)
 
 
 def test_make_round_domain_error(hyperbolic, grid32):
