@@ -4,7 +4,8 @@
     imcf-lab verify <scenario-file>
 
 ``run`` always writes all three reports to the output directory: <id>.csv,
-<id>.json and the gnuplot script <id>.gp.
+<id>.json and the gnuplot script <id>.gp.  It replaces a report of the same
+name, and says so: ``overwrote <path>`` in place of ``wrote <path>``.
 
 Exit codes: 0 success, 1 scenario error (one line: the file does not parse,
 breaks the schema, or its profiles or initial surfaces cannot be built),
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .ambient import validate_profile
 from .errors import DomainError, ImcfLabError, ParseError, ProfileError, ValidationError
-from .harness import emit, run_sequence
+from .harness import emit, report_paths, run_sequence
 from .scenario import load_scenario
 
 
@@ -54,10 +55,11 @@ def _cmd_run(args) -> int:
             status = "ok" if rr.ok else f"FAILED ({rr.error})"
             print(f"  row {rr.label}: {status}")
 
+    existed = {path for path in report_paths(scn.id, args.out) if path.exists()}
     written = emit(report, out_dir=args.out)
     if not args.quiet:
         for path in written:
-            print(f"  wrote {path}")
+            print(f"  {'overwrote' if path in existed else 'wrote'} {path}")
     return 2 if report.any_failed else 0
 
 

@@ -27,7 +27,7 @@ from .ambient import validate_profile
 from .errors import FitError, WindowError
 from .imcf import FlowSeries, FlowTrack, SnapshotAccumulator, area_radius, run, time_grid
 from .scenario import Scenario, ScenarioRow
-from .surface import SurfaceGeometry, intrinsic_diameter
+from .surface import intrinsic_diameter
 from .sphere_grid import SphereGrid
 
 CSV_COLUMNS = (
@@ -199,12 +199,6 @@ class W12Accumulator(SnapshotAccumulator):
         return float(np.sqrt(np.trapezoid(self.density, self.t)))
 
 
-def _diameter(geom: SurfaceGeometry, grid: SphereGrid) -> float:
-    """``intrinsic_diameter`` on the scenario's ``grid``, to which a meridian
-    column is lifted first: the shortest paths need the 2D lattice."""
-    return intrinsic_diameter(geom if geom.grid is grid else imcf._on_grid(geom, grid))
-
-
 def w12_normal_ricci(track: FlowTrack, a: float, b: float) -> float:
     """W^{1,2} norm of Rc(nu,nu) over Sigma x [a,b], flat product measure.
 
@@ -221,10 +215,11 @@ class CompatAccumulator(SnapshotAccumulator):
     """Snapshot part of ``check_coordinate_compatibility`` over window [a, b].
 
     Reads Sigma_0 (K12 floor), every stored time in the window (W^{1,2}
-    Ricci norm) and N_DIAM of them (intrinsic diameter, on ``grid``, the
-    scenario's); ``result`` adds the series-based ratios and gradient bound
-    once the flow has ended.  Two accumulators given one ``diameters`` dict
-    compute a snapshot's diameter once.
+    Ricci norm) and N_DIAM of them (intrinsic diameter, on the lattice of
+    ``grid``, the scenario's: a column is measured as is, and the grid
+    gives only the lattice's width); ``result`` adds the series-based
+    ratios and gradient bound once the flow has ended.  Two accumulators
+    given one ``diameters`` dict compute a snapshot's diameter once.
     """
 
     def __init__(
@@ -255,7 +250,7 @@ class CompatAccumulator(SnapshotAccumulator):
             self.k12_min0 = float(np.min(geom.K12))
         self.w12.observe(j, t, geom, P1, P2)
         if j in self.picks and j not in self._diam:
-            self._diam[j] = _diameter(geom, self.grid)
+            self._diam[j] = intrinsic_diameter(geom, self.grid)
 
     def result(self, series) -> CompatReport:
         a, b = self.window
@@ -304,7 +299,8 @@ def check_coordinate_compatibility(track: FlowTrack, a: float, b: float) -> Comp
 class SampleAccumulator(SnapshotAccumulator):
     """Holder distance of Sigma_0 to round, and the Gauss deviation and
     intrinsic diameter at each t-sample's snapshot (``snap_of``: t -> j;
-    ``grid`` and ``diameters`` as for ``CompatAccumulator``)."""
+    ``grid``, the lattice's width, and ``diameters`` as for
+    ``CompatAccumulator``)."""
 
     def __init__(self, snap_of: dict, grid: SphereGrid, diameters: dict):
         self._snap_of = snap_of
@@ -319,7 +315,7 @@ class SampleAccumulator(SnapshotAccumulator):
         if j in self._snap_of.values():
             self._gauss[j] = comparison.gauss_deviation(geom, self.r0, t)
             if j not in self._diam:
-                self._diam[j] = _diameter(geom, self.grid)
+                self._diam[j] = intrinsic_diameter(geom, self.grid)
 
     def result(self) -> tuple[float, dict, dict]:
         """(c_alpha, gauss deviation by t-sample, diameter by t-sample)."""
@@ -484,6 +480,12 @@ def table_rows(report: ReportTable) -> list[dict]:
     return out
 
 
+def report_paths(report_id: str, out_dir) -> list[Path]:
+    """The paths ``emit`` writes for ``report_id`` into ``out_dir``: the CSV,
+    the JSON and the gnuplot script."""
+    return [Path(out_dir) / f"{report_id}.{ext}" for ext in ("csv", "json", "gp")]
+
+
 def emit(report: ReportTable, out_dir="out") -> list[Path]:
     """Write ``<id>.csv``, ``<id>.json`` and the gnuplot script ``<id>.gp``;
     returns their paths."""
@@ -491,7 +493,7 @@ def emit(report: ReportTable, out_dir="out") -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     base = report.scenario.id
     recs = table_rows(report)
-    csv_path, json_path, plot_path = (out_dir / f"{base}.{ext}" for ext in ("csv", "json", "gp"))
+    csv_path, json_path, plot_path = report_paths(base, out_dir)
 
     lines = [",".join(CSV_COLUMNS)]
     for rec in recs:

@@ -59,8 +59,9 @@ meridian ``get_grid(n_theta, 1)`` when the start's zeta is ring-constant
 ``start_geometry`` builds the start on the scenario's grid, so every t = 0
 number keeps its bits, and restricts it to the flow's grid.  Every snapshot,
 the start included, reaches the observers on the flow's grid, with P1 and P2
-on it too; only the intrinsic diameter lifts a column back to the scenario's
-grid, as zero-copy broadcast views (``_on_grid``).
+on it too.  The intrinsic diameter reads a column as it is: its lattice is
+the scenario grid's phi -> -phi half, built from the column
+(``surface.intrinsic_diameter``).
 
 Stability: each recorded step of size dt is internally split into substeps
 obeying the parabolic guard dt <= CFL * h_theta^2 * min(H)^2 * min(lambda)^2
@@ -497,8 +498,8 @@ _NODE_FIELDS = tuple(f.name for f in fields(SurfaceGeometry) if f.name not in ("
 def _on_grid(geom: SurfaceGeometry, grid: SphereGrid) -> SurfaceGeometry:
     """A ring-constant geometry on ``grid``, its meridian or a full grid:
     every node field's first column as a zero-copy broadcast view of
-    ``grid.shape``.  The area is geom's.  ``start_geometry`` restricts the
-    start to the meridian with it, and the diameter lifts a column back."""
+    ``grid.shape``.  The area is geom's.  Its one caller in the package,
+    ``start_geometry``, restricts the start to the meridian with it."""
 
     def view(a):
         return np.broadcast_to(a[:, :1], grid.shape)

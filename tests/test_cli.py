@@ -62,6 +62,25 @@ def test_run_writes_outputs(tmp_path):
     assert (out / "cli-fast.gp").exists()
 
 
+def test_a_second_run_into_one_out_dir_says_it_overwrote_each_report(tmp_path, capsys):
+    """A report already at its path is replaced, and ``run`` says so; with
+    ``--quiet`` it prints nothing either way."""
+    p = _write(tmp_path, FAST_DOC)
+    out = tmp_path / "out"
+    paths = [out / f"cli-fast.{ext}" for ext in ("csv", "json", "gp")]
+    assert main(["run", str(p), "--out", str(out)]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert first[-3:] == [f"  wrote {path}" for path in paths]
+    csv = paths[0].read_text(encoding="utf-8")
+    assert main(["run", str(p), "--out", str(out)]) == 0
+    second = capsys.readouterr().out.splitlines()
+    assert second[-3:] == [f"  overwrote {path}" for path in paths]
+    assert second[:-3] == first[:-3]
+    assert paths[0].read_text(encoding="utf-8") == csv
+    assert main(["run", str(p), "--out", str(out), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_grid_and_dt_are_not_run_options(tmp_path, capsys):
     """The grid and the time step are set only in the scenario file."""
     p = _write(tmp_path, FAST_DOC)

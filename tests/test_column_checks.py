@@ -8,7 +8,7 @@ of the (node, time) pairs of the grid a check is fed, so a column's are
 import numpy as np
 import pytest
 
-from imcf_lab import imcf
+from imcf_lab import harness, imcf, surface
 from imcf_lab.comparison import CHAIN_KEYS, ChainAccumulator
 from imcf_lab.errors import GeometryError
 from imcf_lab.harness import CompatAccumulator, SampleAccumulator, run_row
@@ -119,34 +119,45 @@ def test_pinch_counts_are_of_the_flow_grids_nodes(hyperbolic):
         assert got.worst_upper == pytest.approx(rep.worst_upper, rel=REL)
 
 
-def test_a_meridian_row_lifts_only_its_diameter_snapshots(monkeypatch):
-    """Besides the start's restriction to the meridian, ``run_row`` lifts a
-    column to the scenario's grid once per distinct diameter snapshot, the
-    start included: the t-samples {0, T/4, T/2, 3T/4, T} and the compat
-    picks over [T/2, T] make 7 distinct snapshots."""
+def test_a_meridian_row_lifts_nothing_and_computes_7_diameters(monkeypatch):
+    """Besides the start's restriction to the meridian, ``run_row`` calls
+    ``_on_grid`` not at all, and builds no full-grid lattice: it measures
+    each distinct diameter snapshot's column, the start included, on the
+    half lattice of the scenario's grid.  The t-samples {0, T/4, T/2, 3T/4,
+    T} and the compat picks over [T/2, T] make 7 distinct snapshots."""
     doc = {"id": "lifts", "mode": "PMT", "profile": {"kind": "hyperbolic"},
            "surface": {"type": "ellipsoid", "area_radius": 1.0, "amplitude": 0.05},
            "T": 0.25, "dt": 2.5e-3, "grid": {"n_theta": 16, "n_phi": 32}}
     scn = scenario_from_dict(doc)
     row = scn.rows()[0]
-    grid, real = row.surface0.grid, imcf._on_grid
-    targets = []
+    grid, real_on_grid, real_diameter = row.surface0.grid, imcf._on_grid, harness.intrinsic_diameter
+    targets, measured = [], []
 
     def on_grid(geom, target):
         targets.append(target.n_phi)
-        return real(geom, target)
+        return real_on_grid(geom, target)
+
+    def diameter(geom, lattice):
+        measured.append((geom.grid.shape, lattice))
+        return real_diameter(geom, lattice)
+
+    def full_lattice(geom):
+        raise AssertionError("a meridian row built the full lattice")
 
     monkeypatch.setattr(imcf, "_on_grid", on_grid)
+    monkeypatch.setattr(harness, "intrinsic_diameter", diameter)
+    monkeypatch.setattr(surface, "_lattice", full_lattice)
     result = run_row(scn, row)
     assert result.ok, result.error
     steps = set(result.sample_steps.values())
     steps |= {round(t / scn.dt) for t in result.compat_report.diam_times}
     assert len(steps) == 7 and 0 in steps
-    assert targets == [1] + [grid.n_phi] * len(steps)
+    assert targets == [1]
+    assert measured == [((grid.n_theta, 1), grid)] * len(steps)
 
 
 def test_the_diameter_refuses_a_meridian_column(hyperbolic):
     mer = get_grid(16, 1)
     surf = make_graph(hyperbolic, mer, float(np.arcsinh(1.0)), "ellipsoid", 0.05)
     with pytest.raises(GeometryError, match="2D grid"):
-        intrinsic_diameter(geometry(hyperbolic, surf))
+        intrinsic_diameter(geometry(hyperbolic, surf), mer)

@@ -92,9 +92,9 @@ def test_row_computes_each_snapshot_diameter_once(monkeypatch):
     real = harness.intrinsic_diameter
     measured, tracks = [], []
 
-    def diameter(geom):
+    def diameter(geom, grid):
         measured.append(geom.area)
-        return real(geom)
+        return real(geom, grid)
 
     def run(*args, **kwargs):
         # the row flows as a batch of one; keep its own track
@@ -109,9 +109,9 @@ def test_row_computes_each_snapshot_diameter_once(monkeypatch):
     assert len(measured) == len(set(measured)) == 7
     (track,) = tracks
     for t, d in result.diam.items():
-        assert d == real(lifted_geometry(track, snap_index_of_time(track, t)))
+        assert d == real(lifted_geometry(track, snap_index_of_time(track, t)), track.grid)
     for t, d in zip(result.compat_report.diam_times, result.compat_report.diam_values):
-        assert d == real(lifted_geometry(track, snap_index_of_time(track, t)))
+        assert d == real(lifted_geometry(track, snap_index_of_time(track, t)), track.grid)
 
 
 def test_run_sequence_rows_and_columns(tmp_path):
@@ -231,7 +231,7 @@ def test_record_reads_every_column_at_one_snapshot():
              for j, t in enumerate(tr.snap_times)]
     j = gauss.index(rec["gauss_dev"])
     assert rec["m_H"] == tr.series.m_H[tr.snap_indices[j]]
-    assert rec["diam"] == intrinsic_diameter(lifted_geometry(tr, j))
+    assert rec["diam"] == intrinsic_diameter(lifted_geometry(tr, j), tr.grid)
 
 
 # dt * N rounds one ulp below T for these pairs: 2/49 * 49 = 1.9999999999999998

@@ -13,11 +13,10 @@ module-level function and class of the package must be read somewhere in
 other than a dunder or a method ``TRACED`` patches, with the tracer itself
 counted as a reader: it reads ``FlowTrack.snap_f`` for a row's stored bytes.
 
-A flow has one grid, and the checks see every snapshot on it: within the
-package, only ``imcf`` and ``harness._diameter`` (which lifts a meridian
-column to the lattice the diameter needs) may name the grid choice
-(``flow_grid``), the restriction and lift (``_on_grid``) or the start's
-builder (``start_geometry``).
+A flow has one grid, and the checks see every snapshot on it, the
+diameter included (it measures a meridian column on its own half lattice):
+within the package, only ``imcf`` may name the grid choice (``flow_grid``),
+the restriction (``_on_grid``) or the start's builder (``start_geometry``).
 """
 
 import ast
@@ -168,7 +167,7 @@ def test_every_package_method_is_read_outside_the_tests():
 
 
 GRID_NAMES = {"flow_grid", "_on_grid", "start_geometry"}
-GRID_HOMES = {"imcf", "harness._diameter"}
+GRID_HOMES = {"imcf"}
 
 
 def _names(node) -> set[str]:
@@ -210,9 +209,11 @@ def test_scan_finds_a_planted_grid_name():
                    "class Acc:\n    def take(self, geom):\n        return imcf.flow_grid(geom.grid)\n",
         "mass": "from .imcf import start_geometry as sg\n",
     }
-    assert grid_name_uses(package) == ["harness.Acc: flow_grid", "mass: start_geometry"]
+    assert grid_name_uses(package) == [
+        "harness._diameter: _on_grid", "harness.Acc: flow_grid", "mass: start_geometry"
+    ]
 
 
-def test_only_imcf_and_the_diameter_name_the_flow_grid():
+def test_only_imcf_names_the_flow_grid():
     package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert grid_name_uses(package) == []

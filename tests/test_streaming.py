@@ -130,7 +130,7 @@ def test_streamed_checks_match_replay(streamed_row):
         geom = track.snapshot_geometry(j)
         ref = gauss_deviation(geom, track.r0, float(track.snap_times[j]))
         assert _close(result.gauss_dev[t], ref)
-        assert _close(result.diam[t], intrinsic_diameter(lifted_geometry(track, j)))
+        assert _close(result.diam[t], intrinsic_diameter(lifted_geometry(track, j), track.grid))
 
 
 def test_streamed_chain_matches_full_grid_reference(streamed_row):
