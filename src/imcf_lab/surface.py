@@ -327,12 +327,12 @@ def intrinsic_diameter(geom: SurfaceGeometry, grid: SphereGrid) -> float:
     A column builds only the lattice's phi -> -phi half, columns 0 ..
     n_phi/2, from its own g11 and g22: a ring-constant metric, whose g12 is
     an exact zero on the column, gives every edge the weight of its
-    rotations and of its reflection.  So
-    a source on ring i may sit at column 0, and from there each node's
-    distance is its mirror's.  Dijkstra's distances with nonnegative
-    weights are each the least left-to-right sum over paths, whatever order
-    nodes are settled in, and the half lattice holds the full one's paths
-    folded, edge for edge, so every distance keeps its bits.
+    rotations and of its reflection.  So a source on ring i may sit at
+    column 0, and from there each node's distance is its mirror's.
+    Dijkstra's distances with nonnegative weights are each the least
+    left-to-right sum over paths, whatever order nodes are settled in, and
+    the half lattice holds the full one's paths folded, edge for edge, so
+    every distance keeps its bits.
     """
     nt, np_ = grid.shape
     if np_ == 1:

@@ -15,7 +15,7 @@ import pytest
 from imcf_lab import imcf
 from imcf_lab.errors import GeometryError
 from imcf_lab.sphere_grid import get_grid
-from imcf_lab.surface import GraphSurface, geometry, intrinsic_diameter, make_graph
+from imcf_lab.surface import GraphSurface, _spread_rings, geometry, intrinsic_diameter, make_graph
 
 from .test_s_form import PROFILES
 
@@ -27,11 +27,6 @@ AMPLITUDES = [0.0, 1e-9, 0.05]
 def _profile(kind):
     # built once per kind: a tabulated profile takes half a second
     return PROFILES[kind]()
-
-
-def _spread_rings(nt):
-    # the seven latitude rings the lattice's sources spread over
-    return set(np.linspace(0, nt - 1, 7).astype(int).tolist())
 
 
 def _columns(profile, s0, nt, nph, formula, amp):
@@ -70,7 +65,7 @@ def test_the_largest_radius_ring_is_a_source_on_or_off_the_spread(nt, nph, on_sp
     that eighth source's paths are the longest: the half lattice must keep
     it."""
     profile, s0 = _profile("hyperbolic")
-    spread = _spread_rings(nt)
+    spread = set(_spread_rings(nt).tolist())
     ring = 0 if on_spread else min(set(range(nt)) - spread)
     mer = get_grid(nt, 1)
     theta = mer.theta[:, None]
