@@ -22,13 +22,13 @@ and node-wise formula acts on each row's slice, and every reduction
 substep guard) is taken per row over the last two axes, so each row's
 numbers are bit for bit those of its lone flow.  A row's profile is passed
 to ``run`` once: the batch's ``ProfileStack``, built there, calls row i's
-s-form and r-map on slice i.  Each row's start is built alone by
-``start_geometry``; each row substeps at its own guard, and one that reaches
-t + dt first holds its zeta meanwhile.  A breakdown of any row ends the
-batch's flow and is raised, so a caller that wants every row's own outcome
-flows the rows of a batch that raised alone (``harness.run_sequence``
-does).  A lone row is the batch of one: ``run`` and ``record`` on an
-``AmbientProfile`` return its own track.
+s-form and r-map on slice i.  Each row's start is built alone, on its flow
+grid; each row substeps at its own guard, and one that reaches t + dt first
+holds its zeta meanwhile.  A breakdown of any row ends the batch's flow and
+is raised, so a caller that wants every row's own outcome flows the rows of
+a batch that raised alone (``harness.run_sequence`` does).  A lone row is
+the batch of one: ``run`` and ``record`` on an ``AmbientProfile`` return its
+own track.
 
 Each substep makes one full ``geometry()`` call, at its end, where the next
 substep, the recorded series and the observers read it.  The midpoint feeds
@@ -55,13 +55,12 @@ Data that is constant on every latitude ring stays so under the flow (the
 background is rotationally symmetric), so every column of a full-grid flow
 of it repeats one column.  ``flow_grid`` picks the grid a flow runs on: the
 meridian ``get_grid(n_theta, 1)`` when the start's zeta is ring-constant
-(every shipped scenario), else the scenario's grid (``bumpy`` data).
-``start_geometry`` builds the start on the scenario's grid, so every t = 0
-number keeps its bits, and restricts it to the flow's grid.  Every snapshot,
-the start included, reaches the observers on the flow's grid, with P1 and P2
-on it too.  The intrinsic diameter reads a column as it is: its lattice is
-the scenario grid's phi -> -phi half, built from the column
-(``surface.intrinsic_diameter``).
+(every shipped scenario), else the scenario's grid (``bumpy`` data).  A
+flow reads its start's zeta on that grid (on the meridian, its first
+column), so every geometry, the start's included, is computed on the flow's
+grid and reaches the observers there, with P1 and P2 on it too.  The intrinsic
+diameter reads a column as it is: its lattice is the scenario grid's
+phi -> -phi half, built from the column (``surface.intrinsic_diameter``).
 
 Stability: each recorded step of size dt is internally split into substeps
 obeying the parabolic guard dt <= CFL * h_theta^2 * min(H)^2 * min(lambda)^2
@@ -220,12 +219,10 @@ class FlowTrack:
 
     def snapshot_geometry(self, j: int) -> SurfaceGeometry:
         """Geometry of stored snapshot j, rebuilt from its zeta (not cached)
-        on ``flow_grid``'s pick, as ``run`` computed it: the start by
-        ``start_geometry``, so it equals the streamed start bit for bit."""
+        on ``flow_grid``'s pick, as ``run`` computed it, the start included:
+        it equals the streamed snapshot bit for bit."""
         self._require_snapshots()
         zeta = self.snap_zeta[j]
-        if j == 0:
-            return start_geometry(self.profile, self.grid, zeta)
         flow = flow_grid(self.grid, zeta)
         return geometry(self.profile, GraphSurface(flow, zeta[:, :flow.n_phi]))
 
@@ -305,15 +302,6 @@ def flow_batches(surfaces: Sequence[GraphSurface]) -> list[list[int]]:
     return list(batches.values())
 
 
-def start_geometry(profile: AmbientProfile, grid: SphereGrid, zeta: np.ndarray) -> SurfaceGeometry:
-    """The geometry of a flow's start zeta: computed on ``grid``, then
-    restricted to ``flow_grid``'s pick (every node field's first column when
-    zeta is ring-constant, whose full-grid geometry is ring-constant too)."""
-    geom = geometry(profile, GraphSurface(grid, zeta))
-    flow = flow_grid(grid, zeta)
-    return geom if flow is grid else _on_grid(geom, flow)
-
-
 def snap_interval(n_steps: int, snap_every: int | None) -> int:
     """Steps between stored snapshots: ``snap_every``, or about 400 snapshots."""
     return max(1, n_steps // 400) if snap_every is None else snap_every
@@ -380,9 +368,8 @@ def run(
     starts = []
     with _at_time(0.0):
         for p, s in zip(profile, surface0, strict=True):
-            # a copy, so that the scenario-grid geometry a meridian start is
-            # cut from is freed here, not held through the flow
-            starts.append(_row(_stack([start_geometry(p, s.grid, s.grid.polar_filter(s.zeta))]), 0))
+            flow = flow_grid(s.grid, s.zeta)
+            starts.append(geometry(p, GraphSurface(flow, flow.polar_filter(s.zeta[:, :flow.n_phi]))))
     if len({(s.grid, start.grid) for s, start in zip(surface0, starts)}) > 1:
         raise ValueError(
             "a batch's rows must share a grid and a flow grid; imcf.flow_batches groups them"
@@ -495,20 +482,6 @@ def _at_time(t: float):
 _NODE_FIELDS = tuple(f.name for f in fields(SurfaceGeometry) if f.name not in ("surface", "area"))
 
 
-def _on_grid(geom: SurfaceGeometry, grid: SphereGrid) -> SurfaceGeometry:
-    """A ring-constant geometry on ``grid``, its meridian or a full grid:
-    every node field's first column as a zero-copy broadcast view of
-    ``grid.shape``.  The area is geom's.  Its one caller in the package,
-    ``start_geometry``, restricts the start to the meridian with it."""
-
-    def view(a):
-        return np.broadcast_to(a[:, :1], grid.shape)
-
-    nodes = {name: view(getattr(geom, name)) for name in _NODE_FIELDS}
-    surface = GraphSurface(grid, view(geom.surface.zeta))
-    return SurfaceGeometry(surface=surface, area=geom.area, **nodes)
-
-
 def _stack(geoms: list) -> SurfaceGeometry:
     """Lone rows' geometries stacked, as copies, into one batch, in order."""
     nodes = {name: np.stack([getattr(g, name) for g in geoms]) for name in _NODE_FIELDS}
@@ -517,7 +490,8 @@ def _stack(geoms: list) -> SurfaceGeometry:
 
 
 def _row(geom: SurfaceGeometry, p: int) -> SurfaceGeometry:
-    """Row p of a batch geometry as its lone row's geometry, by views."""
+    """Row p of a batch geometry as its lone row's geometry, by views: what
+    ``_observe`` hands that row's observers."""
     batch = vars(geom)
     nodes = {name: batch[name][p] for name in _NODE_FIELDS}
     surface = GraphSurface(geom.grid, geom.surface.zeta[p])

@@ -77,7 +77,10 @@ RANGES = {
 
 _GRID = (
     Field("n_theta", "integer", 64, "Gauss-Legendre latitude nodes", "a power of two >= 8"),
-    Field("n_phi", "integer", 128, "uniform longitude nodes", "a power of two >= 8"),
+    Field("n_phi", "integer", 128, "uniform longitude nodes; a ring-constant row "
+          "(round, ellipsoid) reads it only for its initial graph and its diameter "
+          "lattice's width, and only bumpy data flows on it",
+          "a power of two >= 8"),
 )
 _SURFACE = (
     Field("type", "string", "round", "initial graph; round with an amplitude is "

@@ -12,6 +12,9 @@ Rc(nu, nu) against a probe field over the snapshots of a recorded track.
 
 The general geometry is the surface geometry's algebra with every phi term
 in place, as the meridian's fast path that drops them was checked against.
+``_on_grid`` moves a ring-constant geometry between its meridian and a full
+grid by broadcast views of its first column, so that a column and a
+full-grid geometry can be compared where only one of them is computed.
 
 The round-row reference gives a round row's report columns in closed form
 from the ambient's mass aspect m(s) alone; next to it are the round flow's
@@ -34,7 +37,7 @@ from scipy.interpolate import CubicSpline
 
 from imcf_lab.comparison import sample_indices
 from imcf_lab.errors import CurvatureError, GeometryError
-from imcf_lab.imcf import ProfileStack, _on_grid, time_grid
+from imcf_lab.imcf import _NODE_FIELDS, ProfileStack, time_grid
 from imcf_lab.mass import SIXTEEN_PI
 from imcf_lab.surface import GraphSurface, SurfaceGeometry, integrate
 
@@ -267,6 +270,19 @@ def snap_index_of_time(track, t: float) -> int:
     if abs(track.snap_times[j] - t) > 1e-9 * max(1.0, track.T):
         raise ValueError(f"t = {t:.6g} is not a stored snapshot time")
     return j
+
+
+def _on_grid(geom, grid):
+    """A ring-constant geometry on ``grid``, its meridian or a full grid:
+    every node field's first column as a zero-copy broadcast view of
+    ``grid.shape``.  The area is geom's."""
+
+    def view(a):
+        return np.broadcast_to(a[:, :1], grid.shape)
+
+    nodes = {name: view(getattr(geom, name)) for name in _NODE_FIELDS}
+    surface = GraphSurface(grid, view(geom.surface.zeta))
+    return SurfaceGeometry(surface=surface, area=geom.area, **nodes)
 
 
 def lifted_geometry(track, j: int):

@@ -7,7 +7,8 @@ a row alone, as the batch of one.  The tests compare the two paths on every
 shipped scenario (at 16x32), on a ``bumpy`` pair on its 2D grid, on a batch
 whose rows take different numbers of substeps and on batches whose middle
 row breaks down mid-flow or fails a streamed check (the batch then runs each
-row alone), and count the ``geometry()`` calls a batch makes.
+row alone), count the ``geometry()`` calls a batch makes and check the grid
+of every field its grid operations get.
 The batched geometry and series are also checked, bit for bit, against the
 lone geometry and the plain per-row reductions they replace.  A row that
 reaches t + dt first holds its zeta while the others substep on: a 2D pair
@@ -413,9 +414,9 @@ def test_the_cli_reports_every_row_of_a_batch_with_a_failed_row(monkeypatch, tmp
 
 def test_a_batch_makes_one_geometry_call_per_step_for_all_its_rows(monkeypatch):
     """k ring-constant rows, N steps of one substep each: one full
-    ``geometry()`` call per row for its start (alone, on the scenario's
-    grid), then one per step and one midpoint ``speed_geometry()`` per step
-    for the whole batch, where the rows alone make k (1 + N) and k N."""
+    ``geometry()`` call per row for its start (alone), then one per step and
+    one midpoint ``speed_geometry()`` per step for the whole batch, every
+    one on the meridian, where the rows alone make k (1 + N) and k N."""
     scn = scenario_from_dict(THREE_ROWS)
     k, n_steps = len(scn.epsilons), round(scn.T / scn.dt)
     full, real = [], imcf.geometry
@@ -431,10 +432,35 @@ def test_a_batch_makes_one_geometry_call_per_step_for_all_its_rows(monkeypatch):
     assert all(rr.ok for rr in report.rows)
     assert len(midpoint) == n_steps           # one substep per step
     assert len(full) == k + n_steps
-    assert full[:k] == [SMALL_GRID["n_phi"]] * k and set(full[k:]) == {1}
+    assert full == [1] * (k + n_steps)
 
     full.clear()
     midpoint.clear()
     for row in scn.rows():
         assert run_row(scn, row).ok
     assert (len(full), len(midpoint)) == (k * (1 + n_steps), k * n_steps)
+
+
+@pytest.mark.parametrize("doc,n_phi", [(THREE_ROWS, 1), (BUMPY_PAIR, SMALL_GRID["n_phi"])],
+                         ids=["ring-constant", "bumpy"])
+def test_every_grid_operation_of_a_sweep_runs_on_its_flow_grid(monkeypatch, doc, n_phi):
+    """Every field that ``geometry()``, ``speed_geometry()`` and
+    ``polar_filter`` get in a sweep, the start's included, has the flow
+    grid's n_phi: the meridian's 1 for ring-constant rows, the scenario's
+    for ``bumpy`` rows."""
+    seen = []
+
+    def spied(real):
+        def call(first, field):
+            seen.append((real.__name__, np.shape(getattr(field, "zeta", field))[-1]))
+            return real(first, field)
+
+        return call
+
+    monkeypatch.setattr(imcf, "geometry", spied(imcf.geometry))
+    monkeypatch.setattr(imcf, "speed_geometry", spied(imcf.speed_geometry))
+    monkeypatch.setattr(SphereGrid, "polar_filter", spied(SphereGrid.polar_filter))
+    report = run_sequence(scenario_from_dict(doc))
+    assert all(rr.ok for rr in report.rows)
+    assert {name for name, _ in seen} == {"geometry", "speed_geometry", "polar_filter"}
+    assert {width for _, width in seen} == {n_phi}

@@ -17,6 +17,7 @@ from imcf_lab.scenario import scenario_from_dict
 from imcf_lab.sphere_grid import get_grid
 from imcf_lab.surface import geometry, intrinsic_diameter, make_graph
 
+from .oracles import _on_grid
 from .test_s_form import PROFILES
 
 T, DT = 0.02, 1e-3
@@ -30,11 +31,11 @@ FLOORS = {"g2_g3": 1e-22}
 
 def _lifted(observe, grid):
     """``observe`` fed each snapshot on ``grid``: a meridian geometry lifted
-    by ``imcf._on_grid`` and its pinch integrals broadcast to the grid."""
+    by ``oracles._on_grid`` and its pinch integrals broadcast to the grid."""
 
     def seen(j, t, geom, P1, P2):
         if geom.grid is not grid:
-            geom = imcf._on_grid(geom, grid)
+            geom = _on_grid(geom, grid)
             P1, P2 = (np.broadcast_to(P, grid.shape) for P in (P1, P2))
         observe(j, t, geom, P1, P2)
 
@@ -120,22 +121,17 @@ def test_pinch_counts_are_of_the_flow_grids_nodes(hyperbolic):
 
 
 def test_a_meridian_row_lifts_nothing_and_computes_7_diameters(monkeypatch):
-    """Besides the start's restriction to the meridian, ``run_row`` calls
-    ``_on_grid`` not at all, and builds no full-grid lattice: it measures
-    each distinct diameter snapshot's column, the start included, on the
-    half lattice of the scenario's grid.  The t-samples {0, T/4, T/2, 3T/4,
+    """``run_row`` builds no full-grid lattice: it measures each distinct
+    diameter snapshot's column, the start included, on the half lattice of
+    the scenario's grid.  The t-samples {0, T/4, T/2, 3T/4,
     T} and the compat picks over [T/2, T] make 7 distinct snapshots."""
     doc = {"id": "lifts", "mode": "PMT", "profile": {"kind": "hyperbolic"},
            "surface": {"type": "ellipsoid", "area_radius": 1.0, "amplitude": 0.05},
            "T": 0.25, "dt": 2.5e-3, "grid": {"n_theta": 16, "n_phi": 32}}
     scn = scenario_from_dict(doc)
     row = scn.rows()[0]
-    grid, real_on_grid, real_diameter = row.surface0.grid, imcf._on_grid, harness.intrinsic_diameter
-    targets, measured = [], []
-
-    def on_grid(geom, target):
-        targets.append(target.n_phi)
-        return real_on_grid(geom, target)
+    grid, real_diameter = row.surface0.grid, harness.intrinsic_diameter
+    measured = []
 
     def diameter(geom, lattice):
         measured.append((geom.grid.shape, lattice))
@@ -144,7 +140,6 @@ def test_a_meridian_row_lifts_nothing_and_computes_7_diameters(monkeypatch):
     def full_lattice(geom):
         raise AssertionError("a meridian row built the full lattice")
 
-    monkeypatch.setattr(imcf, "_on_grid", on_grid)
     monkeypatch.setattr(harness, "intrinsic_diameter", diameter)
     monkeypatch.setattr(surface, "_lattice", full_lattice)
     result = run_row(scn, row)
@@ -152,7 +147,6 @@ def test_a_meridian_row_lifts_nothing_and_computes_7_diameters(monkeypatch):
     steps = set(result.sample_steps.values())
     steps |= {round(t / scn.dt) for t in result.compat_report.diam_times}
     assert len(steps) == 7 and 0 in steps
-    assert targets == [1]
     assert measured == [((grid.n_theta, 1), grid)] * len(steps)
 
 

@@ -3,7 +3,7 @@
 ``intrinsic_diameter`` measures an (n_theta, 1) column on the phi -> -phi
 half of the scenario grid's lattice, with one source per distinct source
 ring.  Its reference is the full lattice on the same column lifted to the
-grid by ``imcf._on_grid``: every edge length and every Dijkstra distance
+grid by ``oracles._on_grid``: every edge length and every Dijkstra distance
 keeps its bits, so the two diameters are equal, not close.
 """
 
@@ -12,11 +12,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from imcf_lab import imcf
 from imcf_lab.errors import GeometryError
 from imcf_lab.sphere_grid import get_grid
 from imcf_lab.surface import GraphSurface, _spread_rings, geometry, intrinsic_diameter, make_graph
 
+from .oracles import _on_grid
 from .test_s_form import PROFILES
 
 GRIDS = [(8, 8), (16, 32), (32, 64), (64, 128)]
@@ -31,17 +31,17 @@ def _profile(kind):
 
 def _columns(profile, s0, nt, nph, formula, amp):
     """The column of ``formula`` data, as the flow computes it on the
-    meridian and as ``start_geometry`` restricts the full grid's to it."""
+    meridian and as the full grid's geometry restricted to it."""
     grid = get_grid(nt, nph)
     rbar = float(profile.radius_from_area_radius(s0))
     meridian = make_graph(profile, get_grid(nt, 1), rbar, formula, amp)
     start = make_graph(profile, grid, rbar, formula, amp)
-    return grid, [geometry(profile, meridian), imcf.start_geometry(profile, grid, start.zeta)]
+    return grid, [geometry(profile, meridian), _on_grid(geometry(profile, start), get_grid(nt, 1))]
 
 
 def _assert_half_is_full(column, grid):
     assert column.grid.shape == (grid.n_theta, 1)
-    lifted = imcf._on_grid(column, grid)
+    lifted = _on_grid(column, grid)
     assert intrinsic_diameter(column, grid) == intrinsic_diameter(lifted, grid)
 
 

@@ -13,10 +13,11 @@ module-level function and class of the package must be read somewhere in
 other than a dunder or a method ``TRACED`` patches, with the tracer itself
 counted as a reader: it reads ``FlowTrack.snap_f`` for a row's stored bytes.
 
-A flow has one grid, and the checks see every snapshot on it, the
-diameter included (it measures a meridian column on its own half lattice):
-within the package, only ``imcf`` may name the grid choice (``flow_grid``),
-the restriction (``_on_grid``) or the start's builder (``start_geometry``).
+A flow has one grid, from its start on, and the checks see every snapshot
+on it, the diameter included (it measures a meridian column on its own half
+lattice): within the package, only ``imcf`` may name the grid choice
+(``flow_grid``), a restriction of a geometry to it (``_on_grid``) or a start
+built on another grid (``start_geometry``).
 """
 
 import ast

@@ -2,8 +2,8 @@
 premise (the full grid's phi operations are exact on such data, and its
 start geometry repeats one column), the grid itself, the meridian geometry
 without its phi terms against the general algebra it replaces, the fork in
-``imcf.flow_grid``, the grid every observer call gets, and the meridian flow
-against the full-grid flow it replaces."""
+``imcf.flow_grid``, the grid every observer call gets, and the meridian
+start and flow against the full-grid start and flow they replace."""
 
 import csv
 import dataclasses
@@ -57,8 +57,7 @@ def test_the_start_geometry_of_ring_constant_data_is_ring_constant_bit_for_bit(
     kind, formula, amp, nt, nph
 ):
     """The full-grid start geometry repeats one column in every node field,
-    so ``start_geometry``'s restriction to the meridian drops no bit, and the
-    Holder distance of the restriction is the full start's."""
+    so a full-grid start holds nothing that its meridian column lacks."""
     profile, s0 = PROFILES[kind]()
     grid = get_grid(nt, nph)
     surf0 = make_graph(profile, grid, float(profile.radius_from_area_radius(s0)), formula, amp)
@@ -67,10 +66,49 @@ def test_the_start_geometry_of_ring_constant_data_is_ring_constant_bit_for_bit(
     for name in imcf._NODE_FIELDS:
         a = getattr(full, name)
         assert np.array_equal(a, np.broadcast_to(a[:, :1], grid.shape)), name
-    start = imcf.start_geometry(profile, grid, zeta)
-    assert start.grid is get_grid(nt, 1) and start.area == full.area
+
+
+# The meridian start against the full-grid start, each bound at least seven
+# times the largest gap seen over the cases below.  Both grids take their
+# theta derivatives with the same matrix, the full grid as a matrix-matrix
+# product and the meridian as a matrix-vector one, which sum in another
+# order: the node fields differ in round-off (the largest gap 8.0e-12 in
+# grad_H2, 3.9e-12 in absA2, 2e-12 in K), the area by 2.8e-16 relative, r0
+# by 4.4e-16 and the Holder distance c_alpha by 2.0e-15 (on the coordinate
+# sphere the meridian gives 0 where the full grid gives up to 1.8e-15).
+START_BOUNDS = {"nodes": 6e-11, "area": 2e-15, "r0": 4e-15, "c_alpha": 1.5e-14}
+
+
+@pytest.mark.parametrize("nt,nph", [(16, 32), (64, 128)])
+@pytest.mark.parametrize(
+    "formula,amp",
+    [("round", 0.0), ("round", 1e-9), ("round", 0.05), ("ellipsoid", 0.0), ("ellipsoid", 0.05)],
+)
+@pytest.mark.parametrize("kind", sorted(PROFILES))
+def test_the_meridian_start_matches_the_full_grid_start(kind, formula, amp, nt, nph):
+    """The start ``run`` hands its observers and its r0, built on the
+    meridian, against the full-grid geometry of the filtered start zeta."""
+    profile, s0 = PROFILES[kind]()
+    grid = get_grid(nt, nph)
+    surf0 = make_graph(profile, grid, float(profile.radius_from_area_radius(s0)), formula, amp)
+    full = geometry(profile, GraphSurface(grid, grid.polar_filter(surf0.zeta)))
+    starts = []
+
+    def observe(j, t, geom, P1, P2):
+        if j == 0:
+            starts.append(geom)
+
+    track = imcf.run(profile, surf0, T=1e-3, dt=1e-3, observers=[observe])
+    (start,) = starts
+    assert start.grid is get_grid(nt, 1)
+    for name in imcf._NODE_FIELDS:
+        gap = np.max(np.abs(getattr(start, name) - getattr(full, name)[:, :1]))
+        assert gap <= START_BOUNDS["nodes"], (name, gap)
+    assert abs(start.area - full.area) <= START_BOUNDS["area"] * full.area
     r0 = imcf.area_radius(full)
-    assert c_alpha_distance_to_round(start, r0) == c_alpha_distance_to_round(full, r0)
+    assert abs(track.r0 - r0) <= START_BOUNDS["r0"]
+    c_start = c_alpha_distance_to_round(start, track.r0)
+    assert abs(c_start - c_alpha_distance_to_round(full, r0)) <= START_BOUNDS["c_alpha"]
 
 
 # -- the meridian grid ------------------------------------------------------------
@@ -205,10 +243,9 @@ def test_ring_constant_data_flows_on_the_meridian_and_is_seen_on_its_grid(monkey
     surf0 = make_graph(hyperbolic, grid, float(np.arcsinh(1.0)), "ellipsoid", 0.05)
     seen = _geometry_grids(monkeypatch)
     calls = _observed_grids(hyperbolic, surf0)
-    # the start is computed on the scenario's grid and every later geometry
-    # on the meridian; every observer call, the start's included, gets the
-    # meridian, P1 and P2 included
-    assert seen[0] == 32 and set(seen[1:]) == {1}
+    # every geometry, the start's included, is computed on the meridian, and
+    # every observer call gets it, P1 and P2 included
+    assert set(seen) == {1}
     mer = get_grid(16, 1)
     assert set(calls) == {(mer, mer.shape, mer.shape, mer.shape, mer.shape)}
 
@@ -224,8 +261,8 @@ def test_bumpy_data_is_seen_on_the_scenarios_grid(monkeypatch, hyperbolic):
 
 @pytest.mark.parametrize("formula", ["ellipsoid", "bumpy"])
 def test_a_replayed_start_equals_the_streamed_start_bit_for_bit(hyperbolic, formula):
-    """``snapshot_geometry(0)`` rebuilds the start through ``start_geometry``,
-    as ``run`` built it, so a replayed check reads the streamed start."""
+    """``snapshot_geometry(0)`` rebuilds the start on the flow's grid, as
+    ``run`` built it, so a replayed check reads the streamed start."""
     grid = get_grid(16, 32)
     surf0 = make_graph(hyperbolic, grid, float(np.arcsinh(1.0)), formula, 0.05)
     streamed = []
@@ -317,13 +354,14 @@ def test_meridian_flow_matches_the_full_grid_flow(monkeypatch, kind, formula, am
     seen = _geometry_grids(monkeypatch)
     fast, c_fast = flow()
     n_fast = len(seen)
-    assert set(seen[1:]) == {1}
+    assert set(seen) == {1}
     monkeypatch.setattr(imcf, "flow_grid", lambda grid, zeta: grid)
     full, c_full = flow()
     assert set(seen[n_fast:]) == {nph}
 
-    assert c_fast == c_full
-    assert fast.r0 == full.r0
+    # two start computations, as in the test of the starts above
+    assert abs(c_fast - c_full) <= START_BOUNDS["c_alpha"]
+    assert abs(fast.r0 - full.r0) <= START_BOUNDS["r0"]
     for f in dataclasses.fields(imcf.FlowSeries):
         got, ref = getattr(fast.series, f.name), getattr(full.series, f.name)
         assert _close(got, ref, FLOORS.get(f.name, 0.0)), (f.name, np.max(np.abs(got - ref)))
